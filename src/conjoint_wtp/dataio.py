@@ -42,19 +42,28 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    _atomic_write(path, (text,))
+
+
+def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line plus "\n", streamed, so the whole text is never held."""
+    _atomic_write(path, (line + "\n" for line in lines))
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -189,13 +198,14 @@ def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
         "seed": draws.seed,
         "param_layout": "mu, sigma, z (respondent-major)",
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
     n = draws.n_draws
     flat_z = draws.z.reshape(n, -1)
-    for i in range(n):
-        params = np.concatenate([draws.mu[i], draws.sigma[i], flat_z[i]])
-        lines.append(
-            json.dumps(
+
+    def lines():
+        yield json.dumps(header, separators=(",", ":"))
+        for i in range(n):
+            params = np.concatenate([draws.mu[i], draws.sigma[i], flat_z[i]])
+            yield json.dumps(
                 {
                     "chain": int(draws.chain_index[i]),
                     "draw": i,
@@ -204,8 +214,8 @@ def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
                 },
                 separators=(",", ":"),
             )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    atomic_write_lines(path, lines())
 
 
 def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
@@ -308,7 +318,7 @@ def write_wtp_summary_csv(
                 ]
             )
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, lines)
 
 
 def write_wtp_draws_csv(path: str | Path, wtp_by_feature: list[WtpDraws]) -> None:
@@ -321,7 +331,7 @@ def write_wtp_draws_csv(path: str | Path, wtp_by_feature: list[WtpDraws]) -> Non
     stacked = np.column_stack([w.draws for w in wtp_by_feature])
     for row in stacked:
         lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, lines)
 
 
 def write_revenue_csv(path: str | Path, curve: RevenueCurve) -> None:
@@ -330,4 +340,4 @@ def write_revenue_csv(path: str | Path, curve: RevenueCurve) -> None:
         lines.append(
             ",".join([_fmt(price), _fmt(curve.mean[j]), _fmt(curve.hdi_low[j]), _fmt(curve.hdi_high[j])])
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, lines)

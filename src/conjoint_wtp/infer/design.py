@@ -67,7 +67,8 @@ def build_design(dataset: ChoiceDataset, standardize: bool = True) -> Design:
     """Build the z-scored difference-regressor matrix and choice vector.
 
     Rows keep the dataset's respondent grouping; `row_starts` marks each
-    respondent's first row so per-respondent reductions are cheap. With
+    respondent's first row, from which the model builds its padded
+    (respondent, task, feature) layout once. With
     standardize=False the standardization is the identity (used by
     raw-scale consistency checks).
     """

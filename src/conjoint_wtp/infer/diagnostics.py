@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 
 @dataclass
@@ -46,6 +45,9 @@ def _split_chains(draws: np.ndarray) -> np.ndarray:
 
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
     """Fractional ranks of the pooled sample mapped through the normal quantile."""
+    # imported here: scipy.stats alone would double the CLI's import time
+    from scipy.stats import rankdata
+
     shape = x.shape
     flat = x.reshape(-1, shape[-1]) if x.ndim > 1 else x.reshape(1, -1)
     pooled = flat.reshape(-1)

@@ -10,6 +10,18 @@ oracle comparisons and prior-recovery checks.
 
 Both expose log_posterior(theta) -> (value, gradient) with exact analytic
 gradients; the sampler treats a non-finite value as an off-support point.
+
+The likelihood is one pass over signed logits s = sgn * eta, sgn = +-1 for
+a chosen/rejected option A. With e = exp(-s), expit(s) = 1 / (1 + e), so
+the single exp gives both log expit(s) = -log(1 + e) and the score
+d/d eta = sgn * e / (1 + e). When e overflows (s below about -709) the sum
+is recomputed exactly with scipy's log_expit.
+
+The hierarchical model lays the rows out as a padded (R, T_max, F) array,
+built once: respondent r's tasks fill the first slots of row r. A balanced
+panel is a reshape view of the design matrix. In a ragged panel each pad
+slot has x = 0 and sgn = 0, so s = 0: it adds exactly -log 2 to the sum,
+which a precomputed constant cancels, and 0 to the score.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from ..errors import ContractError
 from .design import Design
@@ -70,10 +82,34 @@ class ModelConfig:
         return replace(self, **kwargs)
 
 
-def _bernoulli_loglik_and_score(eta: np.ndarray, y: np.ndarray, sgn: np.ndarray):
-    loglik = -np.logaddexp(0.0, -sgn * eta).sum()
-    score = y - expit(eta)
-    return loglik, score
+def _loglik_and_score(s: np.ndarray, sgn: np.ndarray):
+    """Sum of log expit(s) over the signed logits s = sgn * eta, and the
+    score d/d eta = sgn * (1 - expit(s)), shaped like s."""
+    e = np.exp(-s)
+    d = e + 1.0
+    loglik = -float(np.log(d).sum())
+    if not math.isfinite(loglik):
+        return float(log_expit(s).sum()), sgn * expit(-s)
+    e /= d
+    e *= sgn
+    return loglik, e
+
+
+def _padded_layout(design: Design):
+    """(R, T_max, F) rows and (R, T_max) signs; pad slots are 0 in both."""
+    r, f, n = design.n_respondents, design.n_features, design.n_rows
+    sgn = 2.0 * design.choices - 1.0
+    counts = np.diff(np.r_[design.row_starts, n])
+    t_max = int(counts.max()) if n else 0
+    if n == r * t_max:  # balanced: no pad slots, so a view suffices
+        return design.x.reshape(r, t_max, f), sgn.reshape(r, t_max)
+    resp = design.respondent_index
+    slot = np.arange(n) - design.row_starts[resp]
+    x3 = np.zeros((r, t_max, f))
+    sgn3 = np.zeros((r, t_max))
+    x3[resp, slot] = design.x
+    sgn3[resp, slot] = sgn
+    return x3, sgn3
 
 
 class HierarchicalLogitModel:
@@ -87,11 +123,8 @@ class HierarchicalLogitModel:
         self.config = config
         self.n_features = design.n_features
         self.n_respondents = design.n_respondents
-        self.x = design.x
-        self.y = design.choices.astype(np.float64)
-        self.sgn = 2.0 * self.y - 1.0
-        self.resp_index = design.respondent_index
-        self.row_starts = design.row_starts
+        self.x3, self.sgn3 = _padded_layout(design)
+        self._pad_const = (self.sgn3.size - design.n_rows) * math.log(2.0)
         price = design.price_index
         self.prior_mean = np.array(
             [
@@ -133,26 +166,22 @@ class HierarchicalLogitModel:
         return names
 
     def log_posterior(self, theta: np.ndarray):
-        f = self.n_features
         mu, log_sigma, z = self.unpack(theta)
         with np.errstate(over="ignore"):
             sigma = np.exp(log_sigma)
-        if not np.all(np.isfinite(sigma)):
-            return -np.inf, np.zeros_like(theta)
-
-        beta = mu + sigma * z
-        if self.x.shape[0] > 0:
-            eta = np.einsum("nf,nf->n", self.x, beta[self.resp_index])
-            loglik, score = _bernoulli_loglik_and_score(eta, self.y, self.sgn)
-            grad_beta = np.add.reduceat(self.x * score[:, None], self.row_starts, axis=0)
-        else:
-            loglik = 0.0
-            grad_beta = np.zeros_like(z)
+            if not np.all(np.isfinite(sigma)):
+                return -np.inf, np.zeros_like(theta)
+            beta = mu + sigma * z
+            s = (self.x3 @ beta[:, :, None])[:, :, 0]
+            s *= self.sgn3
+            loglik, score = _loglik_and_score(s, self.sgn3)
+        grad_beta = (score[:, None, :] @ self.x3)[:, 0, :]
 
         mu_resid = (mu - self.prior_mean) / self.prior_sd
         tau2 = self.sigma_tau**2
         logp = (
             loglik
+            + self._pad_const
             + self._mu_const
             - 0.5 * (mu_resid**2).sum()
             + self._sigma_const
@@ -171,19 +200,6 @@ class HierarchicalLogitModel:
         if not np.all(np.isfinite(grad)):
             return -np.inf, np.zeros_like(theta)
         return float(logp), grad
-
-    def log_likelihood_beta(self, beta: np.ndarray) -> float:
-        """Likelihood at explicit per-respondent coefficients (centered form)."""
-        beta = np.asarray(beta, dtype=float)
-        if beta.shape != (self.n_respondents, self.n_features):
-            raise ContractError(
-                f"beta has shape {beta.shape}, expected {(self.n_respondents, self.n_features)}"
-            )
-        if self.x.shape[0] == 0:
-            return 0.0
-        eta = np.einsum("nf,nf->n", self.x, beta[self.resp_index])
-        loglik, _ = _bernoulli_loglik_and_score(eta, self.y, self.sgn)
-        return float(loglik)
 
     def initial_position(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, self.dim)
@@ -222,11 +238,10 @@ class FlatLogitModel:
         resid = (theta - self.prior_mean) / self.prior_sd
         logp = self._const - 0.5 * (resid**2).sum()
         grad = -resid / self.prior_sd
-        if self.x.shape[0] > 0:
-            eta = self.x @ theta
-            loglik, score = _bernoulli_loglik_and_score(eta, self.y, self.sgn)
-            logp += loglik
-            grad = grad + self.x.T @ score
+        with np.errstate(over="ignore"):
+            loglik, score = _loglik_and_score(self.sgn * (self.x @ theta), self.sgn)
+        logp += loglik
+        grad = grad + self.x.T @ score
         if not np.isfinite(logp):
             return -np.inf, np.zeros_like(theta)
         return float(logp), grad

@@ -73,7 +73,23 @@ class SampleResult:
         return self.draws.reshape(-1, self.draws.shape[2])
 
 
+def _log_add_exp(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)) for two floats, without a numpy scalar call."""
+    if a < b:
+        a, b = b, a
+    if b == -math.inf:
+        return a
+    return a + math.log1p(math.exp(b - a))
+
+
 class _Hamiltonian:
+    """Leapfrog dynamics under a diagonal inverse metric.
+
+    A phase-space state is the tuple (q, p, grad, logp, v), where v is the
+    velocity inv_mass * p; carrying it saves recomputing it for the energy
+    and the U-turn checks.
+    """
+
     def __init__(self, log_posterior, inv_mass: np.ndarray):
         self.log_posterior = log_posterior
         self.inv_mass = inv_mass
@@ -82,72 +98,74 @@ class _Hamiltonian:
     def sample_momentum(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.inv_mass.shape[0]) * self.momentum_sd
 
-    def energy(self, logp: float, p: np.ndarray) -> float:
-        return -logp + 0.5 * float(p * p @ self.inv_mass)
+    def energy(self, logp: float, p: np.ndarray, v: np.ndarray) -> float:
+        return -logp + 0.5 * float(p @ v)
 
     def velocity(self, p: np.ndarray) -> np.ndarray:
         return self.inv_mass * p
 
     def leapfrog(self, q, p, grad, step):
-        p_half = p + 0.5 * step * grad
+        half = 0.5 * step
+        p_half = p + half * grad
         q_new = q + step * self.velocity(p_half)
         logp_new, grad_new = self.log_posterior(q_new)
-        p_new = p_half + 0.5 * step * grad_new
-        return q_new, p_new, grad_new, logp_new
+        p_new = p_half + half * grad_new
+        return q_new, p_new, grad_new, logp_new, self.velocity(p_new)
 
 
 class _Tree:
+    """A built subtree: its two edge states, the multinomial proposal
+    (q, grad, logp, energy), and the sums merged up the tree."""
+
     __slots__ = (
         "left",
         "right",
-        "prop_q",
-        "prop_grad",
-        "prop_logp",
-        "prop_energy",
+        "proposal",
         "log_sum_weight",
         "rho",
         "sum_accept",
         "n_states",
-        "n_leapfrog",
         "divergent",
         "turning",
     )
 
-    def __init__(self, **kw):
-        for name, value in kw.items():
-            setattr(self, name, value)
+    def __init__(self, left, right, proposal, log_sum_weight, rho, sum_accept, n_states, divergent, turning):
+        self.left = left
+        self.right = right
+        self.proposal = proposal
+        self.log_sum_weight = log_sum_weight
+        self.rho = rho
+        self.sum_accept = sum_accept
+        self.n_states = n_states
+        self.divergent = divergent
+        self.turning = turning
 
 
-def _is_turning(ham: _Hamiltonian, rho: np.ndarray, p_left: np.ndarray, p_right: np.ndarray) -> bool:
-    return float(ham.velocity(p_left) @ rho) <= 0.0 or float(ham.velocity(p_right) @ rho) <= 0.0
+def _is_turning(rho: np.ndarray, v_left: np.ndarray, v_right: np.ndarray) -> bool:
+    return float(v_left @ rho) <= 0.0 or float(v_right @ rho) <= 0.0
 
 
 def _build_tree(ham, depth, state, direction, step, h0, rng) -> _Tree:
-    q, p, grad, _logp = state
     if depth == 0:
-        q1, p1, grad1, logp1 = ham.leapfrog(q, p, grad, direction * step)
-        h = ham.energy(logp1, p1)
+        leaf = ham.leapfrog(state[0], state[1], state[2], direction * step)
+        q1, p1, grad1, logp1, v1 = leaf
+        h = ham.energy(logp1, p1, v1)
         delta = h - h0
         if not math.isfinite(h):
             divergent = True
             delta = math.inf
         else:
             divergent = delta > DIVERGENCE_THRESHOLD
-        leaf = (q1, p1, grad1, logp1)
         return _Tree(
-            left=leaf,
-            right=leaf,
-            prop_q=q1,
-            prop_grad=grad1,
-            prop_logp=logp1,
-            prop_energy=h,
-            log_sum_weight=-delta if not divergent else -math.inf,
-            rho=p1.copy(),
-            sum_accept=math.exp(min(0.0, -delta)) if math.isfinite(delta) else 0.0,
-            n_states=1,
-            n_leapfrog=1,
-            divergent=divergent,
-            turning=False,
+            leaf,
+            leaf,
+            (q1, grad1, logp1, h),
+            -math.inf if divergent else -delta,
+            p1,
+            math.exp(min(0.0, -delta)) if math.isfinite(delta) else 0.0,
+            1,
+            divergent,
+            False,
         )
 
     inner = _build_tree(ham, depth - 1, state, direction, step, h0, rng)
@@ -155,45 +173,40 @@ def _build_tree(ham, depth, state, direction, step, h0, rng) -> _Tree:
         return inner
     start = inner.right if direction > 0 else inner.left
     outer = _build_tree(ham, depth - 1, start, direction, step, h0, rng)
-
+    if direction > 0:
+        left, right = inner.left, outer.right
+    else:
+        left, right = outer.left, inner.right
     tree = _Tree(
-        left=inner.left if direction > 0 else outer.left,
-        right=outer.right if direction > 0 else inner.right,
-        prop_q=inner.prop_q,
-        prop_grad=inner.prop_grad,
-        prop_logp=inner.prop_logp,
-        prop_energy=inner.prop_energy,
-        log_sum_weight=np.logaddexp(inner.log_sum_weight, outer.log_sum_weight),
-        rho=inner.rho + outer.rho,
-        sum_accept=inner.sum_accept + outer.sum_accept,
-        n_states=inner.n_states + outer.n_states,
-        n_leapfrog=inner.n_leapfrog + outer.n_leapfrog,
-        divergent=outer.divergent,
-        turning=outer.turning,
+        left,
+        right,
+        inner.proposal,
+        _log_add_exp(inner.log_sum_weight, outer.log_sum_weight),
+        inner.rho + outer.rho,
+        inner.sum_accept + outer.sum_accept,
+        inner.n_states + outer.n_states,
+        outer.divergent,
+        outer.turning,
     )
     if tree.divergent or tree.turning:
         return tree
     # uniform multinomial selection between the two halves
     if math.log(rng.random()) < outer.log_sum_weight - tree.log_sum_weight:
-        tree.prop_q = outer.prop_q
-        tree.prop_grad = outer.prop_grad
-        tree.prop_logp = outer.prop_logp
-        tree.prop_energy = outer.prop_energy
-    tree.turning = _is_turning(ham, tree.rho, tree.left[1], tree.right[1])
+        tree.proposal = outer.proposal
+    tree.turning = _is_turning(tree.rho, left[4], right[4])
     return tree
 
 
 def _transition(ham, q, grad, logp, step, max_depth, rng):
     p0 = ham.sample_momentum(rng)
-    h0 = ham.energy(logp, p0)
-    state = (q, p0, grad, logp)
-    left = right = state
-    prop_q, prop_grad, prop_logp, prop_energy = q, grad, logp, h0
-    rho = p0.copy()
+    v0 = ham.velocity(p0)
+    h0 = ham.energy(logp, p0, v0)
+    left = right = (q, p0, grad, logp, v0)
+    proposal = (q, grad, logp, h0)
+    rho = p0
     log_sum_weight = 0.0
     sum_accept = 0.0
     n_states = 0
-    n_leapfrog = 0
     divergent = False
     depth = 0
     while depth < max_depth:
@@ -202,7 +215,6 @@ def _transition(ham, q, grad, logp, step, max_depth, rng):
         tree = _build_tree(ham, depth, edge, direction, step, h0, rng)
         sum_accept += tree.sum_accept
         n_states += tree.n_states
-        n_leapfrog += tree.n_leapfrog
         if tree.divergent:
             divergent = True
             break
@@ -210,22 +222,18 @@ def _transition(ham, q, grad, logp, step, max_depth, rng):
             break
         # biased progressive: prefer the new half of the trajectory
         if math.log(rng.random()) < tree.log_sum_weight - log_sum_weight:
-            prop_q, prop_grad, prop_logp, prop_energy = (
-                tree.prop_q,
-                tree.prop_grad,
-                tree.prop_logp,
-                tree.prop_energy,
-            )
-        log_sum_weight = np.logaddexp(log_sum_weight, tree.log_sum_weight)
+            proposal = tree.proposal
+        log_sum_weight = _log_add_exp(log_sum_weight, tree.log_sum_weight)
         if direction > 0:
             right = tree.right
         else:
             left = tree.left
         rho = rho + tree.rho
         depth += 1
-        if _is_turning(ham, rho, left[1], right[1]):
+        if _is_turning(rho, left[4], right[4]):
             break
     accept_stat = sum_accept / n_states if n_states else 0.0
+    prop_q, prop_grad, prop_logp, prop_energy = proposal
     return (
         prop_q,
         prop_grad,
@@ -233,7 +241,7 @@ def _transition(ham, q, grad, logp, step, max_depth, rng):
         accept_stat,
         divergent,
         depth,
-        n_leapfrog,
+        n_states,  # one leapfrog step per new state
         prop_energy,
         prop_energy - h0,
     )
@@ -243,11 +251,11 @@ def _find_reasonable_step_size(ham, q, grad, logp, rng) -> float:
     """Double/halve until one leapfrog step has acceptance near 0.5."""
     step = 1.0
     p = ham.sample_momentum(rng)
-    h0 = ham.energy(logp, p)
+    h0 = ham.energy(logp, p, ham.velocity(p))
 
     def accept_logprob(eps: float) -> float:
-        _, p1, _, logp1 = ham.leapfrog(q, p, grad, eps)
-        h1 = ham.energy(logp1, p1)
+        _, p1, _, logp1, v1 = ham.leapfrog(q, p, grad, eps)
+        h1 = ham.energy(logp1, p1, v1)
         return h0 - h1 if math.isfinite(h1) else -math.inf
 
     a0 = accept_logprob(step)

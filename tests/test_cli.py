@@ -350,6 +350,20 @@ def test_console_entry_point_runs():
     assert "conjoint-wtp" in result.stdout
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # wtp and revenue never rank draws, so they should not pay for scipy.stats
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, conjoint_wtp.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_demo_config_matches_presets():
     from conjoint_wtp.config import load_run_config
     from conjoint_wtp.presets import (

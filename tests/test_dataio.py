@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from conjoint_wtp.config import model_config_to_dict
 from conjoint_wtp.dataio import (
+    atomic_write_lines,
     choices_header,
     read_choices_csv,
     read_ground_truth_json,
@@ -92,6 +94,16 @@ def test_no_temp_files_left_behind(tmp_path, scheme, small_dataset):
     assert [p.name for p in tmp_path.iterdir()] == ["choices.csv"]
 
 
+def test_failed_streamed_write_leaves_nothing(tmp_path):
+    def lines():
+        yield "first"
+        raise RuntimeError("source failed mid-write")
+
+    with pytest.raises(RuntimeError):
+        atomic_write_lines(tmp_path / "out.txt", lines())
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def tiny_draws(small_design_module):
     config = ModelConfig(chains=2, draws_per_chain=60, warmup_per_chain=80, seed=9)
@@ -125,6 +137,33 @@ def test_posterior_jsonl_roundtrip(tmp_path, tiny_draws):
     assert np.array_equal(loaded.standardization.scale, tiny_draws.standardization.scale)
     assert loaded.config == tiny_draws.config
     assert loaded.seed == tiny_draws.seed
+
+
+def test_streamed_posterior_matches_joined_text(tmp_path, tiny_draws):
+    # the writer streams line by line; the bytes must equal one joined write
+    path = tmp_path / "posterior.jsonl"
+    write_posterior_jsonl(path, tiny_draws)
+    d = tiny_draws
+    header = {
+        "format": "conjoint-wtp-posterior",
+        "version": 1,
+        "columns": list(d.columns),
+        "price_column": d.price_column,
+        "respondent_ids": list(d.respondent_ids),
+        "standardization": {
+            "mean": d.standardization.mean.tolist(),
+            "scale": d.standardization.scale.tolist(),
+        },
+        "config": model_config_to_dict(d.config),
+        "seed": d.seed,
+        "param_layout": "mu, sigma, z (respondent-major)",
+    }
+    lines = [json.dumps(header, separators=(",", ":"))]
+    for i in range(d.n_draws):
+        params = np.concatenate([d.mu[i], d.sigma[i], d.z[i].reshape(-1)]).tolist()
+        row = {"chain": int(d.chain_index[i]), "draw": i, "divergent": bool(d.divergent[i]), "params": params}
+        lines.append(json.dumps(row, separators=(",", ":")))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_posterior_jsonl_rejects_foreign_files(tmp_path):

@@ -1,10 +1,12 @@
-"""Log-posterior correctness: gradients, likelihood factorization, and the
-non-centered/centered identity."""
+"""Log-posterior correctness: gradients, likelihood factorization, the
+non-centered/centered identity, and the padded one-pass kernel against a
+per-row reference on balanced and ragged panels."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import log_expit
 
 from conjoint_wtp.errors import ContractError
 from conjoint_wtp.infer import (
@@ -15,18 +17,66 @@ from conjoint_wtp.infer import (
 )
 from conjoint_wtp.infer.design import Design, Standardization
 from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_scheme, smartphone_truth
-from conjoint_wtp.simulate import generate_tasks, sample_respondents, simulate_choices
+from conjoint_wtp.simulate import (
+    ChoiceDataset,
+    generate_tasks,
+    sample_respondents,
+    simulate_choices,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Tasks kept per respondent of tiny_dataset() in the ragged design.
+RAGGED_TASKS = (8, 1, 5, 3, 6)
 
-def tiny_design(n_respondents=5, tasks=8, seed=7):
+
+def tiny_dataset(n_respondents=5, tasks=8, seed=7):
     scheme = smartphone_scheme()
     truth = smartphone_truth()
     respondents = sample_respondents(scheme, truth, n_respondents, seed=seed)
     tasks_list = generate_tasks(scheme, n_respondents, tasks, DEFAULT_PRICE_GRID, seed=seed)
-    dataset = simulate_choices(scheme, respondents, tasks_list, seed=seed)
-    return build_design(dataset)
+    return simulate_choices(scheme, respondents, tasks_list, seed=seed)
+
+
+def tiny_design(n_respondents=5, tasks=8, seed=7):
+    return build_design(tiny_dataset(n_respondents, tasks, seed))
+
+
+def ragged_design():
+    """tiny_design's survey with tasks dropped so the counts are unequal."""
+    dataset = tiny_dataset()
+    ids = dataset.respondent_ids
+    records = [
+        record
+        for record in dataset.records
+        if record.task.task_id < RAGGED_TASKS[ids.index(record.task.respondent_id)]
+    ]
+    return build_design(ChoiceDataset(scheme=dataset.scheme, records=records))
+
+
+def reference_log_likelihood(design, beta):
+    """Per-row Bernoulli log-likelihood at explicit per-respondent
+    coefficients (centered form), gathered row by row."""
+    eta = np.einsum("nf,nf->n", design.x, beta[design.respondent_index])
+    sgn = 2.0 * design.choices - 1.0
+    return float(-np.logaddexp(0.0, -sgn * eta).sum())
+
+
+def log_prior(model, theta):
+    """The non-centered prior terms of log_posterior."""
+    mu, log_sigma, z = model.unpack(theta)
+    sigma = np.exp(log_sigma)
+    tau = model.config.prior_sigma_sd
+    return (
+        -0.5 * (((mu - model.prior_mean) / model.prior_sd) ** 2).sum()
+        - 0.5 * mu.size * _LOG_2PI
+        - np.log(model.prior_sd).sum()
+        + mu.size * (0.5 * math.log(2.0 / math.pi) - math.log(tau))
+        - 0.5 * (sigma**2).sum() / tau**2
+        + log_sigma.sum()
+        - 0.5 * (z**2).sum()
+        - 0.5 * z.size * _LOG_2PI
+    )
 
 
 def finite_difference_gradient(f, theta, h=1e-5):
@@ -54,30 +104,31 @@ def empty_design(columns=("camera:Pro", "price")):
     )
 
 
+def assert_gradient_matches_finite_differences(model, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        theta = rng.normal(0.0, 1.0, model.dim)
+        _, grad = model.log_posterior(theta)
+        fd = finite_difference_gradient(model.log_posterior, theta)
+        rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
+        assert rel.max() < 1e-5
+
+
 class TestGradient:
     def test_hierarchical_gradient_matches_finite_differences(self):
-        design = tiny_design()
-        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            theta = rng.normal(0.0, 1.0, model.dim)
-            _, grad = model.log_posterior(theta)
-            fd = finite_difference_gradient(model.log_posterior, theta)
-            rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
-            assert rel.max() < 1e-5
+        model = HierarchicalLogitModel(tiny_design(), ModelConfig(seed=1))
+        assert_gradient_matches_finite_differences(model, seed=12)
+
+    def test_hierarchical_gradient_on_ragged_panel(self):
+        model = HierarchicalLogitModel(ragged_design(), ModelConfig(seed=1))
+        assert_gradient_matches_finite_differences(model, seed=12)
 
     def test_flat_gradient_matches_finite_differences(self):
         design = tiny_design()
         model = FlatLogitModel(
             design.x, design.choices, np.zeros(design.n_features), np.full(design.n_features, 2.0)
         )
-        rng = np.random.default_rng(13)
-        for _ in range(5):
-            theta = rng.normal(0.0, 1.0, model.dim)
-            _, grad = model.log_posterior(theta)
-            fd = finite_difference_gradient(model.log_posterior, theta)
-            rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
-            assert rel.max() < 1e-5
+        assert_gradient_matches_finite_differences(model, seed=13)
 
 
 class TestZeroRecords:
@@ -138,10 +189,14 @@ class TestLikelihoodFactorization:
         model_one = HierarchicalLogitModel(design_one, ModelConfig(seed=1))
         model_two = HierarchicalLogitModel(design_two, ModelConfig(seed=1))
 
+        # same respondents and features, so the prior terms cancel
         rng = np.random.default_rng(8)
-        beta = rng.normal(0.0, 0.5, (4, design_one.n_features))
-        single = model_one.log_likelihood_beta(beta)
-        assert model_two.log_likelihood_beta(beta) == pytest.approx(2.0 * single, rel=1e-12)
+        theta = rng.normal(0.0, 0.5, model_one.dim)
+        mu, log_sigma, z = model_one.unpack(theta)
+        single = reference_log_likelihood(design_one, mu + np.exp(log_sigma) * z)
+        logp_one, _ = model_one.log_posterior(theta)
+        logp_two, _ = model_two.log_posterior(theta)
+        assert logp_two - logp_one == pytest.approx(single, rel=1e-12)
 
 
 class TestNonCenteredIdentity:
@@ -156,7 +211,7 @@ class TestNonCenteredIdentity:
         beta = mu + sigma * z
         r = model.n_respondents
 
-        loglik = model.log_likelihood_beta(beta)
+        loglik = reference_log_likelihood(design, beta)
         centered_z = (
             -0.5 * (((beta - mu) / sigma) ** 2).sum()
             - r * np.log(sigma).sum()
@@ -179,6 +234,52 @@ class TestNonCenteredIdentity:
         jacobian = r * np.log(sigma).sum()
         logp, _ = model.log_posterior(theta)
         assert logp == pytest.approx(centered_total + jacobian, abs=1e-10)
+
+
+class TestPaddedKernel:
+    def test_balanced_layout_is_a_view_of_the_design(self):
+        design = tiny_design()
+        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
+        assert model.x3.shape == (5, 8, design.n_features)
+        assert np.shares_memory(model.x3, design.x)
+
+    def test_ragged_layout_pads_with_zeros(self):
+        design = ragged_design()
+        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
+        assert design.n_rows == sum(RAGGED_TASKS)
+        assert model.x3.shape == (5, 8, design.n_features)
+        assert (model.sgn3 != 0).sum(axis=1).tolist() == list(RAGGED_TASKS)
+        assert not model.x3[model.sgn3 == 0].any()
+
+    @pytest.mark.parametrize("make_design", [tiny_design, ragged_design], ids=["balanced", "ragged"])
+    def test_matches_per_row_reference(self, make_design):
+        design = make_design()
+        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            theta = rng.normal(0.0, 1.0, model.dim)
+            mu, log_sigma, z = model.unpack(theta)
+            loglik = reference_log_likelihood(design, mu + np.exp(log_sigma) * z)
+            logp, _ = model.log_posterior(theta)
+            assert logp - log_prior(model, theta) == pytest.approx(loglik, rel=1e-12)
+
+    def test_far_tail_stays_finite_and_exact(self):
+        design = tiny_design()
+        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
+        f = design.n_features
+        mu = np.zeros(f)
+        mu[0] = 800.0 / np.abs(design.x[:, 0]).max()
+        theta = model.pack(mu, np.full(f, -30.0), np.zeros((model.n_respondents, f)))
+        eta = design.x @ mu
+        s = (2.0 * design.choices - 1.0) * eta
+        # rows where exp(-s) overflows, so the exact fall-back must run
+        assert s.min() < -710.0
+        assert np.abs(eta).max() == pytest.approx(800.0)
+        logp, grad = model.log_posterior(theta)
+        assert math.isfinite(logp)
+        assert np.all(np.isfinite(grad))
+        expected = log_prior(model, theta) + log_expit(s).sum()
+        assert logp == pytest.approx(expected, rel=1e-12)
 
 
 class TestValidation:

@@ -45,10 +45,10 @@ class TestLeapfrog:
 
         q, p, g = q0, p0, grad
         for _ in range(25):
-            q, p, g, _ = ham.leapfrog(q, p, g, 0.05)
+            q, p, g, _, _ = ham.leapfrog(q, p, g, 0.05)
         p = -p
         for _ in range(25):
-            q, p, g, _ = ham.leapfrog(q, p, g, 0.05)
+            q, p, g, _, _ = ham.leapfrog(q, p, g, 0.05)
         assert np.max(np.abs(q - q0)) < 1e-8
         assert np.max(np.abs(-p - p0)) < 1e-8
 
@@ -59,10 +59,10 @@ class TestLeapfrog:
         q = rng.normal(size=4)
         p = ham.sample_momentum(rng)
         logp, grad = target.log_posterior(q)
-        h0 = ham.energy(logp, p)
+        h0 = ham.energy(logp, p, ham.velocity(p))
         for _ in range(100):
-            q, p, grad, logp = ham.leapfrog(q, p, grad, 0.01)
-        assert abs(ham.energy(logp, p) - h0) < 1e-3
+            q, p, grad, logp, v = ham.leapfrog(q, p, grad, 0.01)
+        assert abs(ham.energy(logp, p, v) - h0) < 1e-3
 
 
 class TestAdaptationSchedule:
