@@ -1,29 +1,28 @@
 """Command-line pipeline driver.
 
 Subcommands mirror the pipeline stages: simulate, fit, wtp, revenue, and
-pipeline (all of them in order, with --from to resume mid-way). Exit codes:
-0 success, 2 validation problem, 3 sampler failure, 4 sign-safety failure,
-5 I/O failure.
+pipeline (all of them in order, with --from to resume mid-way). One table,
+STAGES, names each stage, the function that runs it and the files it writes.
+Exit codes: 0 success, 2 validation problem, 3 sampler failure, 4 sign-safety
+failure, 5 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .config import (
-    RunConfig,
-    load_run_config,
-    run_config_to_dict,
-)
+from .config import RunConfig, load_run_config, run_config_to_dict
 from .dataio import (
     diagnostics_to_dict,
     read_choices_csv,
     read_ground_truth_json,
+    read_json_object,
     read_posterior_jsonl,
     write_choices_csv,
     write_diagnostics_json,
@@ -40,62 +39,6 @@ from .posterior import recovery_report, summarize_wtp, wtp_draws
 from .revenue import revenue_curve
 from .simulate import Provenance, generate_tasks, sample_respondents, simulate_choices
 
-PIPELINE_STAGES = ("simulate", "fit", "wtp", "revenue")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conjoint-wtp",
-        description="Conjoint survey simulation, hierarchical Bayesian WTP estimation, "
-        "and revenue-curve pricing simulation.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-        p.add_argument("--config", required=config_required, help="path to the run-config JSON")
-        p.add_argument("--out", help="output directory (overrides config output_dir)")
-        p.add_argument("--seed", type=int, help="override the top-level seed")
-
-    def add_model_overrides(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--chains", type=int, help="override model.chains")
-        p.add_argument("--draws", type=int, help="override model.draws_per_chain")
-        p.add_argument("--warmup", type=int, help="override model.warmup_per_chain")
-
-    p = sub.add_parser("simulate", help="generate the synthetic choice survey")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="fit the hierarchical model to a choices CSV")
-    add_common(p)
-    add_model_overrides(p)
-    p.add_argument("--data", help="choices CSV (default: <out>/choices.csv)")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("wtp", help="summarize dollar WTP from a posterior file")
-    p.add_argument("--posterior", help="posterior JSONL (default: <out>/posterior.jsonl)")
-    p.add_argument("--truth", help="ground-truth or provenance JSON for a recovery report")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_wtp)
-
-    p = sub.add_parser("revenue", help="simulate the revenue curve for the configured bundle")
-    add_common(p)
-    p.add_argument("--posterior", help="posterior JSONL (default: <out>/posterior.jsonl)")
-    p.set_defaults(func=cmd_revenue)
-
-    p = sub.add_parser("pipeline", help="run simulate -> fit -> wtp -> revenue")
-    add_common(p)
-    add_model_overrides(p)
-    p.add_argument(
-        "--from",
-        dest="from_stage",
-        choices=PIPELINE_STAGES,
-        default="simulate",
-        help="resume from this stage, reading earlier artifacts from --out",
-    )
-    p.set_defaults(func=cmd_pipeline)
-    return parser
-
 
 def _effective_config(args) -> RunConfig:
     config = load_run_config(args.config)
@@ -108,26 +51,57 @@ def _effective_config(args) -> RunConfig:
         if value is not None:
             model = model.override(**{field: value})
     output_dir = args.out if args.out is not None else config.output_dir
-    return RunConfig(
-        scheme=config.scheme,
-        model=model,
-        seed=seed,
-        output_dir=output_dir,
-        ground_truth=config.ground_truth,
-        simulation=config.simulation,
-        scenario=config.scenario,
-    )
+    return dataclasses.replace(config, model=model, seed=seed, output_dir=output_dir)
 
 
-def _out_dir(config: RunConfig) -> Path:
-    if config.output_dir is None:
-        raise ConfigError("no output directory: set config.output_dir or pass --out")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class RunState:
+    """What the stages of one command produce, plus where their inputs come from.
+
+    An input that no stage of this command produced is read from disk:
+    --data, else <out>/choices.csv; --posterior, else <out>/posterior.jsonl;
+    --truth, else config.ground_truth. `wtp` takes no --config, so `config`
+    is None there.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.config = _effective_config(args) if "config" in vars(args) else None
+        output_dir = args.out if self.config is None else self.config.output_dir
+        if output_dir is None:
+            raise ConfigError("no output directory: set config.output_dir or pass --out")
+        self.out = Path(output_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.written: list[str] = []
+        self.dataset = self.draws = self.diagnostics = None
+        self.summaries = self.recovery = self.curve = None
+
+    def path(self, name: str) -> Path:
+        """The path of an output file in --out, recorded as written by this command."""
+        self.written.append(name)
+        return self.out / name
+
+    def _input(self, flag: str, default: str) -> Path:
+        given = getattr(self.args, flag, None)
+        return Path(given) if given else self.out / default
+
+    def choices(self):
+        if self.dataset is None:
+            self.dataset = read_choices_csv(self._input("data", "choices.csv"), self.config.scheme)
+        return self.dataset
+
+    def posterior(self):
+        if self.draws is None:
+            self.draws = read_posterior_jsonl(self._input("posterior", "posterior.jsonl"))
+        return self.draws
+
+    def truth(self):
+        if getattr(self.args, "truth", None):
+            return read_ground_truth_json(self.args.truth)
+        return None if self.config is None else self.config.ground_truth
 
 
-def _stage_simulate(config: RunConfig, out: Path):
+def _stage_simulate(state: RunState) -> None:
+    config = state.config
     if config.ground_truth is None:
         raise ConfigError("config.ground_truth is required to simulate")
     if config.simulation is None:
@@ -137,64 +111,63 @@ def _stage_simulate(config: RunConfig, out: Path):
     tasks = generate_tasks(
         config.scheme, sim.n_respondents, sim.tasks_per_respondent, sim.price_grid, config.seed
     )
-    dataset = simulate_choices(
+    state.dataset = simulate_choices(
         config.scheme,
         respondents,
         tasks,
         config.seed,
         provenance=Provenance(ground_truth=config.ground_truth, seed=config.seed),
     )
-    write_choices_csv(out / "choices.csv", dataset)
+    write_choices_csv(state.path("choices.csv"), state.dataset)
     write_provenance_json(
-        out / "provenance.json",
+        state.path("provenance.json"),
         config.ground_truth,
         config.seed,
         sim.n_respondents,
         sim.tasks_per_respondent,
         sim.price_grid,
     )
-    print(f"wrote {len(dataset)} choice records to {out / 'choices.csv'}")
-    return dataset
+    print(f"wrote {len(state.dataset)} choice records to {state.out / 'choices.csv'}")
 
 
-def _stage_fit(config: RunConfig, dataset, out: Path):
-    design = build_design(dataset)
-    draws, diagnostics = sample(design, config.model)
-    write_posterior_jsonl(out / "posterior.jsonl", draws)
-    write_diagnostics_json(out / "diagnostics.json", diagnostics)
-    max_rhat = max(
-        diagnostics.max_r_hat("mu["), diagnostics.max_r_hat("sigma[")
-    )
+def _stage_fit(state: RunState) -> None:
+    design = build_design(state.choices())
+    draws, diagnostics = sample(design, state.config.model)
+    write_posterior_jsonl(state.path("posterior.jsonl"), draws)
+    write_diagnostics_json(state.path("diagnostics.json"), diagnostics)
+    state.draws, state.diagnostics = draws, diagnostics
+    max_rhat = max(diagnostics.max_r_hat("mu["), diagnostics.max_r_hat("sigma["))
     print(
         f"fit complete: {draws.n_draws} draws, {diagnostics.divergence_count} divergences, "
         f"max population r_hat {max_rhat:.4f}"
     )
     for warning in diagnostics.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return draws, diagnostics
 
 
-def _stage_wtp(draws, truth, out: Path):
+def _stage_wtp(state: RunState) -> None:
+    draws = state.posterior()
+    truth = state.truth()
     features = [c for c in draws.columns if c != draws.price_column]
     per_feature = [wtp_draws(draws, feature) for feature in features]
-    summaries = [summarize_wtp(w) for w in per_feature]
-    write_wtp_summary_csv(out / "wtp_summary.csv", summaries, truth)
-    write_wtp_draws_csv(out / "wtp_draws.csv", per_feature)
-    report = None
+    state.summaries = [summarize_wtp(w) for w in per_feature]
+    write_wtp_summary_csv(state.path("wtp_summary.csv"), state.summaries, truth)
+    write_wtp_draws_csv(state.path("wtp_draws.csv"), per_feature)
     if truth is not None:
-        report = recovery_report(truth, summaries)
-        write_json(out / "recovery.json", _recovery_to_dict(report))
-    for s in summaries:
+        state.recovery = recovery_report(truth, state.summaries)
+        write_json(state.path("recovery.json"), _recovery_to_dict(state.recovery))
+    for s in state.summaries:
         print(
             f"wtp[{s.feature}]: mean ${s.mean:.2f}, {s.hdi_mass:.0%} HDI "
             f"[${s.hdi_low:.2f}, ${s.hdi_high:.2f}]"
         )
-    if report is not None:
-        print(f"recovery: overall_pass={report.overall_pass}")
-    return summaries, report
+    if state.recovery is not None:
+        print(f"recovery: overall_pass={state.recovery.overall_pass}")
 
 
-def _stage_revenue(config: RunConfig, draws, out: Path):
+def _stage_revenue(state: RunState) -> None:
+    draws = state.posterior()
+    config = state.config
     if config.scenario is None:
         raise ConfigError("config.scenario is required for the revenue stage")
     if tuple(draws.columns) != tuple(config.scheme.feature_columns):
@@ -203,14 +176,30 @@ def _stage_revenue(config: RunConfig, draws, out: Path):
             f"{draws.columns} vs {config.scheme.feature_columns}"
         )
     curve = revenue_curve(draws, config.scheme, config.scenario, config.seed)
-    write_revenue_csv(out / "revenue_curve.csv", curve)
+    write_revenue_csv(state.path("revenue_curve.csv"), curve)
+    state.curve = curve
     if len(curve.prices) == 1:
         print("warning: price grid has a single point; argmax is trivial", file=sys.stderr)
     print(
         f"revenue-maximizing price ${curve.argmax_price:.2f} "
         f"(argmax HDI [${curve.argmax_hdi[0]:.2f}, ${curve.argmax_hdi[1]:.2f}])"
     )
-    return curve
+
+
+class Stage(NamedTuple):
+    run: Callable[[RunState], None]
+    files: tuple[str, ...]  # listed in report.json whenever they are in --out
+    written_only: tuple[str, ...] = ()  # listed only when this command wrote them
+
+
+# The pipeline, in order. The report's "files" keys are the file stems.
+STAGES = {
+    "simulate": Stage(_stage_simulate, ("choices.csv", "provenance.json")),
+    "fit": Stage(_stage_fit, ("posterior.jsonl", "diagnostics.json")),
+    "wtp": Stage(_stage_wtp, ("wtp_summary.csv", "wtp_draws.csv"), ("recovery.json",)),
+    "revenue": Stage(_stage_revenue, (), ("revenue_curve.csv",)),
+}
+PIPELINE_STAGES = tuple(STAGES)
 
 
 def _recovery_to_dict(report) -> dict:
@@ -245,167 +234,125 @@ def _revenue_to_dict(curve) -> dict:
     }
 
 
-def cmd_simulate(args) -> int:
-    config = _effective_config(args)
-    out = _out_dir(config)
-    _stage_simulate(config, out)
-    return 0
-
-
-def cmd_fit(args) -> int:
-    config = _effective_config(args)
-    out = _out_dir(config)
-    data_path = Path(args.data) if args.data else out / "choices.csv"
-    dataset = read_choices_csv(data_path, config.scheme)
-    _stage_fit(config, dataset, out)
-    return 0
-
-
-def cmd_wtp(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    posterior_path = Path(args.posterior) if args.posterior else out / "posterior.jsonl"
-    draws = read_posterior_jsonl(posterior_path)
-    truth = read_ground_truth_json(args.truth) if args.truth else None
-    _stage_wtp(draws, truth, out)
-    return 0
-
-
-def cmd_revenue(args) -> int:
-    config = _effective_config(args)
-    out = _out_dir(config)
-    posterior_path = Path(args.posterior) if args.posterior else out / "posterior.jsonl"
-    draws = read_posterior_jsonl(posterior_path)
-    curve = _stage_revenue(config, draws, out)
-    report_path = out / "report.json"
-    report = {}
-    if report_path.exists():
-        with open(report_path, encoding="utf-8") as f:
-            report = json.load(f)
-    report["revenue"] = _revenue_to_dict(curve)
-    write_json(report_path, report)
+def cmd_stage(args) -> int:
+    """Run one stage standalone; `revenue` also merges into an existing report.json."""
+    state = RunState(args)
+    STAGES[args.command].run(state)
+    if args.command == "revenue":
+        report_path = state.out / "report.json"
+        report = read_json_object(report_path) if report_path.exists() else {}
+        report["revenue"] = _revenue_to_dict(state.curve)
+        write_json(report_path, report)
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    config = _effective_config(args)
-    out = _out_dir(config)
-    start_index = PIPELINE_STAGES.index(args.from_stage)
+    state = RunState(args)
+    config = state.config
     timings: dict[str, float] = {}
-    stages_run: list[str] = []
-
-    dataset = None
-    draws = None
-    diagnostics = None
-    summaries = None
-    recovery = None
-    curve = None
-
-    if start_index <= 0:
+    for name in PIPELINE_STAGES[PIPELINE_STAGES.index(args.from_stage) :]:
+        if name == "revenue" and config.scenario is None:
+            continue  # the config names no bundle to price
         t0 = time.perf_counter()
-        dataset = _stage_simulate(config, out)
-        timings["simulate"] = time.perf_counter() - t0
-        stages_run.append("simulate")
+        STAGES[name].run(state)
+        timings[name] = time.perf_counter() - t0
 
-    if start_index <= 1:
-        if dataset is None:
-            dataset = read_choices_csv(out / "choices.csv", config.scheme)
-        t0 = time.perf_counter()
-        draws, diagnostics = _stage_fit(config, dataset, out)
-        timings["fit"] = time.perf_counter() - t0
-        stages_run.append("fit")
-
-    if draws is None:
-        draws = read_posterior_jsonl(out / "posterior.jsonl")
-
-    if start_index <= 2:
-        t0 = time.perf_counter()
-        summaries, recovery = _stage_wtp(draws, config.ground_truth, out)
-        timings["wtp"] = time.perf_counter() - t0
-        stages_run.append("wtp")
-
-    if config.scenario is not None:
-        t0 = time.perf_counter()
-        curve = _stage_revenue(config, draws, out)
-        timings["revenue"] = time.perf_counter() - t0
-        stages_run.append("revenue")
-
-    files = {
-        "choices": "choices.csv",
-        "provenance": "provenance.json",
-        "posterior": "posterior.jsonl",
-        "diagnostics": "diagnostics.json",
-        "wtp_summary": "wtp_summary.csv",
-        "wtp_draws": "wtp_draws.csv",
-    }
-    if recovery is not None:
-        files["recovery"] = "recovery.json"
-    if curve is not None:
-        files["revenue_curve"] = "revenue_curve.csv"
-    files = {k: v for k, v in files.items() if (out / v).exists()}
-
+    files = {}
+    for stage in STAGES.values():
+        for name in stage.files + tuple(n for n in stage.written_only if n in state.written):
+            if (state.out / name).exists():
+                files[Path(name).stem] = name
     report = {
         "seed": config.seed,
         "config": run_config_to_dict(config),
-        "stages_run": stages_run,
-        "quality": _quality_section(diagnostics, out),
-        "wtp": [
-            {
-                "feature": s.feature,
-                "mean": s.mean,
-                "hdi_low": s.hdi_low,
-                "hdi_high": s.hdi_high,
-                "hdi_mass": s.hdi_mass,
-                "flagged_count": s.flagged_count,
-            }
-            for s in (summaries or [])
-        ],
-        "recovery": _recovery_to_dict(recovery) if recovery is not None else None,
-        "revenue": _revenue_to_dict(curve) if curve is not None else None,
+        "stages_run": list(timings),
+        "quality": _quality_section(state),
+        "wtp": [dataclasses.asdict(s) for s in state.summaries or []],
+        "recovery": _recovery_to_dict(state.recovery) if state.recovery is not None else None,
+        "revenue": _revenue_to_dict(state.curve) if state.curve is not None else None,
         "files": files,
         "timings": {k: round(v, 3) for k, v in timings.items()},
     }
-    write_json(out / "report.json", report)
-    print(f"report written to {out / 'report.json'}")
+    write_json(state.out / "report.json", report)
+    print(f"report written to {state.out / 'report.json'}")
     return 0
 
 
-def _quality_section(diagnostics, out: Path) -> dict | None:
-    if diagnostics is not None:
-        d = diagnostics_to_dict(diagnostics)
-        population = {
-            k: v
-            for k, v in d["r_hat"].items()
-            if k.startswith("mu[") or k.startswith("sigma[")
-        }
-        finite = [v for v in population.values() if v is not None]
-        return {
-            "divergence_count": d["divergence_count"],
-            "divergence_rate": d["divergence_rate"],
-            "max_population_r_hat": max(finite) if finite else None,
-            "population_r_hat": population,
-            "mean_accept_prob": d["mean_accept_prob"],
-            "warnings": d["warnings"],
-        }
-    path = out / "diagnostics.json"
-    if path.exists():
-        with open(path, encoding="utf-8") as f:
-            d = json.load(f)
-        population = {
-            k: v
-            for k, v in d.get("r_hat", {}).items()
-            if k.startswith("mu[") or k.startswith("sigma[")
-        }
-        finite = [v for v in population.values() if v is not None]
-        return {
-            "divergence_count": d.get("divergence_count"),
-            "divergence_rate": d.get("divergence_rate"),
-            "max_population_r_hat": max(finite) if finite else None,
-            "population_r_hat": population,
-            "mean_accept_prob": d.get("mean_accept_prob"),
-            "warnings": d.get("warnings", []),
-        }
-    return None
+def _quality_section(state: RunState) -> dict | None:
+    """Sampler health from this command's fit, else from <out>/diagnostics.json."""
+    path = state.out / "diagnostics.json"
+    if state.diagnostics is not None:
+        d = diagnostics_to_dict(state.diagnostics)
+    elif path.exists():
+        d = read_json_object(path)
+    else:
+        return None
+    population = {
+        k: v for k, v in d.get("r_hat", {}).items() if k.startswith(("mu[", "sigma["))
+    }
+    finite = [v for v in population.values() if v is not None]
+    return {
+        "divergence_count": d.get("divergence_count"),
+        "divergence_rate": d.get("divergence_rate"),
+        "max_population_r_hat": max(finite) if finite else None,
+        "population_r_hat": population,
+        "mean_accept_prob": d.get("mean_accept_prob"),
+        "warnings": d.get("warnings", []),
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="conjoint-wtp",
+        description="Conjoint survey simulation, hierarchical Bayesian WTP estimation, "
+        "and revenue-curve pricing simulation.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="path to the run-config JSON")
+        p.add_argument("--out", help="output directory (overrides config output_dir)")
+        p.add_argument("--seed", type=int, help="override the top-level seed")
+
+    def add_model_overrides(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--chains", type=int, help="override model.chains")
+        p.add_argument("--draws", type=int, help="override model.draws_per_chain")
+        p.add_argument("--warmup", type=int, help="override model.warmup_per_chain")
+
+    p = sub.add_parser("simulate", help="generate the synthetic choice survey")
+    add_common(p)
+    p.set_defaults(func=cmd_stage)
+
+    p = sub.add_parser("fit", help="fit the hierarchical model to a choices CSV")
+    add_common(p)
+    add_model_overrides(p)
+    p.add_argument("--data", help="choices CSV (default: <out>/choices.csv)")
+    p.set_defaults(func=cmd_stage)
+
+    p = sub.add_parser("wtp", help="summarize dollar WTP from a posterior file")
+    p.add_argument("--posterior", help="posterior JSONL (default: <out>/posterior.jsonl)")
+    p.add_argument("--truth", help="ground-truth or provenance JSON for a recovery report")
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_stage)
+
+    p = sub.add_parser("revenue", help="simulate the revenue curve for the configured bundle")
+    add_common(p)
+    p.add_argument("--posterior", help="posterior JSONL (default: <out>/posterior.jsonl)")
+    p.set_defaults(func=cmd_stage)
+
+    p = sub.add_parser("pipeline", help="run simulate -> fit -> wtp -> revenue")
+    add_common(p)
+    add_model_overrides(p)
+    p.add_argument(
+        "--from",
+        dest="from_stage",
+        choices=PIPELINE_STAGES,
+        default="simulate",
+        help="resume from this stage, reading earlier artifacts from --out",
+    )
+    p.set_defaults(func=cmd_pipeline)
+    return parser
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,7 @@ from .config import (
     parse_model_config,
 )
 from .domain import AttributeScheme, ProductProfile, validate_profile
-from .errors import DataError
+from .errors import ContractError, DataError
 from .infer.design import Standardization
 from .infer.diagnostics import Diagnostics
 from .infer.fit import PosteriorDraws
@@ -169,12 +169,21 @@ def write_provenance_json(
     )
 
 
-def read_ground_truth_json(path: str | Path) -> GroundTruth:
-    """Accepts either a provenance file or a bare ground-truth document."""
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+def read_json_object(path: str | Path) -> dict:
+    """A file's JSON object; unreadable JSON or another JSON type is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise DataError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise DataError(f"{path}: expected a JSON object")
+    return data
+
+
+def read_ground_truth_json(path: str | Path) -> GroundTruth:
+    """Accepts either a provenance file or a bare ground-truth document."""
+    data = read_json_object(path)
     if "ground_truth" in data:
         data = data["ground_truth"]
     try:
@@ -227,10 +236,27 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
             header = json.loads(header_line)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: bad header: {e}") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: header is not a JSON object")
         if header.get("format") != POSTERIOR_FORMAT or header.get("version") != POSTERIOR_VERSION:
             raise DataError(f"{path}: not a {POSTERIOR_FORMAT} v{POSTERIOR_VERSION} file")
-        columns = tuple(header["columns"])
-        respondent_ids = tuple(int(r) for r in header["respondent_ids"])
+        try:
+            columns = tuple(header["columns"])
+            respondent_ids = tuple(int(r) for r in header["respondent_ids"])
+            std = header["standardization"]
+            standardization = Standardization(
+                columns=columns,
+                mean=np.asarray(std["mean"], dtype=float),
+                scale=np.asarray(std["scale"], dtype=float),
+            )
+            price_column, seed = header["price_column"], int(header["seed"])
+            if price_column not in columns:
+                raise DataError(f"{path}: header price_column {price_column!r} is not one of the columns")
+            config = parse_model_config(header["config"], seed=seed, path="posterior.config")
+        except KeyError as e:
+            raise DataError(f"{path}: header has no field {e}") from None
+        except (TypeError, ValueError, ContractError) as e:
+            raise DataError(f"{path}: bad header: {e}") from None
         f_dim = len(columns)
         r_dim = len(respondent_ids)
         expected = f_dim * (2 + r_dim)
@@ -241,6 +267,8 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
             try:
                 obj = json.loads(line)
                 params = np.asarray(obj["params"], dtype=float)
+                chains.append(int(obj["chain"]))
+                divergent.append(bool(obj["divergent"]))
             except Exception as e:
                 raise DataError(f"{path}: line {line_no}: {e}") from None
             if params.shape != (expected,):
@@ -250,28 +278,20 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
             mu_rows.append(params[:f_dim])
             sigma_rows.append(params[f_dim : 2 * f_dim])
             z_rows.append(params[2 * f_dim :])
-            chains.append(int(obj["chain"]))
-            divergent.append(bool(obj["divergent"]))
     if not mu_rows:
         raise DataError(f"{path}: no draws")
-    std = header["standardization"]
-    config = parse_model_config(header["config"], seed=int(header["seed"]), path="posterior.config")
     return PosteriorDraws(
         columns=columns,
-        price_column=header["price_column"],
+        price_column=price_column,
         respondent_ids=respondent_ids,
         mu=np.vstack(mu_rows),
         sigma=np.vstack(sigma_rows),
         z=np.vstack(z_rows).reshape(len(mu_rows), r_dim, f_dim),
-        standardization=Standardization(
-            columns=columns,
-            mean=np.asarray(std["mean"], dtype=float),
-            scale=np.asarray(std["scale"], dtype=float),
-        ),
+        standardization=standardization,
         chain_index=np.asarray(chains, dtype=int),
         divergent=np.asarray(divergent, dtype=bool),
         config=config,
-        seed=int(header["seed"]),
+        seed=seed,
     )
 
 

@@ -1,4 +1,4 @@
-"""Core choice model: attribute coding, linear utility, logit choice, WTP ratio.
+"""Core choice model: attribute coding, linear utility, logit choice, WTP sign floor.
 
 Everything here is a pure function over plain numpy vectors. The feature
 vector layout is fixed by the attribute scheme: one 0/1 dummy per
@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CodingError, ContractError, SignSafetyError
+from .errors import CodingError, ContractError
 
 # Price coefficients closer to zero than this are treated as sign-unsafe:
 # the WTP ratio would blow up or flip sign.
@@ -82,10 +82,6 @@ class AttributeScheme:
         return tuple(a for a in self.attributes if a.name != self.price_attribute)
 
     @property
-    def price_levels(self) -> tuple[float, ...]:
-        return tuple(float(level) for level in self._price_attr().levels)
-
-    @property
     def dummy_columns(self) -> tuple[str, ...]:
         cols = []
         for attr in self.non_price_attributes:
@@ -111,12 +107,6 @@ class AttributeScheme:
             return self.feature_columns.index(column)
         except ValueError:
             raise CodingError(f"unknown feature column {column!r}") from None
-
-    def attribute(self, name: str) -> Attribute:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise CodingError(f"unknown attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -162,32 +152,6 @@ def encode_profile(scheme: AttributeScheme, profile: ProductProfile) -> np.ndarr
     return values
 
 
-def decode_features(scheme: AttributeScheme, values: np.ndarray) -> ProductProfile:
-    """Inverse of encode_profile, used to round-trip-check the coding."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (scheme.n_features,):
-        raise ContractError(
-            f"feature vector has length {values.shape}, scheme expects {scheme.n_features}"
-        )
-    levels: dict[str, str] = {}
-    for attr in scheme.non_price_attributes:
-        chosen = attr.baseline
-        hits = 0
-        for level in attr.levels:
-            if level == attr.baseline:
-                continue
-            v = values[scheme.column_index(f"{attr.name}:{level}")]
-            if v not in (0.0, 1.0):
-                raise ContractError(f"dummy for {attr.name}:{level} is {v}, expected 0 or 1")
-            if v == 1.0:
-                chosen = level
-                hits += 1
-        if hits > 1:
-            raise ContractError(f"attribute {attr.name!r} has multiple active dummies")
-        levels[attr.name] = chosen
-    return ProductProfile(levels=levels, price=float(values[scheme.price_index]))
-
-
 def utility(x: np.ndarray, beta: np.ndarray) -> float:
     """Linear utility: the inner product of a feature vector and coefficients."""
     x = np.asarray(x, dtype=float)
@@ -216,20 +180,3 @@ def choice_probability(u_a: float, u_b: float) -> float:
     if p <= 0.0:
         return _ZERO_ABOVE
     return p
-
-
-def wtp(beta_f: float, beta_price: float, eps: float = WTP_PRICE_EPS) -> float:
-    """Dollar value of a feature: -beta_f / beta_price.
-
-    Requires a clearly negative price coefficient; anything at or above -eps
-    raises SignSafetyError so callers can count flagged draws instead of
-    silently producing exploded ratios. Negative results are legitimate (the
-    feature destroys value).
-    """
-    if not (eps > 0):
-        raise ContractError(f"eps must be positive, got {eps}")
-    if not (beta_price < -eps):
-        raise SignSafetyError(
-            f"price coefficient {beta_price} is not below -{eps}; WTP ratio undefined"
-        )
-    return -beta_f / beta_price

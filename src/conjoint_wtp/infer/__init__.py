@@ -4,7 +4,6 @@ hierarchical logit target, the NUTS sampler, and convergence diagnostics."""
 from .design import Design, Standardization, build_design
 from .diagnostics import Diagnostics, diagnose, ess_bulk, split_rhat
 from .fit import MAX_DIVERGENCE_RATE, PosteriorDraws, sample
-from .mle import fit_logit_mle
 from .model import FlatLogitModel, HierarchicalLogitModel, ModelConfig, NormalPrior
 from .nuts import DIVERGENCE_THRESHOLD, SampleResult, resolve_workers, run_nuts
 
@@ -19,7 +18,6 @@ __all__ = [
     "MAX_DIVERGENCE_RATE",
     "PosteriorDraws",
     "sample",
-    "fit_logit_mle",
     "FlatLogitModel",
     "HierarchicalLogitModel",
     "ModelConfig",

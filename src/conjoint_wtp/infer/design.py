@@ -28,6 +28,12 @@ class Standardization:
     scale: np.ndarray
 
     def __post_init__(self) -> None:
+        for name, values in (("mean", self.mean), ("scale", self.scale)):
+            if np.shape(values) != (len(self.columns),):
+                raise ContractError(
+                    f"standardization {name} has shape {np.shape(values)}, "
+                    f"expected one entry per column ({len(self.columns)})"
+                )
         if not np.all(self.scale > 0):
             bad = [c for c, s in zip(self.columns, self.scale) if not s > 0]
             raise ContractError(f"standardization scale must be positive, bad columns: {bad}")

@@ -43,17 +43,22 @@ def _split_chains(draws: np.ndarray) -> np.ndarray:
     return np.concatenate([first, second], axis=0)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, ties sharing the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
     """Fractional ranks of the pooled sample mapped through the normal quantile."""
-    # imported here: scipy.stats alone would double the CLI's import time
-    from scipy.stats import rankdata
-
-    shape = x.shape
-    flat = x.reshape(-1, shape[-1]) if x.ndim > 1 else x.reshape(1, -1)
-    pooled = flat.reshape(-1)
-    ranks = rankdata(pooled, method="average")
-    z = ndtri((ranks - 0.375) / (pooled.size + 0.25))
-    return z.reshape(shape)
+    pooled = x.reshape(-1)
+    z = ndtri((_average_ranks(pooled) - 0.375) / (pooled.size + 0.25))
+    return z.reshape(x.shape)
 
 
 def split_rhat(chain_draws: np.ndarray) -> float:

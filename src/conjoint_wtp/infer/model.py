@@ -155,9 +155,6 @@ class HierarchicalLogitModel:
         z = theta[2 * f :].reshape(r, f)
         return mu, log_sigma, z
 
-    def pack(self, mu: np.ndarray, log_sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.concatenate([mu, log_sigma, z.reshape(-1)])
-
     def parameter_names(self) -> list[str]:
         cols = self.design.columns
         names = [f"mu[{c}]" for c in cols] + [f"sigma[{c}]" for c in cols]

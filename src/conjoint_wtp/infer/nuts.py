@@ -65,10 +65,6 @@ class SampleResult:
     draws: np.ndarray
     stats: list[ChainStats]
 
-    @property
-    def n_chains(self) -> int:
-        return self.draws.shape[0]
-
     def flat(self) -> np.ndarray:
         return self.draws.reshape(-1, self.draws.shape[2])
 

@@ -73,57 +73,40 @@ class RevenueCurve:
 
 
 def _bundle_offsets(scheme: AttributeScheme, scenario: BundleScenario) -> np.ndarray:
-    """Feature-vector difference bundle-minus-baseline at equal price."""
+    """Feature-vector difference bundle-minus-baseline at equal price.
+
+    Encoding validates both profiles, so an unknown upgrade attribute or
+    level raises CodingError naming it.
+    """
     base = scenario.baseline_profile
-    probe_price = base.price
-    bundle = scenario.bundle_profile(probe_price)
-    for attr_name, level in scenario.upgrades.items():
-        attribute = scheme.attribute(attr_name)
-        if level not in attribute.levels:
-            raise ContractError(f"unknown level {level!r} for upgrade attribute {attr_name!r}")
-    diff = encode_profile(scheme, bundle) - encode_profile(scheme, base)
+    diff = encode_profile(scheme, scenario.bundle_profile(base.price)) - encode_profile(scheme, base)
     if not np.any(diff[: scheme.price_index] != 0):
         raise ContractError("bundle upgrades do not change the baseline profile")
     return diff
 
 
-def purchase_probability(
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    scheme: AttributeScheme,
-    scenario: BundleScenario,
-    price: float,
-    noise: np.ndarray,
-) -> float:
-    """Fraction of simulated consumers preferring the bundle at `price`.
-
-    mu/sigma are one posterior draw's population parameters on the raw
-    scale; `noise` is the draw's standard-normal consumer block (market_size
-    x features), reused across prices. Consumer price coefficients are
-    truncated below zero like the simulator's respondents, so demand is
-    exactly monotone.
-    """
-    if not (price > 0):
-        raise ContractError(f"price must be positive, got {price}")
-    probs = _purchase_probabilities(mu, sigma, scheme, scenario, np.array([price]), noise)
-    return float(probs[0])
-
-
 def _purchase_probabilities(
     mu: np.ndarray,
     sigma: np.ndarray,
-    scheme: AttributeScheme,
-    scenario: BundleScenario,
-    prices: np.ndarray,
+    diff: np.ndarray,
+    price_offsets: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
-    diff = _bundle_offsets(scheme, scenario)
+    """Fraction of simulated consumers preferring the bundle at each price.
+
+    mu/sigma are one posterior draw's population parameters on the raw
+    scale; `noise` is the draw's standard-normal consumer block (market_size
+    x features), reused across prices; `price_offsets` are the grid prices
+    minus the baseline price. Consumer price coefficients are truncated
+    below zero like the simulator's respondents, so demand is exactly
+    monotone.
+    """
     betas = mu + sigma * noise
-    price_col = scheme.price_index
+    price_col = diff.size - 1
     betas[:, price_col] = np.minimum(betas[:, price_col], PRICE_COEF_CEILING)
     base_utility = betas[:, :price_col] @ diff[:price_col]
     slope = betas[:, price_col]
-    delta = base_utility[:, None] + slope[:, None] * (prices - scenario.baseline_profile.price)[None, :]
+    delta = base_utility[:, None] + slope[:, None] * price_offsets[None, :]
     return expit(delta).mean(axis=0)
 
 
@@ -154,13 +137,15 @@ def revenue_curve(
         )
     retained = np.flatnonzero(keep)
     prices = np.asarray(scenario.price_grid)
+    diff = _bundle_offsets(scheme, scenario)
+    price_offsets = prices - scenario.baseline_profile.price
     probs = np.empty((retained.size, prices.size))
     n_features = draws.n_features
     for row, draw_index in enumerate(retained):
         rng = substream(seed, MARKET_STREAM, int(draw_index))
         noise = rng.standard_normal((scenario.market_size, n_features))
         probs[row] = _purchase_probabilities(
-            mu_raw[draw_index], sigma_raw[draw_index], scheme, scenario, prices, noise
+            mu_raw[draw_index], sigma_raw[draw_index], diff, price_offsets, noise
         )
     revenue = probs * prices[None, :]
     mean = revenue.mean(axis=0)

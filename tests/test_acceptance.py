@@ -19,10 +19,10 @@ from conjoint_wtp.infer import (
     HierarchicalLogitModel,
     ModelConfig,
     build_design,
-    fit_logit_mle,
     run_nuts,
     sample,
 )
+from conjoint_wtp.infer.mle import fit_logit_mle
 from conjoint_wtp.posterior import hdi, individual_wtp, recovery_report, summarize_wtp, wtp_draws
 from conjoint_wtp.presets import (
     DEFAULT_PRICE_GRID,

@@ -140,7 +140,7 @@ class TestFit:
         def explode(*args, **kwargs):
             raise FitError("too many divergences")
 
-        monkeypatch.setattr(cli, "_stage_fit", explode)
+        monkeypatch.setattr(cli, "sample", explode)
         code = cli.main(["fit", "--config", str(config), "--out", str(out)])
         assert code == 3
         assert "divergences" in capsys.readouterr().err
@@ -229,7 +229,7 @@ class TestRevenue:
             report = json.load(f)
         assert report["revenue"]["argmax_price"] == 999.0
 
-    def test_unknown_upgrade_exits_2(self, tmp_path):
+    def test_unknown_upgrade_exits_2(self, tmp_path, capsys):
         def mutate(c):
             c["scenario"]["upgrades"] = {"camera": "Pro", "antenna": "5G"}
 
@@ -237,8 +237,10 @@ class TestRevenue:
         out = tmp_path / "run"
         assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert cli.main(["fit", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
         code = cli.main(["revenue", "--config", str(config), "--out", str(out)])
         assert code == 2
+        assert "antenna" in capsys.readouterr().err
 
     def test_standalone_revenue_merges_report(self, tmp_path):
         config = write_config(tmp_path)
@@ -269,19 +271,29 @@ class TestPipeline:
         assert set(report["timings"]) == {"simulate", "fit", "wtp", "revenue"}
         assert report["quality"]["divergence_rate"] <= 0.05
 
-    def test_resume_from_fit_skips_simulation(self, tmp_path):
+    @pytest.mark.parametrize(
+        "stage, skipped",
+        [("fit", ["choices.csv"]), ("wtp", ["choices.csv", "posterior.jsonl"])],
+        ids=["fit", "wtp"],
+    )
+    def test_resume_from_fit_skips_simulation(self, tmp_path, stage, skipped):
         config = write_config(tmp_path)
         out = tmp_path / "run"
         assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
-        before = (out / "choices.csv").read_bytes()
+        before = {name: (out / name).read_bytes() for name in skipped}
+        first = strip_timings(out / "report.json")
         code = cli.main(
-            ["pipeline", "--config", str(config), "--out", str(out), "--from", "fit"]
+            ["pipeline", "--config", str(config), "--out", str(out), "--from", stage]
         )
         assert code == 0
-        with open(out / "report.json", encoding="utf-8") as f:
-            report = json.load(f)
-        assert report["stages_run"] == ["fit", "wtp", "revenue"]
-        assert (out / "choices.csv").read_bytes() == before
+        report = strip_timings(out / "report.json")
+        stages = ["simulate", "fit", "wtp", "revenue"]
+        assert report["stages_run"] == stages[stages.index(stage) :]
+        assert {name: (out / name).read_bytes() for name in skipped} == before
+        # the resumed stages reproduce the first run's results from its artifacts
+        assert {k: v for k, v in report.items() if k != "stages_run"} == {
+            k: v for k, v in first.items() if k != "stages_run"
+        }
 
     def test_config_echo_reproduces_run_bit_identically(self, tmp_path):
         config = write_config(tmp_path)
@@ -351,17 +363,18 @@ def test_console_entry_point_runs():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # wtp and revenue never rank draws, so they should not pay for scipy.stats
+    # no command ranks with scipy.stats or optimizes with scipy.optimize, so
+    # none should pay for importing them
     import subprocess
     import sys
 
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, conjoint_wtp.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
+    probe = (
+        "import sys, conjoint_wtp.cli; "
+        "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"
     )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
 
 def test_demo_config_matches_presets():
@@ -382,3 +395,42 @@ def test_demo_config_matches_presets():
     assert config.model.warmup_per_chain == 1000
     assert config.simulation.n_respondents == 300
     assert config.simulation.tasks_per_respondent == 20
+
+
+class TestMalformedInputs:
+    """Unreadable posterior, truth and report files exit 2 naming the problem."""
+
+    def test_posterior_header_missing_field_exits_2(self, fitted_run, tmp_path, capsys):
+        _, run_dir = fitted_run
+        lines = (run_dir / "posterior.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        del header["standardization"]
+        path = tmp_path / "posterior.jsonl"
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        code = cli.main(["wtp", "--posterior", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "standardization" in capsys.readouterr().err
+
+    def test_truth_file_that_is_not_json_exits_2(self, fitted_run, tmp_path, capsys):
+        _, run_dir = fitted_run
+        truth = tmp_path / "truth.json"
+        truth.write_text("{not json", encoding="utf-8")
+        code = cli.main(
+            ["wtp", "--posterior", str(run_dir / "posterior.jsonl"), "--truth", str(truth),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "truth.json" in capsys.readouterr().err
+
+    def test_revenue_into_unreadable_report_exits_2(self, fitted_run, tmp_path, capsys):
+        config, run_dir = fitted_run
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "report.json").write_text("[1, 2", encoding="utf-8")
+        code = cli.main(
+            ["revenue", "--config", str(config), "--posterior", str(run_dir / "posterior.jsonl"),
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "report.json" in capsys.readouterr().err
+        assert (out / "report.json").read_text(encoding="utf-8") == "[1, 2"

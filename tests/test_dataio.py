@@ -185,6 +185,59 @@ def test_posterior_jsonl_rejects_short_lines(tmp_path, tiny_draws):
         read_posterior_jsonl(path)
 
 
+def _drop(field):
+    def mutate(header):
+        del header[field]
+        return header
+
+    return mutate
+
+
+def _one_scale(header):
+    header["standardization"]["scale"] = header["standardization"]["scale"][:1]
+    return header
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_drop("columns"), "columns"),
+        (_drop("standardization"), "standardization"),
+        (_one_scale, "standardization scale"),
+        (lambda header: {**header, "price_column": "cost"}, "price_column 'cost'"),
+        (lambda header: [header], "header is not a JSON object"),
+    ],
+    ids=["no-columns", "no-standardization", "short-scale", "foreign-price-column", "not-an-object"],
+)
+def test_posterior_header_problems_name_the_field(tmp_path, tiny_draws, mutate, message):
+    path = tmp_path / "posterior.jsonl"
+    write_posterior_jsonl(path, tiny_draws)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = json.dumps(mutate(json.loads(lines[0]))) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        read_posterior_jsonl(path)
+
+
+def test_posterior_line_without_chain_names_the_line(tmp_path, tiny_draws):
+    path = tmp_path / "posterior.jsonl"
+    write_posterior_jsonl(path, tiny_draws)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[1])
+    del row["chain"]
+    lines[1] = json.dumps(row) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match="line 2: 'chain'"):
+        read_posterior_jsonl(path)
+
+
+def test_ground_truth_reader_rejects_bad_json(tmp_path):
+    path = tmp_path / "truth.json"
+    path.write_text('{"true_wtp": ', encoding="utf-8")
+    with pytest.raises(DataError, match="truth.json"):
+        read_ground_truth_json(path)
+
+
 def test_ground_truth_readers(tmp_path, truth):
     bare = tmp_path / "truth.json"
     write_json(

@@ -74,3 +74,18 @@ def test_diagnose_names_and_warnings():
     assert any("sigma[price]" in w for w in diag.warnings)
     assert diag.divergence_count == 0
     assert diag.max_r_hat("sigma[") == diag.r_hat["sigma[price]"]
+
+
+def test_average_ranks_match_scipy_on_ties():
+    from scipy.stats import rankdata
+
+    from conjoint_wtp.infer.diagnostics import _average_ranks
+
+    rng = np.random.default_rng(4)
+    for x in (
+        rng.integers(0, 6, 500).astype(float),  # many ties
+        rng.standard_normal(300).round(1),  # some ties
+        rng.standard_normal(200),  # none
+        np.full(50, 2.5),  # one tie group
+    ):
+        assert np.array_equal(_average_ranks(x), rankdata(x, method="average"))

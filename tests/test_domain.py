@@ -12,12 +12,33 @@ from conjoint_wtp.domain import (
     AttributeScheme,
     ProductProfile,
     choice_probability,
-    decode_features,
     encode_profile,
     utility,
-    wtp,
 )
 from conjoint_wtp.errors import CodingError, ContractError, SignSafetyError
+from tests.conftest import wtp
+
+
+def decode_features(scheme, values):
+    """Reference inverse of encode_profile: the profile a feature vector codes."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (scheme.n_features,):
+        raise ContractError(f"feature vector has length {values.shape}, scheme expects {scheme.n_features}")
+    levels = {}
+    for attr in scheme.non_price_attributes:
+        active = []
+        for level in attr.levels:
+            if level == attr.baseline:
+                continue
+            v = values[scheme.column_index(f"{attr.name}:{level}")]
+            if v not in (0.0, 1.0):
+                raise ContractError(f"dummy for {attr.name}:{level} is {v}, expected 0 or 1")
+            if v == 1.0:
+                active.append(level)
+        if len(active) > 1:
+            raise ContractError(f"attribute {attr.name!r} has multiple active dummies")
+        levels[attr.name] = active[0] if active else attr.baseline
+    return ProductProfile(levels=levels, price=float(values[scheme.price_index]))
 
 
 def baseline_profile(scheme, price=799.0):

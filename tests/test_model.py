@@ -269,7 +269,7 @@ class TestPaddedKernel:
         f = design.n_features
         mu = np.zeros(f)
         mu[0] = 800.0 / np.abs(design.x[:, 0]).max()
-        theta = model.pack(mu, np.full(f, -30.0), np.zeros((model.n_respondents, f)))
+        theta = np.concatenate([mu, np.full(f, -30.0), np.zeros(model.n_respondents * f)])
         eta = design.x @ mu
         s = (2.0 * design.choices - 1.0) * eta
         # rows where exp(-s) overflows, so the exact fall-back must run

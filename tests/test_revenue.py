@@ -1,17 +1,21 @@
 """Bundle revenue simulation: monotone demand, bounds, and the closed-form
 zero-heterogeneity oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from conjoint_wtp.domain import ProductProfile
-from conjoint_wtp.errors import ContractError, SignSafetyError
+from conjoint_wtp.domain import ProductProfile, encode_profile, utility
+from conjoint_wtp.errors import CodingError, ContractError, SignSafetyError
 from conjoint_wtp.infer import ModelConfig
 from conjoint_wtp.infer.design import Standardization
 from conjoint_wtp.infer.fit import PosteriorDraws
 from conjoint_wtp.presets import REVENUE_PRICE_GRID, smartphone_pro_bundle, smartphone_scheme
-from conjoint_wtp.revenue import BundleScenario, purchase_probability, revenue_curve
+from conjoint_wtp.revenue import BundleScenario, revenue_curve
+from conjoint_wtp.rng import MARKET_STREAM, substream
+from conjoint_wtp.simulate import PRICE_COEF_CEILING
 
 COLUMNS = ("storage:256GB", "storage:512GB", "camera:Pro", "frame:Titanium", "price")
 
@@ -33,6 +37,29 @@ def make_draws(mu, sigma, seed=0):
         config=ModelConfig(seed=0),
         seed=seed,
     )
+
+
+def purchase_probability(mu, sigma, scheme, scenario, price, noise):
+    """Reference: the share of consumers beta = mu + sigma * noise (price
+    coefficient capped at the simulator's ceiling) who prefer the bundle at
+    `price` to the baseline, computed one consumer at a time."""
+    bundle = encode_profile(scheme, scenario.bundle_profile(price))
+    base = encode_profile(scheme, scenario.baseline_profile)
+    total = 0.0
+    for row in noise:
+        beta = mu + sigma * row
+        beta[-1] = min(beta[-1], PRICE_COEF_CEILING)
+        total += expit(utility(bundle, beta) - utility(base, beta))
+    return total / len(noise)
+
+
+def curve_purchase_probability(mu, scheme, scenario, price):
+    """revenue_curve's purchase probability at one price for a population with
+    no heterogeneity (one draw, repeated: the curve's HDI needs 100 draws)."""
+    draws = make_draws(np.tile(mu, (100, 1)), np.zeros((100, len(mu))))
+    curve = revenue_curve(draws, scheme, dataclasses.replace(scenario, price_grid=(price,)), seed=0)
+    assert np.all(curve.purchase_prob == curve.purchase_prob[0])
+    return curve.purchase_prob[0, 0]
 
 
 def realistic_draws(n=120, seed=3):
@@ -93,7 +120,7 @@ class TestScenarioValidation:
             price_grid=(899.0, 999.0),
         )
         draws = realistic_draws(n=110)
-        with pytest.raises(ContractError, match="Ultra"):
+        with pytest.raises(CodingError, match="Ultra"):
             revenue_curve(draws, scheme, scenario, seed=1)
 
     def test_noop_upgrade_is_rejected(self):
@@ -117,23 +144,19 @@ class TestClosedForm:
         beta_price = -0.0078125  # dyadic so the utility cancellation is exact
         wtp_sum = 280.0  # camera 200 + frame 80
         mu = np.array([1.0, 2.5, -beta_price * 200.0, -beta_price * 80.0, beta_price])
-        sigma = np.zeros(5)
-        noise = np.random.default_rng(0).standard_normal((500, 5))
         p_star = scenario.baseline_profile.price + wtp_sum
-        assert purchase_probability(mu, sigma, scheme, scenario, p_star, noise) == 0.5
+        assert curve_purchase_probability(mu, scheme, scenario, p_star) == 0.5
 
     def test_matches_logistic_demand_at_any_price(self):
         scheme = smartphone_scheme()
         scenario = smartphone_pro_bundle()
         beta_price = -0.01
         mu = np.array([1.0, 2.5, 2.0, 0.8, beta_price])
-        sigma = np.zeros(5)
-        noise = np.random.default_rng(0).standard_normal((300, 5))
         p0 = scenario.baseline_profile.price
         wtp_sum = (mu[2] + mu[3]) / -beta_price
         for price in (799.0, 950.0, 1100.0, 1299.0):
             expected = expit(-beta_price * (p0 + wtp_sum - price))
-            got = purchase_probability(mu, sigma, scheme, scenario, price, noise)
+            got = curve_purchase_probability(mu, scheme, scenario, price)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_zero_heterogeneity_revenue_has_interior_max_on_default_grid(self):
@@ -148,6 +171,21 @@ class TestClosedForm:
 
 
 class TestRevenueCurve:
+    def test_matches_per_consumer_reference(self):
+        scheme = smartphone_scheme()
+        scenario = dataclasses.replace(smartphone_pro_bundle(), market_size=40)
+        draws = realistic_draws(n=100)
+        draws.sigma[:, -1] *= 4.0  # wide enough that some consumers hit the price ceiling
+        curve = revenue_curve(draws, scheme, scenario, seed=7)
+        assert curve.purchase_prob.shape[0] == draws.n_draws  # no draw flagged
+        for i in (0, 41, 99):
+            noise = substream(7, MARKET_STREAM, i).standard_normal((40, draws.n_features))
+            for j, price in enumerate(scenario.price_grid):
+                expected = purchase_probability(
+                    draws.mu[i], draws.sigma[i], scheme, scenario, price, noise
+                )
+                assert curve.purchase_prob[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     def test_demand_is_exactly_monotone_per_draw(self):
         scheme = smartphone_scheme()
         scenario = smartphone_pro_bundle()

@@ -12,10 +12,10 @@ from conjoint_wtp.domain import (
     choice_probability,
     encode_profile,
     utility,
-    wtp,
 )
 from conjoint_wtp.errors import ContractError, DesignError
-from conjoint_wtp.infer import build_design, fit_logit_mle
+from conjoint_wtp.infer import build_design
+from conjoint_wtp.infer.mle import fit_logit_mle
 from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_truth
 from conjoint_wtp.simulate import (
     ChoiceDataset,
@@ -27,6 +27,7 @@ from conjoint_wtp.simulate import (
     sample_respondents,
     simulate_choices,
 )
+from tests.conftest import wtp
 
 
 def degenerate_truth():
