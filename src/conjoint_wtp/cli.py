@@ -37,7 +37,7 @@ from .errors import ConfigError, ConjointError
 from .infer import build_design, sample
 from .posterior import recovery_report, summarize_wtp, wtp_draws
 from .revenue import revenue_curve
-from .simulate import Provenance, generate_tasks, sample_respondents, simulate_choices
+from .simulate import generate_tasks, sample_respondents, simulate_choices
 
 
 def _effective_config(args) -> RunConfig:
@@ -111,13 +111,7 @@ def _stage_simulate(state: RunState) -> None:
     tasks = generate_tasks(
         config.scheme, sim.n_respondents, sim.tasks_per_respondent, sim.price_grid, config.seed
     )
-    state.dataset = simulate_choices(
-        config.scheme,
-        respondents,
-        tasks,
-        config.seed,
-        provenance=Provenance(ground_truth=config.ground_truth, seed=config.seed),
-    )
+    state.dataset = simulate_choices(config.scheme, respondents, tasks, config.seed)
     write_choices_csv(state.path("choices.csv"), state.dataset)
     write_provenance_json(
         state.path("provenance.json"),
@@ -156,6 +150,8 @@ def _stage_wtp(state: RunState) -> None:
     if truth is not None:
         state.recovery = recovery_report(truth, state.summaries)
         write_json(state.path("recovery.json"), _recovery_to_dict(state.recovery))
+    else:  # an earlier run's report would sit beside summaries it does not describe
+        (state.out / "recovery.json").unlink(missing_ok=True)
     for s in state.summaries:
         print(
             f"wtp[{s.feature}]: mean ${s.mean:.2f}, {s.hdi_mass:.0%} HDI "

@@ -25,14 +25,14 @@ from .config import (
     parse_ground_truth,
     parse_model_config,
 )
-from .domain import AttributeScheme, ProductProfile, validate_profile
+from .domain import AttributeScheme, ProductProfile, encode_profile
 from .errors import ContractError, DataError
 from .infer.design import Standardization
 from .infer.diagnostics import Diagnostics
 from .infer.fit import PosteriorDraws
 from .posterior import WtpDraws, WtpSummary
 from .revenue import RevenueCurve
-from .simulate import ChoiceDataset, ChoiceRecord, ChoiceTask, GroundTruth, Provenance
+from .simulate import ChoiceDataset, ChoiceRecord, ChoiceTask, GroundTruth
 
 POSTERIOR_FORMAT = "conjoint-wtp-posterior"
 POSTERIOR_VERSION = 1
@@ -100,9 +100,8 @@ def write_choices_csv(path: str | Path, dataset: ChoiceDataset) -> None:
     atomic_write_text(path, buffer.getvalue())
 
 
-def read_choices_csv(
-    path: str | Path, scheme: AttributeScheme, provenance: Provenance | None = None
-) -> ChoiceDataset:
+def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset:
+    """Read and check a choices CSV; any bad row is a DataError naming the path and row."""
     expected = choices_header(scheme)
     attrs = [a.name for a in scheme.non_price_attributes]
     records: list[ChoiceRecord] = []
@@ -133,8 +132,8 @@ def read_choices_csv(
                     raise ValueError(f"chose_a must be 0 or 1, got {chose_raw!r}")
                 profile_a = ProductProfile(levels=a_levels, price=a_price)
                 profile_b = ProductProfile(levels=b_levels, price=b_price)
-                validate_profile(scheme, profile_a)
-                validate_profile(scheme, profile_b)
+                encode_profile(scheme, profile_a)
+                encode_profile(scheme, profile_b)
                 task = ChoiceTask(
                     respondent_id=rid, task_id=tid, profile_a=profile_a, profile_b=profile_b
                 )
@@ -144,7 +143,7 @@ def read_choices_csv(
             except Exception as e:
                 raise DataError(f"{path}: row {line_no}: {e}") from None
     try:
-        return ChoiceDataset(scheme=scheme, records=records, provenance=provenance)
+        return ChoiceDataset(scheme=scheme, records=records)
     except Exception as e:
         raise DataError(f"{path}: {e}") from None
 

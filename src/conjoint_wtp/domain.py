@@ -47,9 +47,12 @@ class Attribute:
 class AttributeScheme:
     """Catalog of attributes plus the designated price attribute.
 
-    Derives the deterministic feature-column order used everywhere else:
-    `feature_columns` is the tuple of "<attr>:<level>" dummy names followed
-    by the price attribute's name.
+    Derives, once at construction, the deterministic feature-column order
+    used everywhere else: `feature_columns` is the tuple of "<attr>:<level>"
+    dummy names (`dummy_columns`) followed by the price attribute's name, at
+    `price_index`. `level_columns` maps each non-price attribute to
+    {level: column}, with None for the baseline. These are plain attributes,
+    not dataclass fields, so equality and hashing see only the declaration.
     """
 
     attributes: tuple[Attribute, ...]
@@ -61,7 +64,8 @@ class AttributeScheme:
             raise ContractError("attribute names must be unique")
         if self.price_attribute not in names:
             raise ContractError(f"price attribute {self.price_attribute!r} is not in the scheme")
-        for level in self._price_attr().levels:
+        price = self.attributes[names.index(self.price_attribute)]
+        for level in price.levels:
             try:
                 value = float(level)
             except ValueError:
@@ -70,43 +74,27 @@ class AttributeScheme:
                 raise ContractError(
                     f"price attribute level {level!r} is not a positive dollar amount"
                 )
-
-    def _price_attr(self) -> Attribute:
-        for a in self.attributes:
-            if a.name == self.price_attribute:
-                return a
-        raise AssertionError("unreachable: validated in __post_init__")
-
-    @property
-    def non_price_attributes(self) -> tuple[Attribute, ...]:
-        return tuple(a for a in self.attributes if a.name != self.price_attribute)
-
-    @property
-    def dummy_columns(self) -> tuple[str, ...]:
-        cols = []
-        for attr in self.non_price_attributes:
+        non_price = tuple(a for a in self.attributes if a.name != self.price_attribute)
+        dummies: list[str] = []
+        level_columns: dict[str, dict[str, int | None]] = {}
+        for attr in non_price:
+            columns = level_columns[attr.name] = {}
             for level in attr.levels:
-                if level != attr.baseline:
-                    cols.append(f"{attr.name}:{level}")
-        return tuple(cols)
-
-    @property
-    def feature_columns(self) -> tuple[str, ...]:
-        return self.dummy_columns + (self.price_attribute,)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_columns)
-
-    @property
-    def price_index(self) -> int:
-        return self.n_features - 1
-
-    def column_index(self, column: str) -> int:
-        try:
-            return self.feature_columns.index(column)
-        except ValueError:
-            raise CodingError(f"unknown feature column {column!r}") from None
+                if level == attr.baseline:
+                    columns[level] = None
+                else:
+                    columns[level] = len(dummies)
+                    dummies.append(f"{attr.name}:{level}")
+        derived = {
+            "non_price_attributes": non_price,
+            "dummy_columns": tuple(dummies),
+            "feature_columns": tuple(dummies) + (self.price_attribute,),
+            "n_features": len(dummies) + 1,
+            "price_index": len(dummies),
+            "level_columns": level_columns,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -122,32 +110,29 @@ class ProductProfile:
         object.__setattr__(self, "levels", dict(self.levels))
 
 
-def validate_profile(scheme: AttributeScheme, profile: ProductProfile) -> None:
-    """Raise CodingError unless the profile assigns exactly the scheme's attributes."""
-    expected = {a.name for a in scheme.non_price_attributes}
-    for name in profile.levels:
-        if name not in expected:
-            raise CodingError(f"unknown attribute {name!r} in profile")
-    for attr in scheme.non_price_attributes:
-        level = profile.levels.get(attr.name)
-        if level is None:
-            raise CodingError(f"profile is missing attribute {attr.name!r}")
-        if level not in attr.levels:
-            raise CodingError(f"unknown level {level!r} for attribute {attr.name!r}")
-
-
 def encode_profile(scheme: AttributeScheme, profile: ProductProfile) -> np.ndarray:
     """Dummy-code a profile into the scheme's feature-column order.
 
+    The one check of a profile against a scheme: an unknown attribute, a
+    missing attribute or an unknown level raises CodingError naming it.
     Baseline levels code as all-zeros for their attribute; the price is
     copied verbatim in dollars into the last column.
     """
-    validate_profile(scheme, profile)
+    levels = profile.levels
     values = np.zeros(scheme.n_features)
-    for attr in scheme.non_price_attributes:
-        level = profile.levels[attr.name]
-        if level != attr.baseline:
-            values[scheme.column_index(f"{attr.name}:{level}")] = 1.0
+    for name, columns in scheme.level_columns.items():
+        level = levels.get(name)
+        if level is None:
+            raise CodingError(f"profile is missing attribute {name!r}")
+        try:
+            column = columns[level]
+        except KeyError:
+            raise CodingError(f"unknown level {level!r} for attribute {name!r}") from None
+        if column is not None:
+            values[column] = 1.0
+    if len(levels) != len(scheme.level_columns):
+        unknown = next(name for name in levels if name not in scheme.level_columns)
+        raise CodingError(f"unknown attribute {unknown!r} in profile")
     values[scheme.price_index] = profile.price
     return values
 

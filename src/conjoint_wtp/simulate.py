@@ -14,14 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import (
-    AttributeScheme,
-    ProductProfile,
-    choice_probability,
-    encode_profile,
-    utility,
-    validate_profile,
-)
+from .domain import AttributeScheme, ProductProfile, choice_probability, encode_profile, utility
 from .errors import ContractError, DesignError
 from .rng import CHOICE_STREAM, RESPONDENT_STREAM, TASK_STREAM, substream
 
@@ -90,26 +83,19 @@ class ChoiceRecord:
     chose_a: bool
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """How a dataset was generated, for recovery checks and reproduction."""
-
-    ground_truth: GroundTruth
-    seed: int
-
-
 @dataclass
 class ChoiceDataset:
     """Respondent-grouped choice records; the sole input to inference."""
 
     scheme: AttributeScheme
     records: list[ChoiceRecord]
-    provenance: Provenance | None = None
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
+        """Structure only: contiguous respondents and unique task ids per
+        respondent. Profiles are checked where they are encoded."""
         seen_done: set[int] = set()
         current: int | None = None
         task_ids: set[int] = set()
@@ -127,17 +113,6 @@ class ChoiceDataset:
                     f"duplicate task_id {record.task.task_id} for respondent {rid}"
                 )
             task_ids.add(record.task.task_id)
-            validate_profile(self.scheme, record.task.profile_a)
-            validate_profile(self.scheme, record.task.profile_b)
-
-    @property
-    def respondent_ids(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for record in self.records:
-            rid = record.task.respondent_id
-            if not out or out[-1] != rid:
-                out.append(rid)
-        return tuple(out)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -243,7 +218,6 @@ def simulate_choices(
     respondents: Sequence[RespondentParams],
     tasks: Sequence[ChoiceTask],
     seed: int,
-    provenance: Provenance | None = None,
 ) -> ChoiceDataset:
     """Simulate each respondent's choices through the logit model.
 
@@ -272,4 +246,4 @@ def simulate_choices(
             p = choice_probability(u_a, u_b)
             chose_a = bool(rng.random() < p)
             records.append(ChoiceRecord(task=task, chose_a=chose_a))
-    return ChoiceDataset(scheme=scheme, records=records, provenance=provenance)
+    return ChoiceDataset(scheme=scheme, records=records)

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conjoint_wtp import cli
 from conjoint_wtp.dataio import write_json
@@ -31,6 +32,7 @@ from conjoint_wtp.presets import (
 )
 from conjoint_wtp.revenue import revenue_curve
 from conjoint_wtp.simulate import (
+    PRICE_COEF_CEILING,
     GroundTruth,
     generate_tasks,
     sample_respondents,
@@ -368,6 +370,53 @@ class TestCriterion9HdiCalibration:
             "95% HDI covers truth in >= 42/50 reduced-model replications",
             covered_runs >= 42,
             f"covered in {covered_runs}/50 runs",
+        )
+
+
+def true_revenue_curve(truth, scenario, n_consumers=400_000, seed=0):
+    """Reference expected revenue per consumer under the ground truth.
+
+    Monte Carlo over the simulator's population: a price coefficient b from
+    Normal(price_coef_mean, price_coef_sd) truncated below PRICE_COEF_CEILING
+    and a dollar WTP per upgraded feature from Normal(true_wtp, wtp_sd). A
+    consumer buys the bundle over the baseline with probability
+    expit(b * (price - base_price - bundle WTP)). The same consumers are used
+    at every price, so the curve's shape carries no price-to-price noise.
+    """
+    rng = np.random.default_rng(seed)
+    b = truth.price_coef_mean + truth.price_coef_sd * rng.standard_normal(n_consumers)
+    while np.any(high := b >= PRICE_COEF_CEILING):
+        b[high] = truth.price_coef_mean + truth.price_coef_sd * rng.standard_normal(high.sum())
+    bundle_wtp = np.zeros(n_consumers)
+    for name, level in scenario.upgrades.items():
+        feature = f"{name}:{level}"
+        bundle_wtp += truth.true_wtp[feature] + truth.wtp_sd[feature] * rng.standard_normal(n_consumers)
+    base_price = scenario.baseline_profile.price
+    return np.array(
+        [p * expit(b * (p - base_price - bundle_wtp)).mean() for p in scenario.price_grid]
+    )
+
+
+class TestRevenueRecoveryOracle:
+    def test_true_revenue_curve_lies_in_the_demo_hdi(self, demo_report, scheme, truth):
+        scenario = smartphone_pro_bundle()
+        baseline = {a.name: a.baseline for a in scheme.non_price_attributes}
+        assert scenario.baseline_profile.levels == baseline  # the reference prices upgrades only
+        revenue = demo_report["revenue"]
+        assert revenue["prices"] == list(scenario.price_grid)
+        true_curve = true_revenue_curve(truth, scenario)
+        low, high = np.array(revenue["hdi_low"]), np.array(revenue["hdi_high"])
+        covered = (low <= true_curve) & (true_curve <= high)
+        true_argmax = scenario.price_grid[int(np.argmax(true_curve))]
+        argmax_low, argmax_high = revenue["argmax_hdi"]
+        argmax_covered = argmax_low <= true_argmax <= argmax_high
+        report_criterion(
+            10,
+            "true revenue curve inside the 95% HDI at every grid price, true argmax in argmax HDI",
+            bool(covered.all()) and argmax_covered,
+            f"covered at {int(covered.sum())}/{covered.size} prices; true argmax ${true_argmax:.0f}, "
+            f"argmax HDI [${argmax_low:.0f}, ${argmax_high:.0f}]; largest mean - truth "
+            f"${np.max(np.array(revenue['mean_revenue']) - true_curve):.2f}",
         )
 
 

@@ -164,6 +164,35 @@ class TestFit:
         assert (out / "posterior.jsonl").exists()
         assert (out / "diagnostics.json").exists()
 
+    def test_fit_on_a_ragged_csv(self, tmp_path):
+        # Respondent r keeps 2 + r % 7 of its 10 tasks: 2 to 8 tasks each.
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "choices.csv").read_text(encoding="utf-8").splitlines()
+        kept = [
+            line for line in lines[1:]
+            if int(line.split(",")[1]) < 2 + int(line.split(",")[0]) % 7
+        ]
+        data = tmp_path / "ragged.csv"
+        data.write_text("\n".join([lines[0], *kept]) + "\n", encoding="utf-8")
+        fit_out = tmp_path / "fit"
+        code = cli.main(
+            ["fit", "--config", str(config), "--out", str(fit_out), "--data", str(data),
+             "--chains", "2", "--warmup", "100", "--draws", "100"]
+        )
+        assert code == 0
+        draws = read_posterior_jsonl(fit_out / "posterior.jsonl")
+        assert draws.respondent_ids == tuple(range(25))
+        assert draws.n_draws == 200
+        columns = draws.columns
+        expected = [f"mu[{c}]" for c in columns] + [f"sigma[{c}]" for c in columns]
+        expected += [f"z[{r},{c}]" for r in range(25) for c in columns]
+        with open(fit_out / "diagnostics.json", encoding="utf-8") as f:
+            diagnostics = json.load(f)
+        assert list(diagnostics["r_hat"]) == expected
+        assert list(diagnostics["effective_sample_size"]) == expected
+
 
 @pytest.fixture(scope="module")
 def fitted_run(tmp_path_factory):
@@ -201,6 +230,16 @@ class TestWtp:
         with open(out / "recovery.json", encoding="utf-8") as f:
             recovery = json.load(f)
         assert set(recovery) == {"overall_pass", "features"}
+
+    def test_without_truth_removes_an_earlier_recovery(self, fitted_run, tmp_path):
+        _, run_dir = fitted_run
+        out = str(tmp_path / "wtp")
+        posterior = str(run_dir / "posterior.jsonl")
+        truth = str(run_dir / "provenance.json")
+        assert cli.main(["wtp", "--posterior", posterior, "--truth", truth, "--out", out]) == 0
+        assert (tmp_path / "wtp" / "recovery.json").exists()
+        assert cli.main(["wtp", "--posterior", posterior, "--out", out]) == 0
+        assert not (tmp_path / "wtp" / "recovery.json").exists()
 
     def test_positive_price_posterior_exits_4(self, fitted_run, tmp_path, capsys):
         _, run_dir = fitted_run

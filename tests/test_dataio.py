@@ -89,6 +89,19 @@ def test_bad_row_names_line_number(tmp_path, scheme, small_dataset):
         read_choices_csv(path, scheme)
 
 
+def test_unknown_level_names_path_row_and_level(tmp_path, scheme, small_dataset):
+    path = tmp_path / "choices.csv"
+    write_choices_csv(path, small_dataset)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[5].split(",")
+    fields[3] = "Ultra"  # a_camera
+    lines[5] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_choices_csv(path, scheme)
+    assert str(err.value) == f"{path}: row 6: unknown level 'Ultra' for attribute 'camera'"
+
+
 def test_no_temp_files_left_behind(tmp_path, scheme, small_dataset):
     write_choices_csv(tmp_path / "choices.csv", small_dataset)
     assert [p.name for p in tmp_path.iterdir()] == ["choices.csv"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conjoint_wtp.domain import ProductProfile
-from conjoint_wtp.errors import ContractError, DataError
+from conjoint_wtp.errors import CodingError, ContractError, DataError
 from conjoint_wtp.infer import build_design
 from conjoint_wtp.simulate import ChoiceDataset, ChoiceRecord, ChoiceTask
 
@@ -91,3 +91,23 @@ def test_respondent_blocks_and_choices(scheme):
     assert design.respondent_index.tolist() == [0, 0, 1]
     assert design.row_starts.tolist() == [0, 2]
     assert design.choices.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "levels, named",
+    [
+        ({**BASE, "battery": "big"}, "unknown attribute 'battery'"),
+        ({"storage": "128GB", "camera": "Standard"}, "missing attribute 'frame'"),
+        ({**BASE, "storage": "1TB"}, "unknown level '1TB'"),
+    ],
+    ids=["unknown-attribute", "missing-attribute", "unknown-level"],
+)
+def test_bad_profile_in_a_library_built_dataset_fails_the_design(scheme, levels, named):
+    # ChoiceDataset checks structure only; the profile check is in encoding.
+    records = [
+        ChoiceRecord(_task(0, 0, UP, 999.0, BASE, 799.0), True),
+        ChoiceRecord(_task(0, 1, BASE, 899.0, levels, 799.0), False),
+    ]
+    dataset = ChoiceDataset(scheme=scheme, records=records)
+    with pytest.raises(CodingError, match=named):
+        build_design(dataset)

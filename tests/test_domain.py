@@ -30,7 +30,7 @@ def decode_features(scheme, values):
         for level in attr.levels:
             if level == attr.baseline:
                 continue
-            v = values[scheme.column_index(f"{attr.name}:{level}")]
+            v = values[scheme.feature_columns.index(f"{attr.name}:{level}")]
             if v not in (0.0, 1.0):
                 raise ContractError(f"dummy for {attr.name}:{level} is {v}, expected 0 or 1")
             if v == 1.0:

@@ -44,12 +44,11 @@ def tiny_design(n_respondents=5, tasks=8, seed=7):
 
 def ragged_design():
     """tiny_design's survey with tasks dropped so the counts are unequal."""
-    dataset = tiny_dataset()
-    ids = dataset.respondent_ids
+    dataset = tiny_dataset()  # respondent ids 0..4, in order
     records = [
         record
         for record in dataset.records
-        if record.task.task_id < RAGGED_TASKS[ids.index(record.task.respondent_id)]
+        if record.task.task_id < RAGGED_TASKS[record.task.respondent_id]
     ]
     return build_design(ChoiceDataset(scheme=dataset.scheme, records=records))
 
