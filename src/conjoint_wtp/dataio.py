@@ -82,11 +82,15 @@ def choices_header(scheme: AttributeScheme) -> list[str]:
 
 
 def write_choices_csv(path: str | Path, dataset: ChoiceDataset) -> None:
+    """Write the choices CSV; a profile the scheme cannot encode raises
+    CodingError naming the attribute or level, and leaves `path` as it was."""
     scheme = dataset.scheme
     attrs = [a.name for a in scheme.non_price_attributes]
     rows = [choices_header(scheme)]
     for record in dataset.records:
         task = record.task
+        encode_profile(scheme, task.profile_a)
+        encode_profile(scheme, task.profile_b)
         row = [str(task.respondent_id), str(task.task_id)]
         row += [task.profile_a.levels[name] for name in attrs]
         row.append(_fmt(task.profile_a.price))

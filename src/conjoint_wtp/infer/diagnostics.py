@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 
 @dataclass
@@ -56,6 +55,8 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
     """Fractional ranks of the pooled sample mapped through the normal quantile."""
+    from scipy.special import ndtri  # imported here so only `diagnose` pays for scipy
+
     pooled = x.reshape(-1)
     z = ndtri((_average_ranks(pooled) - 0.375) / (pooled.size + 0.25))
     return z.reshape(x.shape)

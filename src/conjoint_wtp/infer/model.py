@@ -15,7 +15,9 @@ The likelihood is one pass over signed logits s = sgn * eta, sgn = +-1 for
 a chosen/rejected option A. With e = exp(-s), expit(s) = 1 / (1 + e), so
 the single exp gives both log expit(s) = -log(1 + e) and the score
 d/d eta = sgn * e / (1 + e). When e overflows (s below about -709) the sum
-is recomputed exactly with scipy's log_expit.
+is recomputed exactly in numpy, as log expit(s) = -logaddexp(0, -s) and the
+score sgn / (1 + exp(s)), whose overflow for s above about 709 gives an
+exact 0.
 
 The hierarchical model lays the rows out as a padded (R, T_max, F) array,
 built once: respondent r's tasks fill the first slots of row r. A balanced
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from ..errors import ContractError
 from .design import Design
@@ -84,12 +85,13 @@ class ModelConfig:
 
 def _loglik_and_score(s: np.ndarray, sgn: np.ndarray):
     """Sum of log expit(s) over the signed logits s = sgn * eta, and the
-    score d/d eta = sgn * (1 - expit(s)), shaped like s."""
+    score d/d eta = sgn * (1 - expit(s)), shaped like s. Callers run it
+    under np.errstate(over="ignore"): an exp that overflows is expected."""
     e = np.exp(-s)
     d = e + 1.0
     loglik = -float(np.log(d).sum())
     if not math.isfinite(loglik):
-        return float(log_expit(s).sum()), sgn * expit(-s)
+        return -float(np.logaddexp(0.0, -s).sum()), sgn / (1.0 + np.exp(s))
     e /= d
     e *= sgn
     return loglik, e

@@ -9,6 +9,15 @@ integrated by Monte Carlo, not collapsed to the mean), and the same
 consumer noise is reused across all prices within a draw. That makes the
 per-draw demand curve exactly non-increasing in price and the argmax
 comparison noise-free.
+
+`revenue_curve` draws each posterior draw's consumers as one
+(market_size, features) standard-normal block from its own substream
+(seed, MARKET_STREAM, draw index). The purchase probabilities are computed
+in one (prices, market_size) buffer allocated per call: it is filled with
+-(u + b * dp) for base utility u, clipped price slope b and price offset
+dp, then turned in place into p = 1 / (1 + exp(-(u + b * dp))). An exp
+that overflows gives an exact 0; each price's row is then averaged over
+its contiguous consumers.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from .domain import WTP_PRICE_EPS, AttributeScheme, ProductProfile, encode_profile
 from .errors import ContractError, SignSafetyError
@@ -89,25 +97,33 @@ def _purchase_probabilities(
     mu: np.ndarray,
     sigma: np.ndarray,
     diff: np.ndarray,
-    price_offsets: np.ndarray,
+    neg_price_offsets: np.ndarray,
     noise: np.ndarray,
+    buffer: np.ndarray,
 ) -> np.ndarray:
     """Fraction of simulated consumers preferring the bundle at each price.
 
     mu/sigma are one posterior draw's population parameters on the raw
     scale; `noise` is the draw's standard-normal consumer block (market_size
-    x features), reused across prices; `price_offsets` are the grid prices
-    minus the baseline price. Consumer price coefficients are truncated
-    below zero like the simulator's respondents, so demand is exactly
-    monotone.
+    x features), reused across prices and overwritten with the consumers'
+    coefficients; `neg_price_offsets` are the baseline price minus the grid
+    prices; `buffer` is (prices, market_size) scratch. Consumer price
+    coefficients are truncated below zero like the simulator's respondents,
+    so demand is exactly monotone.
     """
-    betas = mu + sigma * noise
+    betas = noise
+    betas *= sigma
+    betas += mu
     price_col = diff.size - 1
-    betas[:, price_col] = np.minimum(betas[:, price_col], PRICE_COEF_CEILING)
+    slope = np.minimum(betas[:, price_col], PRICE_COEF_CEILING)
     base_utility = betas[:, :price_col] @ diff[:price_col]
-    slope = betas[:, price_col]
-    delta = base_utility[:, None] + slope[:, None] * price_offsets[None, :]
-    return expit(delta).mean(axis=0)
+    np.multiply.outer(neg_price_offsets, slope, out=buffer)
+    buffer -= base_utility
+    with np.errstate(over="ignore"):
+        np.exp(buffer, out=buffer)
+    buffer += 1.0
+    np.reciprocal(buffer, out=buffer)
+    return buffer.mean(axis=1)
 
 
 def revenue_curve(
@@ -138,14 +154,15 @@ def revenue_curve(
     retained = np.flatnonzero(keep)
     prices = np.asarray(scenario.price_grid)
     diff = _bundle_offsets(scheme, scenario)
-    price_offsets = prices - scenario.baseline_profile.price
+    neg_price_offsets = scenario.baseline_profile.price - prices
     probs = np.empty((retained.size, prices.size))
+    buffer = np.empty((prices.size, scenario.market_size))
     n_features = draws.n_features
     for row, draw_index in enumerate(retained):
         rng = substream(seed, MARKET_STREAM, int(draw_index))
         noise = rng.standard_normal((scenario.market_size, n_features))
         probs[row] = _purchase_probabilities(
-            mu_raw[draw_index], sigma_raw[draw_index], diff, price_offsets, noise
+            mu_raw[draw_index], sigma_raw[draw_index], diff, neg_price_offsets, noise, buffer
         )
     revenue = probs * prices[None, :]
     mean = revenue.mean(axis=0)

@@ -1,4 +1,4 @@
-"""Maximum-likelihood logit fits, used as independent oracles.
+"""Maximum-likelihood logit fits, a test-side reference for the Bayesian fit.
 
 These deliberately bypass the Bayesian machinery: a plain (optionally
 ridge-stabilized) logistic regression on difference regressors, optimized
@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from ..errors import ContractError, FitError
+from conjoint_wtp.errors import ContractError, FitError
 
 
 def fit_logit_mle(

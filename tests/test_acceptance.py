@@ -23,7 +23,6 @@ from conjoint_wtp.infer import (
     run_nuts,
     sample,
 )
-from conjoint_wtp.infer.mle import fit_logit_mle
 from conjoint_wtp.posterior import hdi, individual_wtp, recovery_report, summarize_wtp, wtp_draws
 from conjoint_wtp.presets import (
     DEFAULT_PRICE_GRID,
@@ -39,6 +38,7 @@ from conjoint_wtp.simulate import (
     simulate_choices,
 )
 from tests.conftest import DEMO_SEED
+from tests.logit_mle import fit_logit_mle
 
 
 def report_criterion(number: int, description: str, passed: bool, detail: str = "") -> None:

@@ -1,6 +1,7 @@
 """File formats: bit-exact choices CSV, posterior JSONL round-trips, and
 summary emissions."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -21,11 +22,13 @@ from conjoint_wtp.dataio import (
     write_wtp_draws_csv,
     write_wtp_summary_csv,
 )
-from conjoint_wtp.errors import DataError
+from conjoint_wtp.domain import ProductProfile
+from conjoint_wtp.errors import CodingError, DataError
 from conjoint_wtp.infer import ModelConfig, build_design, sample
 from conjoint_wtp.posterior import WtpDraws, WtpSummary
 from conjoint_wtp.presets import smartphone_pro_bundle, smartphone_scheme, smartphone_truth
 from conjoint_wtp.revenue import revenue_curve
+from conjoint_wtp.simulate import ChoiceDataset, ChoiceRecord
 
 
 def test_header_is_bit_exact(scheme):
@@ -104,6 +107,30 @@ def test_unknown_level_names_path_row_and_level(tmp_path, scheme, small_dataset)
 
 def test_no_temp_files_left_behind(tmp_path, scheme, small_dataset):
     write_choices_csv(tmp_path / "choices.csv", small_dataset)
+    assert [p.name for p in tmp_path.iterdir()] == ["choices.csv"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda levels: levels.pop("frame"), "profile is missing attribute 'frame'"),
+        (lambda levels: levels.update(camera="Ultra"), "unknown level 'Ultra' for attribute 'camera'"),
+    ],
+    ids=["missing_attribute", "unknown_level"],
+)
+def test_unencodable_profile_is_refused_before_writing(tmp_path, scheme, small_dataset, edit, message):
+    path = tmp_path / "choices.csv"
+    write_choices_csv(path, small_dataset)
+    before = path.read_bytes()
+    good = small_dataset.records[0].task
+    levels = dict(good.profile_b.levels)
+    edit(levels)
+    bad = dataclasses.replace(good, profile_b=ProductProfile(levels=levels, price=good.profile_b.price))
+    dataset = ChoiceDataset(scheme=scheme, records=[ChoiceRecord(task=bad, chose_a=True)])
+    with pytest.raises(CodingError) as err:
+        write_choices_csv(path, dataset)
+    assert str(err.value) == message
+    assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["choices.csv"]
 
 

@@ -279,6 +279,9 @@ class TestPaddedKernel:
         assert np.all(np.isfinite(grad))
         expected = log_prior(model, theta) + log_expit(s).sum()
         assert logp == pytest.approx(expected, rel=1e-12)
+        fd = finite_difference_gradient(model.log_posterior, theta)
+        rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
+        assert rel.max() < 1e-5
 
 
 class TestValidation:

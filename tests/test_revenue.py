@@ -2,6 +2,7 @@
 zero-heterogeneity oracle."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,28 @@ class TestRevenueCurve:
         scenario = smartphone_pro_bundle()
         curve = revenue_curve(realistic_draws(), scheme, scenario, seed=11)
         assert np.all(np.diff(curve.purchase_prob, axis=1) <= 0.0)
+
+    def test_far_tail_consumers_buy_with_probability_exactly_zero_or_one(self):
+        # consumers' logit arguments sit beyond +-709, where exp over- or
+        # underflows: purchase is exactly 1 or 0, with no RuntimeWarning
+        scheme = smartphone_scheme()
+        scenario = smartphone_pro_bundle()
+        mu = np.tile([0.0, 0.0, 500.0, 500.0, -4.0], (100, 1))
+        mu[:10, 2:4] = 3000.0  # buys at every price
+        mu[10:20, 2:4] = -3000.0  # buys at no price
+        sigma = np.tile([1.0, 1.0, 5.0, 5.0, 0.0], (100, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = revenue_curve(make_draws(mu, sigma), scheme, scenario, seed=5)
+        prob = curve.purchase_prob
+        offsets = curve.prices - scenario.baseline_profile.price
+        assert np.all(prob[:10] == 1.0)
+        assert np.all(prob[10:20] == 0.0)
+        assert np.all(prob[20:, offsets <= 50.0] == 1.0)  # u - 4 * dp > 709
+        assert np.all(prob[20:, offsets >= 450.0] == 0.0)  # u - 4 * dp < -709
+        middle = prob[20:, offsets == 250.0]
+        assert np.all((0.0 < middle) & (middle < 1.0))
+        assert np.all(np.diff(prob, axis=1) <= 0.0)
 
     def test_revenue_draws_bounded_by_price(self):
         scheme = smartphone_scheme()

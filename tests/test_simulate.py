@@ -15,7 +15,6 @@ from conjoint_wtp.domain import (
 )
 from conjoint_wtp.errors import ContractError, DesignError
 from conjoint_wtp.infer import build_design
-from conjoint_wtp.infer.mle import fit_logit_mle
 from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_truth
 from conjoint_wtp.simulate import (
     ChoiceDataset,
@@ -28,6 +27,7 @@ from conjoint_wtp.simulate import (
     simulate_choices,
 )
 from tests.conftest import wtp
+from tests.logit_mle import fit_logit_mle
 
 
 def degenerate_truth():
