@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .config import RunConfig, load_run_config, run_config_to_dict
+from .config import RunConfig, load_run_config, to_dict
 from .dataio import (
     diagnostics_to_dict,
     read_choices_csv,
@@ -41,17 +41,18 @@ from .simulate import generate_tasks, sample_respondents, simulate_choices
 
 
 def _effective_config(args) -> RunConfig:
+    """The config file with the command-line overrides applied; RunConfig
+    passes the seed on to the model and checks it."""
     config = load_run_config(args.config)
-    seed = config.seed if args.seed is None else args.seed
-    if seed < 0:
-        raise ConfigError("--seed must be non-negative")
-    model = config.model.override(seed=seed)
-    for flag, field in (("chains", "chains"), ("draws", "draws_per_chain"), ("warmup", "warmup_per_chain")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            model = model.override(**{field: value})
-    output_dir = args.out if args.out is not None else config.output_dir
-    return dataclasses.replace(config, model=model, seed=seed, output_dir=output_dir)
+    flags = {"chains": "chains", "draws": "draws_per_chain", "warmup": "warmup_per_chain"}
+    given = {field: getattr(args, flag, None) for flag, field in flags.items()}
+    model = dataclasses.replace(config.model, **{k: v for k, v in given.items() if v is not None})
+    return dataclasses.replace(
+        config,
+        model=model,
+        seed=config.seed if args.seed is None else args.seed,
+        output_dir=args.out if args.out is not None else config.output_dir,
+    )
 
 
 class RunState:
@@ -260,7 +261,7 @@ def cmd_pipeline(args) -> int:
                 files[Path(name).stem] = name
     report = {
         "seed": config.seed,
-        "config": run_config_to_dict(config),
+        "config": to_dict(config),
         "stages_run": list(timings),
         "quality": _quality_section(state),
         "wtp": [dataclasses.asdict(s) for s in state.summaries or []],

@@ -1,20 +1,27 @@
 """Run configuration: a single JSON document driving every pipeline stage.
 
-Parsing is fail-fast: unknown keys anywhere in the document are errors, and
-every message names the offending field. One top-level seed feeds all
-stages; per-unit RNG substreams are derived from it internally.
+Each section of the document is a frozen dataclass, and one reader and one
+writer serve them all. The reader walks a dataclass's fields and type hints:
+each field is one JSON key of the declared type, a field with a default may
+be left out (a partly given prior takes the rest from the default prior),
+null leaves out an optional section, and an unknown key is an error. Range
+checks live in each dataclass, so every value is checked once, and every
+message names the field's dotted path. One top-level seed feeds all stages;
+per-unit RNG substreams are derived from it internally.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import types
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
-from .domain import Attribute, AttributeScheme, ProductProfile
+from .domain import AttributeScheme
 from .errors import ConfigError, ContractError
-from .infer.model import ModelConfig, NormalPrior
+from .infer.model import ModelConfig
 from .revenue import BundleScenario
 from .simulate import GroundTruth
 
@@ -25,297 +32,112 @@ class SimulationSettings:
     tasks_per_respondent: int
     price_grid: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if self.n_respondents < 1:
+            raise ContractError(f"n_respondents must be >= 1, got {self.n_respondents}")
+        if self.tasks_per_respondent < 1:
+            raise ContractError(f"tasks_per_respondent must be >= 1, got {self.tasks_per_respondent}")
+        if not self.price_grid:
+            raise ContractError("price_grid must be non-empty")
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    scheme: AttributeScheme
-    model: ModelConfig
+    """The whole document. Its seed is also the model's seed, and the
+    model's own check of it is the seed's one check."""
+
     seed: int
+    scheme: AttributeScheme
+    model: ModelConfig = ModelConfig()
     output_dir: str | None = None
     ground_truth: GroundTruth | None = None
     simulation: SimulationSettings | None = None
     scenario: BundleScenario | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "model", replace(self.model, seed=self.seed))
 
-class _Section:
-    """Dict wrapper that tracks consumed keys and reports leftovers."""
 
-    def __init__(self, data: Mapping[str, Any], path: str):
-        if not isinstance(data, Mapping):
+# Fields that are not JSON keys: the model's seed is the document's seed.
+_NOT_KEYS = {(ModelConfig, "seed")}
+_SCALARS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _keys(cls) -> list:
+    return [f for f in fields(cls) if (cls, f.name) not in _NOT_KEYS]
+
+
+def _is_optional(tp) -> bool:
+    return get_origin(tp) in (Union, types.UnionType)
+
+
+def from_dict(cls, data: Any, path: str, base=None):
+    """Read the config dataclass `cls` from its JSON object at dotted `path`.
+
+    A key left out takes the field's value in `base` if one is given, else
+    the field's default; a field with neither is required.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    keys = _keys(cls)
+    unknown = sorted(set(data) - {f.name for f in keys})
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {path}: {', '.join(unknown)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in keys:
+        tp, value = hints[f.name], data.get(f.name)
+        default = f.default if base is None else getattr(base, f.name)
+        if value is None and (f.name not in data or is_dataclass(tp) or _is_optional(tp)):
+            if default is MISSING:
+                raise ConfigError(f"missing required field {path}.{f.name}")
+            continue
+        values[f.name] = _value(tp, value, f"{path}.{f.name}", default)
+    try:
+        return cls(**values) if base is None else replace(base, **values)
+    except ContractError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _value(tp, value: Any, path: str, default=None):
+    if _is_optional(tp):  # a null value never gets here
+        (tp,) = [t for t in get_args(tp) if t is not type(None)]
+    if is_dataclass(tp):
+        return from_dict(tp, value, path, default if is_dataclass(default) else None)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        return tuple(_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is Mapping:
+        if not isinstance(value, dict):
             raise ConfigError(f"{path} must be a JSON object")
-        self.data = dict(data)
-        self.path = path
-        self.used: set[str] = set()
-
-    def get(self, key: str, default=None, required: bool = False):
-        if key not in self.data:
-            if required:
-                raise ConfigError(f"missing required field {self.path}.{key}")
-            return default
-        self.used.add(key)
-        return self.data[key]
-
-    def section(self, key: str, required: bool = False) -> "_Section | None":
-        value = self.get(key, required=required)
-        if value is None:
-            return None
-        return _Section(value, f"{self.path}.{key}")
-
-    def finish(self) -> None:
-        unknown = sorted(set(self.data) - self.used)
-        if unknown:
-            raise ConfigError(f"unknown key(s) in {self.path}: {', '.join(unknown)}")
+        return {k: _value(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path} must be {_SCALARS[tp]}, got {value!r}")
+    return float(value) if tp is float else value
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    return value
+def to_dict(obj):
+    """A config dataclass as its JSON object: keys in field order, None
+    fields left out. It walks the reader's keys, so what it writes reads
+    back to an equal config."""
+    if is_dataclass(obj):
+        return {
+            f.name: to_dict(value)
+            for f in _keys(type(obj))
+            if (value := getattr(obj, f.name)) is not None
+        }
+    if isinstance(obj, Mapping):
+        return {k: to_dict(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return [to_dict(v) for v in obj]
+    return obj
 
 
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path} must be a string, got {value!r}")
-    return value
-
-
-def _as_number_list(value, path: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path} must be a non-empty list of numbers")
-    return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def parse_scheme(data: Mapping[str, Any], path: str = "scheme") -> AttributeScheme:
-    section = _Section(data, path)
-    raw_attrs = section.get("attributes", required=True)
-    if not isinstance(raw_attrs, list) or not raw_attrs:
-        raise ConfigError(f"{path}.attributes must be a non-empty list")
-    attrs = []
-    for i, raw in enumerate(raw_attrs):
-        sub = _Section(raw, f"{path}.attributes[{i}]")
-        name = _as_str(sub.get("name", required=True), f"{sub.path}.name")
-        levels = sub.get("levels", required=True)
-        if not isinstance(levels, list):
-            raise ConfigError(f"{sub.path}.levels must be a list")
-        baseline = _as_str(sub.get("baseline", required=True), f"{sub.path}.baseline")
-        sub.finish()
-        try:
-            attrs.append(Attribute(name=name, levels=tuple(str(l) for l in levels), baseline=baseline))
-        except ContractError as e:
-            raise ConfigError(f"{sub.path}: {e}") from None
-    price_attr = _as_str(section.get("price_attribute", required=True), f"{path}.price_attribute")
-    section.finish()
-    try:
-        return AttributeScheme(attributes=tuple(attrs), price_attribute=price_attr)
-    except ContractError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-def scheme_to_dict(scheme: AttributeScheme) -> dict:
-    return {
-        "attributes": [
-            {"name": a.name, "levels": list(a.levels), "baseline": a.baseline}
-            for a in scheme.attributes
-        ],
-        "price_attribute": scheme.price_attribute,
-    }
-
-
-def parse_ground_truth(data: Mapping[str, Any], path: str = "ground_truth") -> GroundTruth:
-    section = _Section(data, path)
-    true_wtp = section.get("true_wtp", required=True)
-    wtp_sd = section.get("wtp_sd", required=True)
-    for name, mapping in (("true_wtp", true_wtp), ("wtp_sd", wtp_sd)):
-        if not isinstance(mapping, Mapping):
-            raise ConfigError(f"{path}.{name} must be an object of feature -> dollars")
-    mean = _as_number(section.get("price_coef_mean", required=True), f"{path}.price_coef_mean")
-    sd = _as_number(section.get("price_coef_sd", required=True), f"{path}.price_coef_sd")
-    section.finish()
-    try:
-        return GroundTruth(
-            true_wtp={str(k): _as_number(v, f"{path}.true_wtp[{k}]") for k, v in true_wtp.items()},
-            wtp_sd={str(k): _as_number(v, f"{path}.wtp_sd[{k}]") for k, v in wtp_sd.items()},
-            price_coef_mean=mean,
-            price_coef_sd=sd,
-        )
-    except ContractError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-def ground_truth_to_dict(truth: GroundTruth) -> dict:
-    return {
-        "true_wtp": dict(truth.true_wtp),
-        "wtp_sd": dict(truth.wtp_sd),
-        "price_coef_mean": truth.price_coef_mean,
-        "price_coef_sd": truth.price_coef_sd,
-    }
-
-
-def _parse_prior(section: _Section | None, default: NormalPrior, path: str) -> NormalPrior:
-    if section is None:
-        return default
-    mean = _as_number(section.get("mean", default.mean), f"{path}.mean")
-    sd = _as_number(section.get("sd", default.sd), f"{path}.sd")
-    section.finish()
-    try:
-        return NormalPrior(mean=mean, sd=sd)
-    except ContractError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-def parse_model_config(data: Mapping[str, Any] | None, seed: int, path: str = "model") -> ModelConfig:
-    defaults = ModelConfig(seed=seed)
-    if data is None:
-        return defaults
-    section = _Section(data, path)
-    try:
-        config = ModelConfig(
-            prior_mu_price=_parse_prior(
-                section.section("prior_mu_price"), defaults.prior_mu_price, f"{path}.prior_mu_price"
-            ),
-            prior_mu_feature=_parse_prior(
-                section.section("prior_mu_feature"),
-                defaults.prior_mu_feature,
-                f"{path}.prior_mu_feature",
-            ),
-            prior_sigma_sd=_as_number(
-                section.get("prior_sigma_sd", defaults.prior_sigma_sd), f"{path}.prior_sigma_sd"
-            ),
-            chains=_as_int(section.get("chains", defaults.chains), f"{path}.chains"),
-            draws_per_chain=_as_int(
-                section.get("draws_per_chain", defaults.draws_per_chain), f"{path}.draws_per_chain"
-            ),
-            warmup_per_chain=_as_int(
-                section.get("warmup_per_chain", defaults.warmup_per_chain),
-                f"{path}.warmup_per_chain",
-            ),
-            target_accept=_as_number(
-                section.get("target_accept", defaults.target_accept), f"{path}.target_accept"
-            ),
-            max_treedepth=_as_int(
-                section.get("max_treedepth", defaults.max_treedepth), f"{path}.max_treedepth"
-            ),
-            seed=seed,
-        )
-    except ContractError as e:
-        raise ConfigError(f"{path}: {e}") from None
-    section.finish()
-    return config
-
-
-def model_config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "prior_mu_price": {"mean": config.prior_mu_price.mean, "sd": config.prior_mu_price.sd},
-        "prior_mu_feature": {
-            "mean": config.prior_mu_feature.mean,
-            "sd": config.prior_mu_feature.sd,
-        },
-        "prior_sigma_sd": config.prior_sigma_sd,
-        "chains": config.chains,
-        "draws_per_chain": config.draws_per_chain,
-        "warmup_per_chain": config.warmup_per_chain,
-        "target_accept": config.target_accept,
-        "max_treedepth": config.max_treedepth,
-    }
-
-
-def parse_profile(data: Mapping[str, Any], path: str) -> ProductProfile:
-    section = _Section(data, path)
-    levels = section.get("levels", required=True)
-    if not isinstance(levels, Mapping):
-        raise ConfigError(f"{path}.levels must be an object of attribute -> level")
-    price = _as_number(section.get("price", required=True), f"{path}.price")
-    section.finish()
-    try:
-        return ProductProfile(levels={str(k): str(v) for k, v in levels.items()}, price=price)
-    except ContractError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-def parse_scenario(data: Mapping[str, Any], path: str = "scenario") -> BundleScenario:
-    section = _Section(data, path)
-    baseline = parse_profile(section.get("baseline", required=True), f"{path}.baseline")
-    upgrades = section.get("upgrades", required=True)
-    if not isinstance(upgrades, Mapping) or not upgrades:
-        raise ConfigError(f"{path}.upgrades must be a non-empty object of attribute -> level")
-    grid = _as_number_list(section.get("price_grid", required=True), f"{path}.price_grid")
-    market_size = _as_int(section.get("market_size", 2000), f"{path}.market_size")
-    section.finish()
-    try:
-        return BundleScenario(
-            baseline_profile=baseline,
-            upgrades={str(k): str(v) for k, v in upgrades.items()},
-            price_grid=grid,
-            market_size=market_size,
-        )
-    except ContractError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-def scenario_to_dict(scenario: BundleScenario) -> dict:
-    return {
-        "baseline": {
-            "levels": dict(scenario.baseline_profile.levels),
-            "price": scenario.baseline_profile.price,
-        },
-        "upgrades": dict(scenario.upgrades),
-        "price_grid": list(scenario.price_grid),
-        "market_size": scenario.market_size,
-    }
-
-
-def parse_run_config(data: Mapping[str, Any]) -> RunConfig:
-    section = _Section(data, "config")
-    seed = _as_int(section.get("seed", required=True), "config.seed")
-    if seed < 0:
-        raise ConfigError("config.seed must be non-negative")
-    scheme = parse_scheme(section.get("scheme", required=True), "config.scheme")
-
-    output_dir = section.get("output_dir")
-    if output_dir is not None:
-        output_dir = _as_str(output_dir, "config.output_dir")
-
-    truth_data = section.get("ground_truth")
-    truth = parse_ground_truth(truth_data, "config.ground_truth") if truth_data is not None else None
-
-    sim_data = section.section("simulation")
-    simulation = None
-    if sim_data is not None:
-        n_resp = _as_int(sim_data.get("n_respondents", required=True), "config.simulation.n_respondents")
-        tasks = _as_int(
-            sim_data.get("tasks_per_respondent", required=True),
-            "config.simulation.tasks_per_respondent",
-        )
-        grid = _as_number_list(sim_data.get("price_grid", required=True), "config.simulation.price_grid")
-        sim_data.finish()
-        if n_resp < 1:
-            raise ConfigError("config.simulation.n_respondents must be >= 1")
-        if tasks < 1:
-            raise ConfigError("config.simulation.tasks_per_respondent must be >= 1")
-        simulation = SimulationSettings(
-            n_respondents=n_resp, tasks_per_respondent=tasks, price_grid=grid
-        )
-
-    model = parse_model_config(section.get("model"), seed, "config.model")
-
-    scenario_data = section.get("scenario")
-    scenario = parse_scenario(scenario_data, "config.scenario") if scenario_data is not None else None
-    section.finish()
-    return RunConfig(
-        scheme=scheme,
-        model=model,
-        seed=seed,
-        output_dir=output_dir,
-        ground_truth=truth,
-        simulation=simulation,
-        scenario=scenario,
-    )
+def parse_run_config(data: Any) -> RunConfig:
+    return from_dict(RunConfig, data, "config")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -325,24 +147,3 @@ def load_run_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path} is not valid JSON: {e}") from None
     return parse_run_config(data)
-
-
-def run_config_to_dict(config: RunConfig) -> dict:
-    out: dict[str, Any] = {
-        "seed": config.seed,
-        "scheme": scheme_to_dict(config.scheme),
-        "model": model_config_to_dict(config.model),
-    }
-    if config.output_dir is not None:
-        out["output_dir"] = config.output_dir
-    if config.ground_truth is not None:
-        out["ground_truth"] = ground_truth_to_dict(config.ground_truth)
-    if config.simulation is not None:
-        out["simulation"] = {
-            "n_respondents": config.simulation.n_respondents,
-            "tasks_per_respondent": config.simulation.tasks_per_respondent,
-            "price_grid": list(config.simulation.price_grid),
-        }
-    if config.scenario is not None:
-        out["scenario"] = scenario_to_dict(config.scenario)
-    return out

@@ -19,17 +19,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import (
-    ground_truth_to_dict,
-    model_config_to_dict,
-    parse_ground_truth,
-    parse_model_config,
-)
+from .config import from_dict, to_dict
 from .domain import AttributeScheme, ProductProfile, encode_profile
 from .errors import ContractError, DataError
 from .infer.design import Standardization
 from .infer.diagnostics import Diagnostics
 from .infer.fit import PosteriorDraws
+from .infer.model import ModelConfig
 from .posterior import WtpDraws, WtpSummary
 from .revenue import RevenueCurve
 from .simulate import ChoiceDataset, ChoiceRecord, ChoiceTask, GroundTruth
@@ -71,7 +67,7 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def choices_header(scheme: AttributeScheme) -> list[str]:
-    attrs = [a.name for a in scheme.non_price_attributes]
+    attrs = [a.name for a in scheme.attributes]
     return (
         ["respondent_id", "task_id"]
         + [f"a_{name}" for name in attrs]
@@ -85,7 +81,7 @@ def write_choices_csv(path: str | Path, dataset: ChoiceDataset) -> None:
     """Write the choices CSV; a profile the scheme cannot encode raises
     CodingError naming the attribute or level, and leaves `path` as it was."""
     scheme = dataset.scheme
-    attrs = [a.name for a in scheme.non_price_attributes]
+    attrs = [a.name for a in scheme.attributes]
     rows = [choices_header(scheme)]
     for record in dataset.records:
         task = record.task
@@ -107,7 +103,7 @@ def write_choices_csv(path: str | Path, dataset: ChoiceDataset) -> None:
 def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset:
     """Read and check a choices CSV; any bad row is a DataError naming the path and row."""
     expected = choices_header(scheme)
-    attrs = [a.name for a in scheme.non_price_attributes]
+    attrs = [a.name for a in scheme.attributes]
     records: list[ChoiceRecord] = []
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -164,7 +160,7 @@ def write_provenance_json(
         path,
         {
             "seed": seed,
-            "ground_truth": ground_truth_to_dict(truth),
+            "ground_truth": to_dict(truth),
             "n_respondents": n_respondents,
             "tasks_per_respondent": tasks_per_respondent,
             "price_grid": [float(p) for p in price_grid],
@@ -190,7 +186,7 @@ def read_ground_truth_json(path: str | Path) -> GroundTruth:
     if "ground_truth" in data:
         data = data["ground_truth"]
     try:
-        return parse_ground_truth(data, path=str(path))
+        return from_dict(GroundTruth, data, str(path))
     except Exception as e:
         raise DataError(f"{path}: {e}") from None
 
@@ -206,7 +202,7 @@ def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
             "mean": draws.standardization.mean.tolist(),
             "scale": draws.standardization.scale.tolist(),
         },
-        "config": model_config_to_dict(draws.config),
+        "config": to_dict(draws.config),
         "seed": draws.seed,
         "param_layout": "mu, sigma, z (respondent-major)",
     }
@@ -255,7 +251,7 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
             price_column, seed = header["price_column"], int(header["seed"])
             if price_column not in columns:
                 raise DataError(f"{path}: header price_column {price_column!r} is not one of the columns")
-            config = parse_model_config(header["config"], seed=seed, path="posterior.config")
+            config = from_dict(ModelConfig, header["config"], "posterior.config", ModelConfig(seed=seed))
         except KeyError as e:
             raise DataError(f"{path}: header has no field {e}") from None
         except (TypeError, ValueError, ContractError) as e:

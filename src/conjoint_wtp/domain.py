@@ -2,10 +2,9 @@
 
 Everything here is a pure function over plain numpy vectors. The feature
 vector layout is fixed by the attribute scheme: one 0/1 dummy per
-non-baseline level of each non-price attribute (attribute order, then level
-order), followed by a single continuous price column in dollars. Coefficient
-vectors are aligned to the same columns, with the price entry in utility per
-dollar.
+non-baseline level of each attribute (attribute order, then level order),
+followed by a single continuous price column in dollars. Coefficient vectors
+are aligned to the same columns, with the price entry in utility per dollar.
 """
 
 from __future__ import annotations
@@ -45,14 +44,17 @@ class Attribute:
 
 @dataclass(frozen=True)
 class AttributeScheme:
-    """Catalog of attributes plus the designated price attribute.
+    """Catalog of product attributes plus the name of the price column.
 
+    Price is not an attribute: a profile carries its price in dollars, and
+    the survey draws prices from its price grid, so `price_attribute` only
+    names the last feature column and must not be a listed attribute.
     Derives, once at construction, the deterministic feature-column order
     used everywhere else: `feature_columns` is the tuple of "<attr>:<level>"
-    dummy names (`dummy_columns`) followed by the price attribute's name, at
-    `price_index`. `level_columns` maps each non-price attribute to
-    {level: column}, with None for the baseline. These are plain attributes,
-    not dataclass fields, so equality and hashing see only the declaration.
+    dummy names (`dummy_columns`) followed by `price_attribute`, at
+    `price_index`. `level_columns` maps each attribute to {level: column},
+    with None for the baseline. These are plain attributes, not dataclass
+    fields, so equality and hashing see only the declaration.
     """
 
     attributes: tuple[Attribute, ...]
@@ -62,22 +64,14 @@ class AttributeScheme:
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise ContractError("attribute names must be unique")
-        if self.price_attribute not in names:
-            raise ContractError(f"price attribute {self.price_attribute!r} is not in the scheme")
-        price = self.attributes[names.index(self.price_attribute)]
-        for level in price.levels:
-            try:
-                value = float(level)
-            except ValueError:
-                value = math.nan
-            if not (value > 0):
-                raise ContractError(
-                    f"price attribute level {level!r} is not a positive dollar amount"
-                )
-        non_price = tuple(a for a in self.attributes if a.name != self.price_attribute)
+        if self.price_attribute in names:
+            raise ContractError(
+                f"price attribute {self.price_attribute!r} must not be listed among the "
+                "attributes: it names the price column, and prices come from the price grid"
+            )
         dummies: list[str] = []
         level_columns: dict[str, dict[str, int | None]] = {}
-        for attr in non_price:
+        for attr in self.attributes:
             columns = level_columns[attr.name] = {}
             for level in attr.levels:
                 if level == attr.baseline:
@@ -86,7 +80,6 @@ class AttributeScheme:
                     columns[level] = len(dummies)
                     dummies.append(f"{attr.name}:{level}")
         derived = {
-            "non_price_attributes": non_price,
             "dummy_columns": tuple(dummies),
             "feature_columns": tuple(dummies) + (self.price_attribute,),
             "n_features": len(dummies) + 1,
@@ -99,7 +92,7 @@ class AttributeScheme:
 
 @dataclass(frozen=True)
 class ProductProfile:
-    """A concrete product: one level per non-price attribute plus a price."""
+    """A concrete product: one level per attribute plus a price."""
 
     levels: Mapping[str, str]
     price: float

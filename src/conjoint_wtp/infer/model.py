@@ -29,7 +29,7 @@ which a precomputed constant cancels, and 0 to the score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class ModelConfig:
             raise ContractError(f"max_treedepth must be >= 1, got {self.max_treedepth}")
         if self.seed < 0:
             raise ContractError(f"seed must be non-negative, got {self.seed}")
-
-    def override(self, **kwargs) -> "ModelConfig":
-        return replace(self, **kwargs)
 
 
 def _loglik_and_score(s: np.ndarray, sgn: np.ndarray):

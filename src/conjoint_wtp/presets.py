@@ -24,11 +24,6 @@ def smartphone_scheme() -> AttributeScheme:
             Attribute(name="storage", levels=("128GB", "256GB", "512GB"), baseline="128GB"),
             Attribute(name="camera", levels=("Standard", "Pro"), baseline="Standard"),
             Attribute(name="frame", levels=("Aluminum", "Titanium"), baseline="Aluminum"),
-            Attribute(
-                name="price",
-                levels=tuple(f"{p:g}" for p in DEFAULT_PRICE_GRID),
-                baseline=f"{DEFAULT_PRICE_GRID[0]:g}",
-            ),
         ),
         price_attribute="price",
     )
@@ -62,8 +57,7 @@ def smartphone_baseline() -> ProductProfile:
 def smartphone_pro_bundle() -> BundleScenario:
     """Camera + frame upgrade bundle priced against the $799 baseline."""
     return BundleScenario(
-        baseline_profile=smartphone_baseline(),
+        baseline=smartphone_baseline(),
         upgrades={"camera": "Pro", "frame": "Titanium"},
         price_grid=REVENUE_PRICE_GRID,
-        market_size=2000,
     )

@@ -39,7 +39,7 @@ from .simulate import PRICE_COEF_CEILING
 class BundleScenario:
     """A bundle of upgrades priced on a grid against a fixed baseline."""
 
-    baseline_profile: ProductProfile
+    baseline: ProductProfile
     upgrades: Mapping[str, str]
     price_grid: tuple[float, ...]
     market_size: int = 2000
@@ -59,7 +59,7 @@ class BundleScenario:
             raise ContractError(f"market_size must be >= 1, got {self.market_size}")
 
     def bundle_profile(self, price: float) -> ProductProfile:
-        levels = dict(self.baseline_profile.levels)
+        levels = dict(self.baseline.levels)
         levels.update(self.upgrades)
         return ProductProfile(levels=levels, price=price)
 
@@ -86,7 +86,7 @@ def _bundle_offsets(scheme: AttributeScheme, scenario: BundleScenario) -> np.nda
     Encoding validates both profiles, so an unknown upgrade attribute or
     level raises CodingError naming it.
     """
-    base = scenario.baseline_profile
+    base = scenario.baseline
     diff = encode_profile(scheme, scenario.bundle_profile(base.price)) - encode_profile(scheme, base)
     if not np.any(diff[: scheme.price_index] != 0):
         raise ContractError("bundle upgrades do not change the baseline profile")
@@ -154,7 +154,7 @@ def revenue_curve(
     retained = np.flatnonzero(keep)
     prices = np.asarray(scenario.price_grid)
     diff = _bundle_offsets(scheme, scenario)
-    neg_price_offsets = scenario.baseline_profile.price - prices
+    neg_price_offsets = scenario.baseline.price - prices
     probs = np.empty((retained.size, prices.size))
     buffer = np.empty((prices.size, scenario.market_size))
     n_features = draws.n_features

@@ -207,7 +207,7 @@ def _random_profile(
 ) -> ProductProfile:
     levels = {
         attr.name: attr.levels[rng.integers(len(attr.levels))]
-        for attr in scheme.non_price_attributes
+        for attr in scheme.attributes
     }
     price = prices[rng.integers(len(prices))]
     return ProductProfile(levels=levels, price=price)

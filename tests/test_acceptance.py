@@ -7,6 +7,7 @@ criterion 9 is the slow suite (50 end-to-end replications).
 
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,7 +109,6 @@ class TestCriterion3QuadratureOracle:
         scheme = AttributeScheme(
             attributes=(
                 Attribute("camera", ("Standard", "Pro"), "Standard"),
-                Attribute("price", ("799", "899", "999", "1099", "1199"), "799"),
             ),
             price_attribute="price",
         )
@@ -266,7 +266,6 @@ class TestCriterion8Determinism:
                     {"name": "storage", "levels": ["128GB", "256GB", "512GB"], "baseline": "128GB"},
                     {"name": "camera", "levels": ["Standard", "Pro"], "baseline": "Standard"},
                     {"name": "frame", "levels": ["Aluminum", "Titanium"], "baseline": "Aluminum"},
-                    {"name": "price", "levels": ["799", "899", "999", "1099", "1199"], "baseline": "799"},
                 ],
                 "price_attribute": "price",
             },
@@ -341,7 +340,6 @@ class TestCriterion9HdiCalibration:
             attributes=(
                 Attribute("camera", ("Standard", "Pro"), "Standard"),
                 Attribute("frame", ("Aluminum", "Titanium"), "Aluminum"),
-                Attribute("price", ("799", "899", "999", "1099", "1199"), "799"),
             ),
             price_attribute="price",
         )
@@ -358,7 +356,7 @@ class TestCriterion9HdiCalibration:
             respondents = sample_respondents(scheme, truth, 30, seed=seed)
             tasks = generate_tasks(scheme, 30, 20, DEFAULT_PRICE_GRID, seed=seed)
             dataset = simulate_choices(scheme, respondents, tasks, seed=seed)
-            draws, _ = sample(build_design(dataset), config.override(seed=seed))
+            draws, _ = sample(build_design(dataset), replace(config, seed=seed))
             summaries = [
                 summarize_wtp(wtp_draws(draws, feature))
                 for feature in truth.true_wtp
@@ -391,7 +389,7 @@ def true_revenue_curve(truth, scenario, n_consumers=400_000, seed=0):
     for name, level in scenario.upgrades.items():
         feature = f"{name}:{level}"
         bundle_wtp += truth.true_wtp[feature] + truth.wtp_sd[feature] * rng.standard_normal(n_consumers)
-    base_price = scenario.baseline_profile.price
+    base_price = scenario.baseline.price
     return np.array(
         [p * expit(b * (p - base_price - bundle_wtp)).mean() for p in scenario.price_grid]
     )
@@ -400,8 +398,8 @@ def true_revenue_curve(truth, scenario, n_consumers=400_000, seed=0):
 class TestRevenueRecoveryOracle:
     def test_true_revenue_curve_lies_in_the_demo_hdi(self, demo_report, scheme, truth):
         scenario = smartphone_pro_bundle()
-        baseline = {a.name: a.baseline for a in scheme.non_price_attributes}
-        assert scenario.baseline_profile.levels == baseline  # the reference prices upgrades only
+        baseline = {a.name: a.baseline for a in scheme.attributes}
+        assert scenario.baseline.levels == baseline  # the reference prices upgrades only
         revenue = demo_report["revenue"]
         assert revenue["prices"] == list(scenario.price_grid)
         true_curve = true_revenue_curve(truth, scenario)

@@ -18,7 +18,6 @@ BASE_CONFIG = {
             {"name": "storage", "levels": ["128GB", "256GB", "512GB"], "baseline": "128GB"},
             {"name": "camera", "levels": ["Standard", "Pro"], "baseline": "Standard"},
             {"name": "frame", "levels": ["Aluminum", "Titanium"], "baseline": "Aluminum"},
-            {"name": "price", "levels": ["799", "899", "999", "1099", "1199"], "baseline": "799"},
         ],
         "price_attribute": "price",
     },

@@ -9,11 +9,12 @@ was written gives the same config.
 
 import copy
 import json
+import re
 
 import pytest
 
 from conjoint_wtp import cli
-from conjoint_wtp.config import load_run_config, parse_run_config, run_config_to_dict
+from conjoint_wtp.config import load_run_config, parse_run_config, to_dict
 from conjoint_wtp.errors import ConfigError
 from conjoint_wtp.infer import NormalPrior
 from tests.conftest import DEMO_CONFIG
@@ -44,7 +45,7 @@ KEY_ORDER = {
 
 
 def write(config) -> dict:
-    return run_config_to_dict(config)
+    return to_dict(config)
 
 
 def document():
@@ -214,3 +215,32 @@ def test_document_that_is_not_json_names_the_file(tmp_path):
     path.write_text("{", encoding="utf-8")
     with pytest.raises(ConfigError, match="config.json"):
         load_run_config(path)
+
+
+def test_listed_price_attribute_exits_2_naming_the_scheme(tmp_path, capsys):
+    # the scheme names the price column only; survey prices come from
+    # simulation.price_grid, so listed price levels would go unread
+    doc = document()
+    doc["scheme"]["attributes"].append(
+        {"name": "price", "levels": ["799", "899", "999", "1099", "1199"], "baseline": "799"}
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config.scheme" in err and "price attribute 'price'" in err
+
+
+@pytest.mark.parametrize(
+    "path, key, value",
+    [
+        ("scheme.attributes[0]", "levels", ["128GB", 256]),
+        ("scenario", "upgrades", {"camera": 1}),
+        ("scenario.baseline", "levels", {"storage": "128GB", "camera": "Standard", "frame": 0}),
+    ],
+)
+def test_level_that_is_not_a_string_is_refused(path, key, value):
+    doc = document()
+    section(doc, path)[key] = value
+    with pytest.raises(ConfigError, match=f"config.{path}.{key}".replace("[", r"\[").replace("]", r"\]")):
+        parse_run_config(doc)

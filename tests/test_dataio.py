@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conjoint_wtp.config import model_config_to_dict
+from conjoint_wtp.config import to_dict
 from conjoint_wtp.dataio import (
     atomic_write_lines,
     choices_header,
@@ -194,7 +194,7 @@ def test_streamed_posterior_matches_joined_text(tmp_path, tiny_draws):
             "mean": d.standardization.mean.tolist(),
             "scale": d.standardization.scale.tolist(),
         },
-        "config": model_config_to_dict(d.config),
+        "config": to_dict(d.config),
         "seed": d.seed,
         "param_layout": "mu, sigma, z (respondent-major)",
     }

@@ -25,7 +25,7 @@ def decode_features(scheme, values):
     if values.shape != (scheme.n_features,):
         raise ContractError(f"feature vector has length {values.shape}, scheme expects {scheme.n_features}")
     levels = {}
-    for attr in scheme.non_price_attributes:
+    for attr in scheme.attributes:
         active = []
         for level in attr.levels:
             if level == attr.baseline:
@@ -43,7 +43,7 @@ def decode_features(scheme, values):
 
 def baseline_profile(scheme, price=799.0):
     return ProductProfile(
-        levels={a.name: a.baseline for a in scheme.non_price_attributes}, price=price
+        levels={a.name: a.baseline for a in scheme.attributes}, price=price
     )
 
 
@@ -66,19 +66,14 @@ class TestScheme:
         with pytest.raises(ContractError):
             Attribute(name="color", levels=("Black", "White"), baseline="Red")
 
-    def test_price_attribute_must_exist(self):
-        with pytest.raises(ContractError):
-            AttributeScheme(
-                attributes=(Attribute("color", ("Black", "White"), "Black"),),
-                price_attribute="price",
-            )
-
-    def test_price_levels_must_be_positive_dollars(self):
-        with pytest.raises(ContractError):
+    def test_price_attribute_must_not_be_listed(self):
+        # price_attribute names the price column; survey prices come from
+        # the price grid, so a listed price attribute's levels would go unread
+        with pytest.raises(ContractError, match="price attribute 'price' must not be listed"):
             AttributeScheme(
                 attributes=(
                     Attribute("color", ("Black", "White"), "Black"),
-                    Attribute("price", ("799", "free"), "799"),
+                    Attribute("price", ("799", "899"), "799"),
                 ),
                 price_attribute="price",
             )

@@ -45,7 +45,7 @@ def purchase_probability(mu, sigma, scheme, scenario, price, noise):
     coefficient capped at the simulator's ceiling) who prefer the bundle at
     `price` to the baseline, computed one consumer at a time."""
     bundle = encode_profile(scheme, scenario.bundle_profile(price))
-    base = encode_profile(scheme, scenario.baseline_profile)
+    base = encode_profile(scheme, scenario.baseline)
     total = 0.0
     for row in noise:
         beta = mu + sigma * row
@@ -90,7 +90,7 @@ class TestScenarioValidation:
     def test_empty_price_grid_rejected(self):
         with pytest.raises(ContractError):
             BundleScenario(
-                baseline_profile=ProductProfile(levels={"camera": "Standard"}, price=799.0),
+                baseline=ProductProfile(levels={"camera": "Standard"}, price=799.0),
                 upgrades={"camera": "Pro"},
                 price_grid=(),
             )
@@ -98,7 +98,7 @@ class TestScenarioValidation:
     def test_grid_must_increase(self):
         with pytest.raises(ContractError):
             BundleScenario(
-                baseline_profile=ProductProfile(levels={"camera": "Standard"}, price=799.0),
+                baseline=ProductProfile(levels={"camera": "Standard"}, price=799.0),
                 upgrades={"camera": "Pro"},
                 price_grid=(899.0, 899.0),
             )
@@ -106,7 +106,7 @@ class TestScenarioValidation:
     def test_upgrades_must_be_non_empty(self):
         with pytest.raises(ContractError):
             BundleScenario(
-                baseline_profile=ProductProfile(levels={"camera": "Standard"}, price=799.0),
+                baseline=ProductProfile(levels={"camera": "Standard"}, price=799.0),
                 upgrades={},
                 price_grid=(899.0,),
             )
@@ -114,7 +114,7 @@ class TestScenarioValidation:
     def test_unknown_upgrade_level_is_rejected(self):
         scheme = smartphone_scheme()
         scenario = BundleScenario(
-            baseline_profile=ProductProfile(
+            baseline=ProductProfile(
                 levels={"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}, price=799.0
             ),
             upgrades={"camera": "Ultra"},
@@ -127,7 +127,7 @@ class TestScenarioValidation:
     def test_noop_upgrade_is_rejected(self):
         scheme = smartphone_scheme()
         scenario = BundleScenario(
-            baseline_profile=ProductProfile(
+            baseline=ProductProfile(
                 levels={"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}, price=799.0
             ),
             upgrades={"camera": "Standard"},
@@ -145,7 +145,7 @@ class TestClosedForm:
         beta_price = -0.0078125  # dyadic so the utility cancellation is exact
         wtp_sum = 280.0  # camera 200 + frame 80
         mu = np.array([1.0, 2.5, -beta_price * 200.0, -beta_price * 80.0, beta_price])
-        p_star = scenario.baseline_profile.price + wtp_sum
+        p_star = scenario.baseline.price + wtp_sum
         assert curve_purchase_probability(mu, scheme, scenario, p_star) == 0.5
 
     def test_matches_logistic_demand_at_any_price(self):
@@ -153,7 +153,7 @@ class TestClosedForm:
         scenario = smartphone_pro_bundle()
         beta_price = -0.01
         mu = np.array([1.0, 2.5, 2.0, 0.8, beta_price])
-        p0 = scenario.baseline_profile.price
+        p0 = scenario.baseline.price
         wtp_sum = (mu[2] + mu[3]) / -beta_price
         for price in (799.0, 950.0, 1100.0, 1299.0):
             expected = expit(-beta_price * (p0 + wtp_sum - price))
@@ -206,7 +206,7 @@ class TestRevenueCurve:
             warnings.simplefilter("error", RuntimeWarning)
             curve = revenue_curve(make_draws(mu, sigma), scheme, scenario, seed=5)
         prob = curve.purchase_prob
-        offsets = curve.prices - scenario.baseline_profile.price
+        offsets = curve.prices - scenario.baseline.price
         assert np.all(prob[:10] == 1.0)
         assert np.all(prob[10:20] == 0.0)
         assert np.all(prob[20:, offsets <= 50.0] == 1.0)  # u - 4 * dp > 709
@@ -226,13 +226,13 @@ class TestRevenueCurve:
         scheme = smartphone_scheme()
         base = smartphone_pro_bundle()
         small = BundleScenario(
-            baseline_profile=base.baseline_profile,
+            baseline=base.baseline,
             upgrades=base.upgrades,
             price_grid=base.price_grid,
             market_size=400,
         )
         big = BundleScenario(
-            baseline_profile=base.baseline_profile,
+            baseline=base.baseline,
             upgrades=base.upgrades,
             price_grid=base.price_grid,
             market_size=800,

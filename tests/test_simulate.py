@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conjoint_wtp.domain import (
-    Attribute,
     AttributeScheme,
     ProductProfile,
     choice_probability,
@@ -108,7 +107,7 @@ class TestGenerateTasks:
         tasks = generate_tasks(scheme, 300, 20, DEFAULT_PRICE_GRID, seed=3)
         profiles = [t.profile_a for t in tasks] + [t.profile_b for t in tasks]
         n = len(profiles)
-        for attr in scheme.non_price_attributes:
+        for attr in scheme.attributes:
             expected = 1.0 / len(attr.levels)
             threshold = expected - 5 * math.sqrt(expected * (1 - expected) / n)
             for level in attr.levels:
@@ -123,10 +122,8 @@ class TestGenerateTasks:
             generate_tasks(scheme, 1, 1, [], seed=0)
 
     def test_degenerate_scheme_raises_design_error(self):
-        scheme = AttributeScheme(
-            attributes=(Attribute("price", ("799", "899"), "799"),),
-            price_attribute="price",
-        )
+        # no attribute and one price: every profile is the same product
+        scheme = AttributeScheme(attributes=(), price_attribute="price")
         with pytest.raises(DesignError):
             generate_tasks(scheme, 1, 1, [999.0], seed=0)
 
