@@ -1,9 +1,12 @@
 """Design-matrix construction for the choice model.
 
 Each record becomes one row of difference regressors,
-encode(profile_a) - encode(profile_b), z-scored per column. The
-standardization (per-column mean and population SD) is kept alongside the
-matrix because unscaling is mandatory before any dollar-valued output.
+encode(profile_a) - encode(profile_b), by default divided by each column's
+population SD. Standardizing is a change of units only: the columns are
+never centered, and the model states its priors per unit-scaled column
+whatever the design's units, so a standardized and a raw design give the
+same posterior. The scaling is kept alongside the matrix because unscaling
+is mandatory before any dollar-valued output.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ _MIN_SCALE = 1e-12
 
 @dataclass(frozen=True)
 class Standardization:
-    """Per-column centering/scaling applied to the difference regressors."""
+    """Per-column scaling applied to the difference regressors. `mean` is
+    part of the posterior file format and is always zero: columns are never
+    centered."""
 
     columns: tuple[str, ...]
     mean: np.ndarray
@@ -41,7 +46,12 @@ class Standardization:
 
 @dataclass(frozen=True)
 class Design:
-    """Standardized difference regressors grouped by respondent."""
+    """Difference regressors grouped by respondent.
+
+    `column_sd` is each raw difference column's population SD, the unit in
+    which the priors are stated; `standardization.scale` is what the columns
+    of `x` were divided by (`column_sd`, or ones for a raw design).
+    """
 
     columns: tuple[str, ...]
     price_column: str
@@ -51,6 +61,7 @@ class Design:
     respondent_ids: tuple[int, ...]
     row_starts: np.ndarray
     standardization: Standardization
+    column_sd: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -70,27 +81,27 @@ class Design:
 
 
 def build_design(dataset: ChoiceDataset, standardize: bool = True) -> Design:
-    """Build the z-scored difference-regressor matrix and choice vector.
+    """Build the difference-regressor matrix and choice vector.
 
     Rows keep the dataset's respondent grouping; `row_starts` marks each
     respondent's first row, from which the model builds its padded
-    (respondent, task, feature) layout once. With
-    standardize=False the standardization is the identity (used by
-    raw-scale consistency checks).
+    (respondent, task, feature) layout once. A constant column is a
+    DataError either way; with standardize=False the columns stay in raw
+    units and the standardization is the identity.
     """
     if len(dataset.records) == 0:
         raise ContractError("dataset has no records")
     scheme = dataset.scheme
     columns = scheme.feature_columns
     n = len(dataset.records)
-    raw = np.empty((n, len(columns)))
+    x = np.empty((n, len(columns)))
     choices = np.empty(n, dtype=np.int8)
     resp_index = np.empty(n, dtype=np.int64)
 
     id_order: list[int] = []
     id_to_pos: dict[int, int] = {}
     for i, record in enumerate(dataset.records):
-        raw[i] = encode_profile(scheme, record.task.profile_a) - encode_profile(
+        x[i] = encode_profile(scheme, record.task.profile_a) - encode_profile(
             scheme, record.task.profile_b
         )
         choices[i] = 1 if record.chose_a else 0
@@ -100,17 +111,12 @@ def build_design(dataset: ChoiceDataset, standardize: bool = True) -> Design:
             id_order.append(rid)
         resp_index[i] = id_to_pos[rid]
 
-    if standardize:
-        mean = raw.mean(axis=0)
-        scale = raw.std(axis=0)
-        constant = [c for c, s in zip(columns, scale) if s < _MIN_SCALE]
-        if constant:
-            raise DataError(f"constant difference column(s): {constant}")
-        x = (raw - mean) / scale
-    else:
-        mean = np.zeros(len(columns))
-        scale = np.ones(len(columns))
-        x = raw
+    column_sd = x.std(axis=0)
+    constant = [c for c, s in zip(columns, column_sd) if s < _MIN_SCALE]
+    if constant:
+        raise DataError(f"constant difference column(s): {constant}")
+    scale = column_sd if standardize else np.ones(len(columns))
+    x /= scale
 
     row_starts = np.flatnonzero(np.r_[True, resp_index[1:] != resp_index[:-1]])
     return Design(
@@ -121,5 +127,6 @@ def build_design(dataset: ChoiceDataset, standardize: bool = True) -> Design:
         respondent_index=resp_index,
         respondent_ids=tuple(id_order),
         row_starts=row_starts,
-        standardization=Standardization(columns=columns, mean=mean, scale=scale),
+        standardization=Standardization(columns=columns, mean=np.zeros(len(columns)), scale=scale),
+        column_sd=column_sd,
     )

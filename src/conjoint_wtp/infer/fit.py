@@ -21,7 +21,7 @@ MAX_DIVERGENCE_RATE = 0.05
 class PosteriorDraws:
     """Posterior samples for all model parameters plus unscaling metadata.
 
-    mu and sigma are (total draws, features) on the standardized scale; z is
+    mu and sigma are (total draws, features) on the fitting scale; z is
     (total draws, respondents, features). Individual coefficients reconstruct
     as mu + sigma * z. The standardization is carried so downstream code can
     return to dollar units.
@@ -56,17 +56,6 @@ class PosteriorDraws:
             return self.columns.index(feature)
         except ValueError:
             raise ContractError(f"unknown feature column {feature!r}") from None
-
-    def respondent_position(self, respondent_id: int) -> int:
-        try:
-            return self.respondent_ids.index(respondent_id)
-        except ValueError:
-            raise ContractError(f"respondent {respondent_id} was not in the fitted dataset") from None
-
-    def individual_beta(self, respondent_id: int) -> np.ndarray:
-        """Standardized per-draw coefficients for one respondent."""
-        pos = self.respondent_position(respondent_id)
-        return self.mu + self.sigma * self.z[:, pos, :]
 
 
 def split_draws(model: HierarchicalLogitModel, result: SampleResult):

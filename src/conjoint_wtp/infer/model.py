@@ -1,15 +1,13 @@
-"""Log-posterior targets for the gradient-based sampler.
+"""The log-posterior target for the gradient-based sampler.
 
-Two targets are provided. HierarchicalLogitModel is the production model:
-per-respondent coefficient vectors drawn from population normals, written in
-the non-centered form beta_i = mu + sigma * z_i (z standard normal) so the
-sampler never sees the funnel that sparse per-respondent data would induce.
-Population SDs are sampled on the log scale with the Jacobian folded into
-the density. FlatLogitModel is a pooled logit with normal priors, used for
-oracle comparisons and prior-recovery checks.
+HierarchicalLogitModel: per-respondent coefficient vectors drawn from
+population normals, written in the non-centered form beta_i = mu + sigma * z_i
+(z standard normal) so the sampler never sees the funnel that sparse
+per-respondent data would induce. Population SDs are sampled on the log
+scale with the Jacobian folded into the density.
 
-Both expose log_posterior(theta) -> (value, gradient) with exact analytic
-gradients; the sampler treats a non-finite value as an off-support point.
+It exposes log_posterior(theta) -> (value, gradient) with an exact analytic
+gradient; the sampler treats a non-finite value as an off-support point.
 
 The likelihood is one pass over signed logits s = sgn * eta, sgn = +-1 for
 a chosen/rejected option A. With e = exp(-s), expit(s) = 1 / (1 + e), so
@@ -51,7 +49,13 @@ class NormalPrior:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Priors (standardized scale) and sampler settings."""
+    """Priors and sampler settings.
+
+    The priors (a normal on the price mean, one on each feature mean, and a
+    HalfNormal on each SD) are stated per unit-scaled column: a difference
+    column divided by its SD. The model maps them into the units of the
+    design it is given, so standardizing the design changes no posterior.
+    """
 
     prior_mu_price: NormalPrior = NormalPrior(-1.0, 1.0)
     prior_mu_feature: NormalPrior = NormalPrior(0.0, 2.0)
@@ -112,7 +116,7 @@ def _padded_layout(design: Design):
 
 
 class HierarchicalLogitModel:
-    """Non-centered hierarchical logit over standardized choice differences.
+    """Non-centered hierarchical logit over choice differences.
 
     Unconstrained parameter vector: [mu (F), log_sigma (F), z (R*F row-major)].
     """
@@ -124,24 +128,21 @@ class HierarchicalLogitModel:
         self.n_respondents = design.n_respondents
         self.x3, self.sgn3 = _padded_layout(design)
         self._pad_const = (self.sgn3.size - design.n_rows) * math.log(2.0)
-        price = design.price_index
-        self.prior_mean = np.array(
-            [
-                config.prior_mu_price.mean if j == price else config.prior_mu_feature.mean
-                for j in range(self.n_features)
-            ]
-        )
-        self.prior_sd = np.array(
-            [
-                config.prior_mu_price.sd if j == price else config.prior_mu_feature.sd
-                for j in range(self.n_features)
-            ]
-        )
-        self.sigma_tau = config.prior_sigma_sd
+        # A coefficient on a unit-scaled column is `unit` times one on this
+        # design's column: 1 on a standardized design, the column SD on a raw
+        # one. So a N(m, s) prior there is N(m / unit, s / unit) here, and a
+        # HalfNormal(tau) SD there is HalfNormal(tau / unit) here.
+        unit = design.column_sd / design.standardization.scale
+        price = np.arange(self.n_features) == design.price_index
+        mu_price, mu_feature = config.prior_mu_price, config.prior_mu_feature
+        self.prior_mean = np.where(price, mu_price.mean, mu_feature.mean) / unit
+        self.prior_sd = np.where(price, mu_price.sd, mu_feature.sd) / unit
+        self.sigma_tau = config.prior_sigma_sd / unit
+        self._tau2 = self.sigma_tau**2
         f, r = self.n_features, self.n_respondents
         self._mu_const = -0.5 * f * _LOG_2PI - np.log(self.prior_sd).sum()
         self._z_const = -0.5 * r * f * _LOG_2PI
-        self._sigma_const = f * (0.5 * math.log(2.0 / math.pi) - math.log(self.sigma_tau))
+        self._sigma_const = 0.5 * f * math.log(2.0 / math.pi) - np.log(self.sigma_tau).sum()
 
     @property
     def dim(self) -> int:
@@ -174,14 +175,14 @@ class HierarchicalLogitModel:
         grad_beta = (score[:, None, :] @ self.x3)[:, 0, :]
 
         mu_resid = (mu - self.prior_mean) / self.prior_sd
-        tau2 = self.sigma_tau**2
+        sigma2_tau2 = sigma**2 / self._tau2
         logp = (
             loglik
             + self._pad_const
             + self._mu_const
             - 0.5 * (mu_resid**2).sum()
             + self._sigma_const
-            - 0.5 * (sigma**2).sum() / tau2
+            - 0.5 * sigma2_tau2.sum()
             + log_sigma.sum()
             + self._z_const
             - 0.5 * (z**2).sum()
@@ -190,55 +191,10 @@ class HierarchicalLogitModel:
             return -np.inf, np.zeros_like(theta)
 
         grad_mu = grad_beta.sum(axis=0) - mu_resid / self.prior_sd
-        grad_log_sigma = (grad_beta * z).sum(axis=0) * sigma - sigma**2 / tau2 + 1.0
+        grad_log_sigma = (grad_beta * z).sum(axis=0) * sigma - sigma2_tau2 + 1.0
         grad_z = grad_beta * sigma - z
         grad = np.concatenate([grad_mu, grad_log_sigma, grad_z.reshape(-1)])
         if not np.all(np.isfinite(grad)):
-            return -np.inf, np.zeros_like(theta)
-        return float(logp), grad
-
-    def initial_position(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, self.dim)
-
-
-class FlatLogitModel:
-    """Pooled logit: one shared coefficient vector with normal priors."""
-
-    def __init__(
-        self,
-        x: np.ndarray,
-        choices: np.ndarray,
-        prior_mean: np.ndarray,
-        prior_sd: np.ndarray,
-    ):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(choices, dtype=float)
-        if self.x.ndim != 2 or self.x.shape[0] != self.y.shape[0]:
-            raise ContractError(
-                f"design {self.x.shape} and choices {self.y.shape} do not line up"
-            )
-        self.sgn = 2.0 * self.y - 1.0
-        self.prior_mean = np.asarray(prior_mean, dtype=float)
-        self.prior_sd = np.asarray(prior_sd, dtype=float)
-        if self.prior_mean.shape != (self.x.shape[1],) or self.prior_sd.shape != (self.x.shape[1],):
-            raise ContractError("prior vectors must have one entry per design column")
-        if not np.all(self.prior_sd > 0):
-            raise ContractError("prior sds must be positive")
-        self._const = -0.5 * self.x.shape[1] * _LOG_2PI - np.log(self.prior_sd).sum()
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-    def log_posterior(self, theta: np.ndarray):
-        resid = (theta - self.prior_mean) / self.prior_sd
-        logp = self._const - 0.5 * (resid**2).sum()
-        grad = -resid / self.prior_sd
-        with np.errstate(over="ignore"):
-            loglik, score = _loglik_and_score(self.sgn * (self.x @ theta), self.sgn)
-        logp += loglik
-        grad = grad + self.x.T @ score
-        if not np.isfinite(logp):
             return -np.inf, np.zeros_like(theta)
         return float(logp), grad
 

@@ -2,10 +2,9 @@
 
 The WTP ratio is computed per draw, never as a ratio of posterior means:
 the ratio of a skewed posterior is not the posterior of the ratio. Draws
-whose price coefficient is not safely negative are excluded and counted;
-the population-level operations fail loudly if more than 0.1% of draws are
-flagged, while individual-level WTP (noisier by nature) only attaches a
-warning above 0.5%.
+whose price coefficient is not safely negative are excluded and counted,
+and the population-level operations fail loudly if more than 0.1% of draws
+are flagged.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .infer.fit import PosteriorDraws
 from .simulate import GroundTruth
 
 POPULATION_FLAG_LIMIT = 0.001
-INDIVIDUAL_FLAG_LIMIT = 0.005
 
 _MIN_HDI_SAMPLES = 100
 
@@ -33,7 +31,6 @@ class WtpDraws:
     feature: str
     draws: np.ndarray
     flagged_count: int
-    sign_warning: bool = False
 
     @property
     def mean(self) -> float:
@@ -109,24 +106,6 @@ def wtp_draws(draws: PosteriorDraws, feature: str, eps: float = WTP_PRICE_EPS) -
             "the model did not learn that higher prices reduce utility"
         )
     return WtpDraws(feature=feature, draws=ratios, flagged_count=flagged)
-
-
-def individual_wtp(
-    draws: PosteriorDraws, respondent_id: int, feature: str, eps: float = WTP_PRICE_EPS
-) -> WtpDraws:
-    """WTP distribution for one respondent, from reconstructed individual
-    coefficients. Sign-unsafe draws above 0.5% set a warning, not an error."""
-    j = draws.feature_index(feature)
-    if j == draws.price_index:
-        raise ContractError("WTP of the price column is not defined")
-    beta = draws.individual_beta(respondent_id) / draws.standardization.scale
-    ratios, flagged = _safe_ratio(beta[:, j], beta[:, draws.price_index], eps)
-    if ratios.size == 0:
-        raise SignSafetyError(
-            f"all draws for respondent {respondent_id} have non-negative price coefficients"
-        )
-    warning = flagged > INDIVIDUAL_FLAG_LIMIT * draws.n_draws
-    return WtpDraws(feature=feature, draws=ratios, flagged_count=flagged, sign_warning=warning)
 
 
 def hdi(samples: np.ndarray, mass: float = 0.95) -> tuple[float, float]:

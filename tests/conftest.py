@@ -8,15 +8,12 @@ and every test that needs the fitted posterior shares its artifacts.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from conjoint_wtp import cli
 from conjoint_wtp.dataio import read_choices_csv, read_posterior_jsonl
-from conjoint_wtp.domain import WTP_PRICE_EPS
-from conjoint_wtp.errors import ContractError, SignSafetyError
 from conjoint_wtp.infer import ModelConfig, build_design
 from conjoint_wtp.presets import (
     DEFAULT_PRICE_GRID,
@@ -24,23 +21,10 @@ from conjoint_wtp.presets import (
     smartphone_truth,
 )
 from conjoint_wtp.simulate import generate_tasks, sample_respondents, simulate_choices
+from tests.helpers import DEMO_CONFIG
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
-
-DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartphone.json"
-DEMO_SEED = 20250808
-
-
-def wtp(beta_f: float, beta_price: float, eps: float = WTP_PRICE_EPS) -> float:
-    """Reference dollar value of a feature, -beta_f / beta_price, for one
-    coefficient pair. A price coefficient at or above -eps raises
-    SignSafetyError; a negative result is legitimate."""
-    if not (eps > 0):
-        raise ContractError(f"eps must be positive, got {eps}")
-    if not (beta_price < -eps):
-        raise SignSafetyError(f"price coefficient {beta_price} is not below -{eps}")
-    return -beta_f / beta_price
 
 
 @pytest.fixture(scope="session")

@@ -17,14 +17,13 @@ from conjoint_wtp import cli
 from conjoint_wtp.dataio import write_json
 from conjoint_wtp.domain import Attribute, AttributeScheme
 from conjoint_wtp.infer import (
-    FlatLogitModel,
     HierarchicalLogitModel,
     ModelConfig,
     build_design,
     run_nuts,
     sample,
 )
-from conjoint_wtp.posterior import hdi, individual_wtp, recovery_report, summarize_wtp, wtp_draws
+from conjoint_wtp.posterior import hdi, recovery_report, summarize_wtp, wtp_draws
 from conjoint_wtp.presets import (
     DEFAULT_PRICE_GRID,
     smartphone_pro_bundle,
@@ -38,8 +37,9 @@ from conjoint_wtp.simulate import (
     sample_respondents,
     simulate_choices,
 )
-from tests.conftest import DEMO_SEED
+from tests.helpers import DEMO_SEED
 from tests.logit_mle import fit_logit_mle
+from tests.references import FlatLogitModel, individual_beta, individual_wtp
 
 
 def report_criterion(number: int, description: str, passed: bool, detail: str = "") -> None:
@@ -80,28 +80,41 @@ class TestCriterion2GradientOracle:
         respondents = sample_respondents(scheme, truth, 5, seed=7)
         tasks = generate_tasks(scheme, 5, 8, DEFAULT_PRICE_GRID, seed=7)
         dataset = simulate_choices(scheme, respondents, tasks, seed=7)
-        model = HierarchicalLogitModel(build_design(dataset), ModelConfig(seed=1))
-        rng = np.random.default_rng(2024)
         h = 1e-5
         worst = 0.0
-        for _ in range(20):
-            theta = rng.normal(0.0, 1.0, model.dim)
-            _, grad = model.log_posterior(theta)
-            fd = np.empty_like(theta)
-            for i in range(theta.size):
-                plus = theta.copy()
-                plus[i] += h
-                minus = theta.copy()
-                minus[i] -= h
-                fd[i] = (model.log_posterior(plus)[0] - model.log_posterior(minus)[0]) / (2 * h)
-            rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
-            worst = max(worst, float(rel.max()))
+        for standardize in (True, False):
+            design = build_design(dataset, standardize=standardize)
+            model = HierarchicalLogitModel(design, ModelConfig(seed=1))
+            # states drawn on the unit-scaled columns, then put in the
+            # design's units (the identity on the standardized design)
+            unit = design.column_sd / design.standardization.scale
+            f = model.n_features
+            rng = np.random.default_rng(2024)
+            for _ in range(20):
+                theta = rng.normal(0.0, 1.0, model.dim)
+                theta[:f] /= unit
+                theta[f : 2 * f] -= np.log(unit)
+                worst = max(worst, _worst_gradient_error(model, theta, h))
         report_criterion(
             2,
             "analytic gradient vs central finite differences, rel err < 1e-5",
             worst < 1e-5,
-            f"worst relative error {worst:.2e} over 20 states",
+            f"worst relative error {worst:.2e} over 20 states on each of the standardized and raw designs",
         )
+
+
+def _worst_gradient_error(model, theta, h):
+    """Largest relative error of the analytic gradient against central differences."""
+    _, grad = model.log_posterior(theta)
+    fd = np.empty_like(theta)
+    for i in range(theta.size):
+        plus = theta.copy()
+        plus[i] += h
+        minus = theta.copy()
+        minus[i] -= h
+        fd[i] = (model.log_posterior(plus)[0] - model.log_posterior(minus)[0]) / (2 * h)
+    rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
+    return float(rel.max())
 
 
 class TestCriterion3QuadratureOracle:
@@ -211,7 +224,7 @@ class TestCriterion6Shrinkage:
 
         posterior_means = {f: [] for f in features}
         for rid in demo_draws.respondent_ids:
-            beta = demo_draws.individual_beta(rid) / scale
+            beta = individual_beta(demo_draws, rid) / scale
             price = beta[:, demo_draws.price_index]
             keep = price < -1e-8
             for j, feature in enumerate(features):

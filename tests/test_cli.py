@@ -361,6 +361,13 @@ class TestPipeline:
         ) == 0
         assert (out_a / "choices.csv").read_bytes() != (out_b / "choices.csv").read_bytes()
 
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        # the flag's value goes through the same check as config.seed
+        config = write_config(tmp_path)
+        code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_missing_output_dir_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code = cli.main(["simulate", "--config", str(config)])
@@ -422,7 +429,7 @@ def test_demo_config_matches_presets():
         smartphone_scheme,
         smartphone_truth,
     )
-    from tests.conftest import DEMO_CONFIG
+    from tests.helpers import DEMO_CONFIG
 
     config = load_run_config(DEMO_CONFIG)
     assert config.scheme == smartphone_scheme()

@@ -17,7 +17,7 @@ from conjoint_wtp import cli
 from conjoint_wtp.config import load_run_config, parse_run_config, to_dict
 from conjoint_wtp.errors import ConfigError
 from conjoint_wtp.infer import NormalPrior
-from tests.conftest import DEMO_CONFIG
+from tests.helpers import DEMO_CONFIG
 from tests.test_cli import BASE_CONFIG
 
 # The writer's key order, section by section (optional sections when present).
@@ -242,5 +242,5 @@ def test_listed_price_attribute_exits_2_naming_the_scheme(tmp_path, capsys):
 def test_level_that_is_not_a_string_is_refused(path, key, value):
     doc = document()
     section(doc, path)[key] = value
-    with pytest.raises(ConfigError, match=f"config.{path}.{key}".replace("[", r"\[").replace("]", r"\]")):
+    with pytest.raises(ConfigError, match=re.escape(f"config.{path}.{key}")):
         parse_run_config(doc)

@@ -26,16 +26,25 @@ def test_shared_levels_difference_out(scheme):
     levels = {"storage": "256GB", "camera": "Pro", "frame": "Aluminum"}
     task = _task(0, 0, levels, 999.0, levels, 899.0)
     other = _task(0, 1, UP, 799.0, BASE, 1199.0)
-    dataset = ChoiceDataset(scheme=scheme, records=[ChoiceRecord(task, True), ChoiceRecord(other, False)])
+    mid = _task(0, 2, {**BASE, "storage": "256GB"}, 899.0, BASE, 799.0)  # no constant column
+    records = [ChoiceRecord(task, True), ChoiceRecord(other, False), ChoiceRecord(mid, True)]
+    dataset = ChoiceDataset(scheme=scheme, records=records)
     design = build_design(dataset, standardize=False)
     assert design.x[0, :4].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert design.x[0, 4] == 100.0
 
 
-def test_standardized_columns_have_zero_mean_unit_sd(small_dataset):
+def test_standardized_columns_have_unit_sd_and_no_centering(small_dataset):
+    # standardizing divides each column by its SD and subtracts nothing:
+    # a logit without intercept must not get a per-respondent offset
     design = build_design(small_dataset)
-    assert np.all(np.abs(design.x.mean(axis=0)) < 1e-10)
+    raw = build_design(small_dataset, standardize=False)
     assert np.all(np.abs(design.x.std(axis=0) - 1.0) < 1e-10)
+    assert np.array_equal(design.x, raw.x / design.column_sd)
+    assert np.array_equal(design.standardization.scale, design.column_sd)
+    assert not design.standardization.mean.any()
+    assert np.array_equal(raw.column_sd, design.column_sd)
+    assert np.array_equal(raw.standardization.scale, np.ones(design.n_features))
 
 
 def test_price_difference_scales_linearly(scheme):
@@ -55,7 +64,7 @@ def test_price_difference_scales_linearly(scheme):
     assert delta == pytest.approx(100.0 / scale, rel=1e-12)
 
 
-def test_constant_column_is_a_data_error(scheme):
+def _constant_columns_dataset(scheme):
     # storage and camera never differ between the sides, so their
     # difference columns are constant zero.
     records = [
@@ -66,9 +75,17 @@ def test_constant_column_is_a_data_error(scheme):
         )
         for i, p in enumerate([799.0, 899.0, 999.0])
     ]
-    dataset = ChoiceDataset(scheme=scheme, records=records)
+    return ChoiceDataset(scheme=scheme, records=records)
+
+
+def test_constant_column_is_a_data_error(scheme):
     with pytest.raises(DataError, match="storage:256GB"):
-        build_design(dataset)
+        build_design(_constant_columns_dataset(scheme))
+
+
+def test_constant_column_is_a_data_error_on_a_raw_design(scheme):
+    with pytest.raises(DataError, match="storage:256GB"):
+        build_design(_constant_columns_dataset(scheme), standardize=False)
 
 
 def test_empty_dataset_rejected(scheme):

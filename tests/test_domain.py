@@ -16,7 +16,7 @@ from conjoint_wtp.domain import (
     utility,
 )
 from conjoint_wtp.errors import CodingError, ContractError, SignSafetyError
-from tests.conftest import wtp
+from tests.helpers import wtp
 
 
 def decode_features(scheme, values):

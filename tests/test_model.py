@@ -9,12 +9,7 @@ import pytest
 from scipy.special import log_expit
 
 from conjoint_wtp.errors import ContractError
-from conjoint_wtp.infer import (
-    FlatLogitModel,
-    HierarchicalLogitModel,
-    ModelConfig,
-    build_design,
-)
+from conjoint_wtp.infer import HierarchicalLogitModel, ModelConfig, build_design
 from conjoint_wtp.infer.design import Design, Standardization
 from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_scheme, smartphone_truth
 from conjoint_wtp.simulate import (
@@ -23,6 +18,7 @@ from conjoint_wtp.simulate import (
     sample_respondents,
     simulate_choices,
 )
+from tests.references import FlatLogitModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -100,13 +96,27 @@ def empty_design(columns=("camera:Pro", "price")):
         respondent_ids=(),
         row_starts=np.zeros(0, dtype=np.int64),
         standardization=Standardization(columns=tuple(columns), mean=np.zeros(f), scale=np.ones(f)),
+        column_sd=np.ones(f),
     )
+
+
+def to_design_units(design, theta):
+    """A state given on the unit-scaled columns, in the design's units:
+    mu divides and log sigma shifts by each column's unit."""
+    unit = design.column_sd / design.standardization.scale
+    f = design.n_features
+    theta = theta.copy()
+    theta[:f] /= unit
+    theta[f : 2 * f] -= np.log(unit)
+    return theta
 
 
 def assert_gradient_matches_finite_differences(model, seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
         theta = rng.normal(0.0, 1.0, model.dim)
+        if isinstance(model, HierarchicalLogitModel):
+            theta = to_design_units(model.design, theta)
         _, grad = model.log_posterior(theta)
         fd = finite_difference_gradient(model.log_posterior, theta)
         rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
@@ -120,6 +130,11 @@ class TestGradient:
 
     def test_hierarchical_gradient_on_ragged_panel(self):
         model = HierarchicalLogitModel(ragged_design(), ModelConfig(seed=1))
+        assert_gradient_matches_finite_differences(model, seed=12)
+
+    def test_hierarchical_gradient_on_raw_design(self):
+        design = build_design(tiny_dataset(), standardize=False)
+        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
         assert_gradient_matches_finite_differences(model, seed=12)
 
     def test_flat_gradient_matches_finite_differences(self):
@@ -233,6 +248,27 @@ class TestNonCenteredIdentity:
         jacobian = r * np.log(sigma).sum()
         logp, _ = model.log_posterior(theta)
         assert logp == pytest.approx(centered_total + jacobian, abs=1e-10)
+
+
+class TestStandardizationIsAChangeOfUnits:
+    def test_raw_and_standardized_designs_are_one_posterior(self):
+        # The same state in both units: the log densities differ by the
+        # Jacobian of mu_raw = mu_std / sd, a constant sum(log sd), and the
+        # gradients map by the chain rule.
+        dataset = tiny_dataset()
+        std = HierarchicalLogitModel(build_design(dataset), ModelConfig(seed=1))
+        raw = HierarchicalLogitModel(build_design(dataset, standardize=False), ModelConfig(seed=1))
+        sd = std.design.column_sd
+        assert np.array_equal(raw.design.column_sd, sd)
+        f = std.n_features
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            theta = rng.normal(0.0, 1.0, std.dim)
+            logp_std, grad_std = std.log_posterior(theta)
+            logp_raw, grad_raw = raw.log_posterior(to_design_units(raw.design, theta))
+            assert logp_raw - logp_std == pytest.approx(np.log(sd).sum(), rel=1e-9)
+            assert grad_raw[:f] == pytest.approx(grad_std[:f] * sd, rel=1e-9)
+            assert grad_raw[f:] == pytest.approx(grad_std[f:], rel=1e-9, abs=1e-9)
 
 
 class TestPaddedKernel:

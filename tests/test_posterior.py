@@ -14,7 +14,6 @@ from conjoint_wtp.infer.fit import PosteriorDraws
 from conjoint_wtp.posterior import (
     WtpSummary,
     hdi,
-    individual_wtp,
     recovery_report,
     unscale_population,
     wtp_draws,
@@ -25,6 +24,7 @@ from conjoint_wtp.simulate import (
     sample_respondents,
     simulate_choices,
 )
+from tests.references import individual_wtp
 
 
 def make_draws(mu, sigma=None, z=None, scale=None, columns=("camera:Pro", "price")):

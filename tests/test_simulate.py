@@ -25,7 +25,7 @@ from conjoint_wtp.simulate import (
     sample_respondents,
     simulate_choices,
 )
-from tests.conftest import wtp
+from tests.helpers import wtp
 from tests.logit_mle import fit_logit_mle
 
 
