@@ -48,7 +48,7 @@ class BundleScenario:
         object.__setattr__(self, "upgrades", dict(self.upgrades))
         object.__setattr__(self, "price_grid", tuple(float(p) for p in self.price_grid))
         if not self.upgrades:
-            raise ContractError("bundle_upgrades must be non-empty")
+            raise ContractError("upgrades must be non-empty")
         if not self.price_grid:
             raise ContractError("price_grid must be non-empty")
         if any(not p > 0 for p in self.price_grid):
