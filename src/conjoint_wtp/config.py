@@ -100,6 +100,8 @@ def from_dict(cls, data: Any, path: str, base=None):
 
 
 def _value(tp, value: Any, path: str, default=None):
+    """One JSON value read as type `tp`; a section's `default` is the base
+    that fills the keys it leaves out."""
     if _is_optional(tp):  # a null value never gets here
         (tp,) = [t for t in get_args(tp) if t is not type(None)]
     if is_dataclass(tp):
