@@ -2,7 +2,7 @@
 hierarchical logit target, the NUTS sampler, and convergence diagnostics."""
 
 from .design import Design, Standardization, build_design
-from .diagnostics import Diagnostics, diagnose, ess_bulk, split_rhat
+from .diagnostics import Diagnostics, diagnose
 from .fit import MAX_DIVERGENCE_RATE, PosteriorDraws, sample
 from .model import HierarchicalLogitModel, ModelConfig, NormalPrior
 from .nuts import DIVERGENCE_THRESHOLD, SampleResult, run_nuts
@@ -13,8 +13,6 @@ __all__ = [
     "build_design",
     "Diagnostics",
     "diagnose",
-    "ess_bulk",
-    "split_rhat",
     "MAX_DIVERGENCE_RATE",
     "PosteriorDraws",
     "sample",

@@ -1,10 +1,12 @@
 """MCMC quality diagnostics: rank-normalized split R-hat and bulk ESS.
 
-R-hat splits each chain in half, rank-normalizes the pooled draws, and
-applies the classic between/within variance ratio. ESS sums autocorrelations
-(FFT-based) with Geyer's initial monotone positive-pair truncation on the
-same rank-normalized split chains. Both are deterministic functions of the
-draws.
+`diagnose` splits each chain in half and rank-normalizes each parameter's
+pooled split draws once. Both statistics come from that one array: R-hat is
+the classic between/within variance ratio, and ESS sums autocorrelations
+(FFT-based) with Geyer's initial monotone positive-pair truncation
+(Vehtari et al. 2021, arXiv:1903.08008). Parameters are taken in blocks
+sized from the draw count, so the FFT buffers stay within a few MB however
+long the chains are. Both are deterministic functions of the draws.
 """
 
 from __future__ import annotations
@@ -13,6 +15,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+RHAT_WARN_THRESHOLD = 1.05
+WARN_PREFIXES = ("mu[", "sigma[")
+
+# Bytes of one float64 (split chains x FFT length) buffer for a block of
+# parameters; a block holds a few such buffers at once. Small blocks stay in
+# cache: at 4 chains this is 8 parameters at 250 draws, 1 at 2,000.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass
@@ -31,97 +41,74 @@ class Diagnostics:
         return max(values) if values else math.nan
 
 
-def _split_chains(draws: np.ndarray) -> np.ndarray:
-    """(chains, draws, ...) -> (2*chains, draws//2, ...), dropping an odd draw."""
-    n = draws.shape[1]
-    half = n // 2
-    if half < 1:
-        raise ValueError("need at least 2 draws per chain to split")
-    first = draws[:, :half]
-    second = draws[:, n - half :]
-    return np.concatenate([first, second], axis=0)
-
-
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-d array, ties sharing the mean of their ranks."""
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], x.size]
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    """1-based ranks along the last axis, ties sharing the mean of their ranks.
+
+    Equal values get equal ranks, so the order the sort leaves them in does
+    not matter and the sort need not be stable.
+    """
+    order = np.argsort(x, axis=-1)
+    ordered = np.take_along_axis(x, order, axis=-1)
+    size = x.shape[-1]
+    edge = np.ones(x.shape[:-1] + (1,), dtype=bool)
+    new = ordered[..., 1:] != ordered[..., :-1]
+    pos = np.arange(size)
+    # each sorted position's tie group runs from `starts` up to `ends`
+    starts = np.maximum.accumulate(np.where(np.concatenate([edge, new], -1), pos, 0), axis=-1)
+    ends = np.where(np.concatenate([new, edge], -1), pos + 1, size)
+    ends = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, (starts + ends + 1) / 2.0, axis=-1)
     return ranks
 
 
-def _rank_normalize(x: np.ndarray) -> np.ndarray:
-    """Fractional ranks of the pooled sample mapped through the normal quantile."""
-    from scipy.special import ndtri  # imported here so only `diagnose` pays for scipy
-
-    pooled = x.reshape(-1)
-    z = ndtri((_average_ranks(pooled) - 0.375) / (pooled.size + 0.25))
-    return z.reshape(x.shape)
+def _fft_size(n: int) -> int:
+    return 2 ** math.ceil(math.log2(2 * n))
 
 
-def split_rhat(chain_draws: np.ndarray) -> float:
-    """Rank-normalized split R-hat for one parameter, draws as (chains, n)."""
-    chains = _split_chains(np.asarray(chain_draws, dtype=float))
-    z = _rank_normalize(chains)
-    m, n = z.shape
-    chain_means = z.mean(axis=1)
-    w = z.var(axis=1, ddof=1).mean()
-    b = n * chain_means.var(ddof=1) if m > 1 else 0.0
-    if w <= 0:
-        return math.nan
-    var_plus = (n - 1) / n * w + b / n
-    return float(math.sqrt(var_plus / w))
+def _block_size(chains: int, n_draws: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * 2 * chains * _fft_size(n_draws // 2)))
 
 
-def _chain_autocovariance(z: np.ndarray) -> np.ndarray:
-    """Biased autocovariance per chain via FFT; z is (chains, n)."""
-    m, n = z.shape
-    centered = z - z.mean(axis=1, keepdims=True)
-    size = 2 ** math.ceil(math.log2(2 * n))
-    f = np.fft.rfft(centered, size, axis=1)
-    acov = np.fft.irfft(f * np.conj(f), size, axis=1)[:, :n].real
-    return acov / n
+def _rhat_ess(draws: np.ndarray, ndtri) -> tuple[np.ndarray, np.ndarray]:
+    """Split R-hat and bulk ESS of each parameter of (chains, n, block)."""
+    chains, n_draws, block = draws.shape
+    n = n_draws // 2
+    m = 2 * chains
+    # (block, 2 * chains, n): first halves of every chain, then second halves
+    by_param = draws.transpose(2, 0, 1)
+    split = np.concatenate([by_param[..., :n], by_param[..., n_draws - n :]], axis=1)
+    pooled = split.reshape(block, m * n)
+    z = ndtri((_average_ranks(pooled) - 0.375) / (m * n + 0.25)).reshape(block, m, n)
 
+    chain_means = z.mean(axis=2)
+    between = chain_means.var(axis=1, ddof=1)
+    w = z.var(axis=2, ddof=1).mean(axis=1)
+    b = n * between
+    r_hat = np.sqrt(((n - 1) / n * w + b / n) / w)
+    r_hat[w <= 0] = np.nan
 
-def ess_bulk(chain_draws: np.ndarray) -> float:
-    """Bulk effective sample size with Geyer truncation, draws as (chains, n)."""
-    chains = _split_chains(np.asarray(chain_draws, dtype=float))
-    z = _rank_normalize(chains)
-    m, n = z.shape
-    if np.allclose(z.var(axis=1), 0.0):
-        return math.nan
-    acov = _chain_autocovariance(z)
-    chain_var = acov[:, 0] * n / (n - 1)
-    w = chain_var.mean()
-    var_plus = w * (n - 1) / n
-    if m > 1:
-        var_plus += z.mean(axis=1).var(ddof=1)
-    if var_plus <= 0:
-        return math.nan
-
-    rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
-    rho[0] = 1.0
-    # Geyer: sum consecutive pairs, stop at the first negative pair, then
-    # enforce a monotone non-increasing sequence.
-    max_pairs = (n - 1) // 2
-    pair_sums = []
-    for k in range(max_pairs):
-        s = rho[2 * k] + rho[2 * k + 1]
-        if s < 0:
-            break
-        pair_sums.append(s)
-    running_min = math.inf
-    tau = -rho[0]
-    for s in pair_sums:
-        running_min = min(running_min, s)
-        tau += 2.0 * running_min
-    if tau <= 0:
-        return float(m * n)
-    ess = m * n / tau
-    return float(min(ess, m * n * math.log10(max(m * n, 10))))
+    size = _fft_size(n)
+    f = np.fft.rfft(z - chain_means[..., None], size, axis=2)
+    acov = np.fft.irfft(f * np.conj(f), size, axis=2)[..., :n] / n
+    # ESS takes the within-chain variance from lag 0 of the autocovariance
+    w_acov = (acov[..., 0] * n / (n - 1)).mean(axis=1)
+    var_plus = w_acov * (n - 1) / n + between
+    rho = 1.0 - (w_acov[:, None] - acov.mean(axis=1)) / var_plus[:, None]
+    rho[:, 0] = 1.0
+    # Geyer: sum consecutive pairs, stop at the first negative pair, and
+    # make the kept sums monotone non-increasing. cumsum adds the terms in
+    # lag order, so tau rounds as a loop over lags would.
+    lags = 2 * ((n - 1) // 2)
+    pairs = rho[:, 0:lags:2] + rho[:, 1:lags:2]
+    stop = np.concatenate([pairs < 0, np.ones((block, 1), dtype=bool)], axis=1).argmax(axis=1)
+    terms = np.concatenate([np.full((block, 1), -1.0), 2.0 * np.minimum.accumulate(pairs, axis=1)], 1)
+    tau = np.cumsum(terms, axis=1)[np.arange(block), stop]
+    total = m * n
+    ess = np.where(tau > 0, np.minimum(total / tau, total * math.log10(max(total, 10))), total)
+    # with every split chain constant there is no rank spread: ESS is undefined
+    ess[np.all(z.var(axis=2) <= 1e-8, axis=1)] = np.nan
+    return r_hat, ess
 
 
 def diagnose(
@@ -129,25 +116,30 @@ def diagnose(
     names: list[str],
     divergent: np.ndarray,
     accept_by_chain: tuple[float, ...],
-    rhat_warn_threshold: float = 1.05,
-    warn_prefixes: tuple[str, ...] = ("mu[", "sigma["),
 ) -> Diagnostics:
     """Compute R-hat/ESS for every named parameter of (chains, draws, dim)."""
-    r_hat: dict[str, float] = {}
-    ess: dict[str, float] = {}
-    for j, name in enumerate(names):
-        series = draws[:, :, j]
-        r_hat[name] = split_rhat(series)
-        ess[name] = ess_bulk(series)
-    warnings = []
-    for name, value in r_hat.items():
-        if name.startswith(warn_prefixes) and math.isfinite(value) and value > rhat_warn_threshold:
-            warnings.append(f"r_hat[{name}] = {value:.4f} exceeds {rhat_warn_threshold}")
+    from scipy.special import ndtri  # imported here so only `diagnose` pays for scipy
+
+    draws = np.asarray(draws, dtype=float)
+    chains, n_draws, dim = draws.shape
+    block = _block_size(chains, n_draws)
+    r_hat = np.empty(dim)
+    ess = np.empty(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, dim, block):
+            stop = start + block
+            r_hat[start:stop], ess[start:stop] = _rhat_ess(draws[:, :, start:stop], ndtri)
+    r_hat_by_name = dict(zip(names, r_hat.tolist()))
+    warnings = [
+        f"r_hat[{name}] = {value:.4f} exceeds {RHAT_WARN_THRESHOLD}"
+        for name, value in r_hat_by_name.items()
+        if name.startswith(WARN_PREFIXES) and math.isfinite(value) and value > RHAT_WARN_THRESHOLD
+    ]
     n_div = int(np.asarray(divergent).sum())
     total = int(np.asarray(divergent).size)
     return Diagnostics(
-        r_hat=r_hat,
-        effective_sample_size=ess,
+        r_hat=r_hat_by_name,
+        effective_sample_size=dict(zip(names, ess.tolist())),
         divergence_count=n_div,
         divergence_rate=n_div / total if total else 0.0,
         mean_accept_prob=accept_by_chain,

@@ -70,8 +70,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.chains < 1:
             raise ContractError(f"chains must be >= 1, got {self.chains}")
-        if self.draws_per_chain < 1:
-            raise ContractError(f"draws_per_chain must be >= 1, got {self.draws_per_chain}")
+        if self.draws_per_chain < 4:  # split R-hat needs two draws per half-chain
+            raise ContractError(f"draws_per_chain must be >= 4, got {self.draws_per_chain}")
         if self.warmup_per_chain < 0:
             raise ContractError(f"warmup_per_chain must be >= 0, got {self.warmup_per_chain}")
         if not (0.0 < self.target_accept < 1.0):

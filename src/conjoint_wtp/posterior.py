@@ -20,6 +20,7 @@ from .infer.fit import PosteriorDraws
 from .simulate import GroundTruth
 
 POPULATION_FLAG_LIMIT = 0.001
+HDI_MASS = 0.95
 
 _MIN_HDI_SAMPLES = 100
 
@@ -45,7 +46,7 @@ class WtpSummary:
     mean: float
     hdi_low: float
     hdi_high: float
-    hdi_mass: float = 0.95
+    hdi_mass: float = HDI_MASS
     flagged_count: int = 0
 
     def __post_init__(self) -> None:
@@ -78,37 +79,36 @@ def unscale_population(draws: PosteriorDraws) -> tuple[np.ndarray, np.ndarray]:
     Standardization only rescales columns, so slopes divide by the column
     scale; the column means never enter.
     """
-    if draws.standardization is None:
-        raise ContractError("posterior draws carry no standardization metadata")
     scale = draws.standardization.scale
     return draws.mu / scale, draws.sigma / scale
 
 
-def _safe_ratio(
-    beta_f: np.ndarray, beta_price: np.ndarray, eps: float
-) -> tuple[np.ndarray, int]:
-    keep = beta_price < -eps
-    flagged = int(beta_price.size - keep.sum())
-    return -beta_f[keep] / beta_price[keep], flagged
+def sign_safe_draws(price_mean: np.ndarray) -> tuple[np.ndarray, int]:
+    """Mask of the draws whose raw price mean is safely negative, and the
+    count flagged; more than POPULATION_FLAG_LIMIT flagged raises."""
+    keep = price_mean < -WTP_PRICE_EPS
+    flagged = int(keep.size - keep.sum())
+    if flagged > POPULATION_FLAG_LIMIT * keep.size:
+        raise SignSafetyError(
+            f"{flagged} of {keep.size} draws have a non-negative price effect; "
+            "the model did not learn that higher prices reduce utility"
+        )
+    return keep, flagged
 
 
-def wtp_draws(draws: PosteriorDraws, feature: str, eps: float = WTP_PRICE_EPS) -> WtpDraws:
+def wtp_draws(draws: PosteriorDraws, feature: str) -> WtpDraws:
     """Population WTP distribution for one feature (per-draw ratio of
     unscaled population means)."""
     j = draws.feature_index(feature)
     if j == draws.price_index:
         raise ContractError("WTP of the price column is not defined")
     mu_raw, _ = unscale_population(draws)
-    ratios, flagged = _safe_ratio(mu_raw[:, j], mu_raw[:, draws.price_index], eps)
-    if flagged > POPULATION_FLAG_LIMIT * draws.n_draws:
-        raise SignSafetyError(
-            f"{flagged} of {draws.n_draws} draws have a non-negative price effect; "
-            "the model did not learn that higher prices reduce utility"
-        )
+    keep, flagged = sign_safe_draws(mu_raw[:, draws.price_index])
+    ratios = -mu_raw[keep, j] / mu_raw[keep, draws.price_index]
     return WtpDraws(feature=feature, draws=ratios, flagged_count=flagged)
 
 
-def hdi(samples: np.ndarray, mass: float = 0.95) -> tuple[float, float]:
+def hdi(samples: np.ndarray, mass: float = HDI_MASS) -> tuple[float, float]:
     """Shortest contiguous interval holding ceil(mass * n) sorted samples.
 
     Ties in width resolve to the leftmost window, so the result is
@@ -127,7 +127,7 @@ def hdi(samples: np.ndarray, mass: float = 0.95) -> tuple[float, float]:
     return float(s[i]), float(s[i + k - 1])
 
 
-def summarize_wtp(wd: WtpDraws, mass: float = 0.95) -> WtpSummary:
+def summarize_wtp(wd: WtpDraws, mass: float = HDI_MASS) -> WtpSummary:
     low, high = hdi(wd.draws, mass)
     return WtpSummary(
         feature=wd.feature,

@@ -27,10 +27,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import WTP_PRICE_EPS, AttributeScheme, ProductProfile, encode_profile
-from .errors import ContractError, SignSafetyError
+from .domain import AttributeScheme, ProductProfile, encode_profile
+from .errors import ContractError
 from .infer.fit import PosteriorDraws
-from .posterior import POPULATION_FLAG_LIMIT, hdi, unscale_population
+from .posterior import HDI_MASS, hdi, sign_safe_draws, unscale_population
 from .rng import MARKET_STREAM, substream
 from .simulate import PRICE_COEF_CEILING
 
@@ -131,8 +131,6 @@ def revenue_curve(
     scheme: AttributeScheme,
     scenario: BundleScenario,
     seed: int,
-    hdi_mass: float = 0.95,
-    eps: float = WTP_PRICE_EPS,
 ) -> RevenueCurve:
     """Posterior distribution of expected revenue across the price grid.
 
@@ -142,15 +140,7 @@ def revenue_curve(
     shared across prices (common random numbers).
     """
     mu_raw, sigma_raw = unscale_population(draws)
-    price_idx = draws.price_index
-    keep = mu_raw[:, price_idx] < -eps
-    flagged = int(draws.n_draws - keep.sum())
-    if keep.sum() == 0:
-        raise SignSafetyError("every posterior draw has a non-negative price effect")
-    if flagged > POPULATION_FLAG_LIMIT * draws.n_draws:
-        raise SignSafetyError(
-            f"{flagged} of {draws.n_draws} draws have a non-negative price effect"
-        )
+    keep, flagged = sign_safe_draws(mu_raw[:, draws.price_index])
     retained = np.flatnonzero(keep)
     prices = np.asarray(scenario.price_grid)
     diff = _bundle_offsets(scheme, scenario)
@@ -169,10 +159,10 @@ def revenue_curve(
     lows = np.empty(prices.size)
     highs = np.empty(prices.size)
     for j in range(prices.size):
-        lows[j], highs[j] = hdi(revenue[:, j], hdi_mass)
+        lows[j], highs[j] = hdi(revenue[:, j])
     argmax_price = float(prices[int(np.argmax(mean))])
     per_draw_argmax = prices[np.argmax(revenue, axis=1)]
-    argmax_hdi = hdi(per_draw_argmax, hdi_mass)
+    argmax_hdi = hdi(per_draw_argmax)
     return RevenueCurve(
         prices=prices,
         revenue=revenue,
@@ -182,6 +172,6 @@ def revenue_curve(
         hdi_high=highs,
         argmax_price=argmax_price,
         argmax_hdi=argmax_hdi,
-        hdi_mass=hdi_mass,
+        hdi_mass=HDI_MASS,
         flagged_count=flagged,
     )

@@ -144,6 +144,16 @@ class TestFit:
         assert code == 3
         assert "divergences" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("draws", ["1", "2", "3"])
+    def test_too_few_draws_exits_2_naming_field(self, tmp_path, capsys, draws):
+        # split R-hat needs two draws in each half of every chain
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        code = cli.main(["fit", "--config", str(config), "--out", str(out), "--draws", draws])
+        assert code == 2
+        assert "draws_per_chain must be >= 4" in capsys.readouterr().err
+
     def test_smoke_fit_on_full_size_dataset_under_60s(self, tmp_path):
         def mutate(c):
             c["simulation"]["n_respondents"] = 300

@@ -100,14 +100,14 @@ def test_config_round_trips_with_its_key_order(source):
 
 
 # (section path, missing required key or None, (key, wrong JSON type),
-#  (key, out-of-range value, the word the message names))
+#  (key, out-of-range value, the word the message names), ...)
 SECTIONS = [
     ("", "scheme", ("seed", "7"), ("seed", -1, "seed")),
     ("scheme", "price_attribute", ("price_attribute", 5), ("attributes", "duplicate", "names")),
     ("scheme.attributes[1]", "baseline", ("name", 5), ("baseline", "Ultra", "baseline")),
     ("ground_truth", "price_coef_mean", ("price_coef_sd", "x"), ("price_coef_mean", 0.5, "price_coef_mean")),
     ("simulation", "price_grid", ("tasks_per_respondent", 2.5), ("n_respondents", 0, "n_respondents")),
-    ("model", None, ("chains", "4"), ("chains", 0, "chains")),
+    ("model", None, ("chains", "4"), ("chains", 0, "chains"), ("draws_per_chain", 3, "draws_per_chain")),
     ("model.prior_mu_price", None, ("mean", "x"), ("sd", 0.0, "sd")),
     ("model.prior_mu_feature", None, ("sd", [1]), ("sd", -2.0, "sd")),
     ("scenario", "upgrades", ("market_size", 2.5), ("market_size", 0, "market_size")),
@@ -116,13 +116,15 @@ SECTIONS = [
 
 
 def _cases():
-    for path, missing, (type_key, type_value), (range_key, range_value, named) in SECTIONS:
+    for path, missing, (type_key, type_value), *ranges in SECTIONS:
         name = f"config.{path}" if path else "config"
         if missing is not None:
             yield pytest.param(path, "del", missing, None, name, missing, id=f"{name}-missing")
         yield pytest.param(path, "set", "typo_key", 1, name, "typo_key", id=f"{name}-unknown")
         yield pytest.param(path, "set", type_key, type_value, name, type_key, id=f"{name}-type")
-        yield pytest.param(path, "set", range_key, range_value, name, named, id=f"{name}-range")
+        for i, (range_key, range_value, named) in enumerate(ranges):
+            suffix = "range" if i == 0 else f"range-{range_key}"
+            yield pytest.param(path, "set", range_key, range_value, name, named, id=f"{name}-{suffix}")
 
 
 def _mutate(doc, path, action, key, value):
