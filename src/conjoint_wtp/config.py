@@ -13,6 +13,7 @@ per-unit RNG substreams are derived from it internally.
 from __future__ import annotations
 
 import json
+import math
 import types
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -39,6 +40,9 @@ class SimulationSettings:
             raise ContractError(f"tasks_per_respondent must be >= 1, got {self.tasks_per_respondent}")
         if not self.price_grid:
             raise ContractError("price_grid must be non-empty")
+        bad = [p for p in self.price_grid if not 0 < p < math.inf]
+        if bad:
+            raise ContractError(f"price_grid entries must be finite and positive, got {bad}")
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,17 @@
 
 All writers are atomic (temp file in the target directory, then rename) and
 byte-deterministic: UTF-8, LF line endings, '.' decimal separator, floats
-rendered with repr (shortest round-trip form). The choices CSV schema is
-fixed: respondent_id, task_id, the A-side attribute levels and price, the
-B-side equivalents, then chose_a as 0/1.
+rendered with repr (shortest round-trip form). Every CSV table goes through
+one csv.writer, which quotes a field holding a comma, quote or newline. The
+choices CSV schema is fixed: respondent_id, task_id, the A-side attribute
+levels and price, the B-side equivalents, then chose_a as 0/1.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -77,27 +79,39 @@ def choices_header(scheme: AttributeScheme) -> list[str]:
     )
 
 
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Stream the header and rows through one csv.writer (LF endings, minimal
+    quoting) into an atomic write: a field holding a comma, quote or newline
+    is quoted, so every row reads back with the header's column count."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def chunks():
+        for row in itertools.chain([header], rows):
+            writer.writerow(row)
+            yield buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
+
+    _atomic_write(path, chunks())
+
+
 def write_choices_csv(path: str | Path, dataset: ChoiceDataset) -> None:
     """Write the choices CSV; a profile the scheme cannot encode raises
     CodingError naming the attribute or level, and leaves `path` as it was."""
     scheme = dataset.scheme
     attrs = [a.name for a in scheme.attributes]
-    rows = [choices_header(scheme)]
-    for record in dataset.records:
-        task = record.task
-        encode_profile(scheme, task.profile_a)
-        encode_profile(scheme, task.profile_b)
-        row = [str(task.respondent_id), str(task.task_id)]
-        row += [task.profile_a.levels[name] for name in attrs]
-        row.append(_fmt(task.profile_a.price))
-        row += [task.profile_b.levels[name] for name in attrs]
-        row.append(_fmt(task.profile_b.price))
-        row.append("1" if record.chose_a else "0")
-        rows.append(row)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    atomic_write_text(path, buffer.getvalue())
+
+    def rows():
+        for record in dataset.records:
+            task = record.task
+            row = [str(task.respondent_id), str(task.task_id)]
+            for profile in (task.profile_a, task.profile_b):
+                encode_profile(scheme, profile)
+                row += [profile.levels[name] for name in attrs] + [_fmt(profile.price)]
+            yield row + ["1" if record.chose_a else "0"]
+
+    _write_csv(path, choices_header(scheme), rows())
 
 
 def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset:
@@ -319,25 +333,15 @@ def write_diagnostics_json(path: str | Path, diag: Diagnostics) -> None:
 def write_wtp_summary_csv(
     path: str | Path, summaries: list[WtpSummary], truth: GroundTruth | None = None
 ) -> None:
-    lines = ["feature,true_wtp,mean,hdi_low,hdi_high,hdi_mass,flagged_count"]
-    for s in summaries:
-        true_val = ""
-        if truth is not None and s.feature in truth.true_wtp:
-            true_val = _fmt(truth.true_wtp[s.feature])
-        lines.append(
-            ",".join(
-                [
-                    s.feature,
-                    true_val,
-                    _fmt(s.mean),
-                    _fmt(s.hdi_low),
-                    _fmt(s.hdi_high),
-                    _fmt(s.hdi_mass),
-                    str(s.flagged_count),
-                ]
-            )
-        )
-    atomic_write_lines(path, lines)
+    header = ["feature", "true_wtp", "mean", "hdi_low", "hdi_high", "hdi_mass", "flagged_count"]
+    true_wtp = {} if truth is None else truth.true_wtp
+    rows = (
+        [s.feature, _fmt(true_wtp[s.feature]) if s.feature in true_wtp else ""]
+        + [_fmt(v) for v in (s.mean, s.hdi_low, s.hdi_high, s.hdi_mass)]
+        + [str(s.flagged_count)]
+        for s in summaries
+    )
+    _write_csv(path, header, rows)
 
 
 def write_wtp_draws_csv(path: str | Path, wtp_by_feature: list[WtpDraws]) -> None:
@@ -346,17 +350,14 @@ def write_wtp_draws_csv(path: str | Path, wtp_by_feature: list[WtpDraws]) -> Non
     n = {len(w.draws) for w in wtp_by_feature}
     if len(n) != 1:
         raise DataError("WTP draw vectors have mismatched lengths")
-    lines = [",".join(w.feature for w in wtp_by_feature)]
     stacked = np.column_stack([w.draws for w in wtp_by_feature])
-    for row in stacked:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_lines(path, lines)
+    header = [w.feature for w in wtp_by_feature]
+    _write_csv(path, header, ([_fmt(v) for v in row] for row in stacked))
 
 
 def write_revenue_csv(path: str | Path, curve: RevenueCurve) -> None:
-    lines = ["price,mean_revenue,hdi_low,hdi_high"]
-    for j, price in enumerate(curve.prices):
-        lines.append(
-            ",".join([_fmt(price), _fmt(curve.mean[j]), _fmt(curve.hdi_low[j]), _fmt(curve.hdi_high[j])])
-        )
-    atomic_write_lines(path, lines)
+    rows = (
+        [_fmt(price), _fmt(curve.mean[j]), _fmt(curve.hdi_low[j]), _fmt(curve.hdi_high[j])]
+        for j, price in enumerate(curve.prices)
+    )
+    _write_csv(path, ["price", "mean_revenue", "hdi_low", "hdi_high"], rows)

@@ -1,10 +1,10 @@
-"""Core choice model: attribute coding, linear utility, logit choice, WTP sign floor.
+"""Attribute coding and the WTP sign floor.
 
-Everything here is a pure function over plain numpy vectors. The feature
-vector layout is fixed by the attribute scheme: one 0/1 dummy per
-non-baseline level of each attribute (attribute order, then level order),
-followed by a single continuous price column in dollars. Coefficient vectors
-are aligned to the same columns, with the price entry in utility per dollar.
+The feature vector layout is fixed by the attribute scheme: one 0/1 dummy
+per non-baseline level of each attribute (attribute order, then level
+order), followed by a single continuous price column in dollars.
+Coefficient vectors are aligned to the same columns, with the price entry
+in utility per dollar.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .errors import CodingError, ContractError
 # Price coefficients closer to zero than this are treated as sign-unsafe:
 # the WTP ratio would blow up or flip sign.
 WTP_PRICE_EPS = 1e-8
-
-_ONE_BELOW = float(np.nextafter(1.0, 0.0))
-_ZERO_ABOVE = float(np.nextafter(0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -92,14 +89,14 @@ class AttributeScheme:
 
 @dataclass(frozen=True)
 class ProductProfile:
-    """A concrete product: one level per attribute plus a price."""
+    """A concrete product: one level per attribute plus a finite positive price."""
 
     levels: Mapping[str, str]
     price: float
 
     def __post_init__(self) -> None:
-        if not (self.price > 0):
-            raise ContractError(f"price must be positive, got {self.price}")
+        if not (0 < self.price < math.inf):
+            raise ContractError(f"price must be finite and positive, got {self.price}")
         object.__setattr__(self, "levels", dict(self.levels))
 
 
@@ -129,32 +126,3 @@ def encode_profile(scheme: AttributeScheme, profile: ProductProfile) -> np.ndarr
     values[scheme.price_index] = profile.price
     return values
 
-
-def utility(x: np.ndarray, beta: np.ndarray) -> float:
-    """Linear utility: the inner product of a feature vector and coefficients."""
-    x = np.asarray(x, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if x.shape != beta.shape:
-        raise ContractError(f"dimension mismatch: features {x.shape} vs coefficients {beta.shape}")
-    return float(x @ beta)
-
-
-def choice_probability(u_a: float, u_b: float) -> float:
-    """Probability of choosing A over B: the logistic of the utility difference.
-
-    Numerically stable for arbitrarily large differences and clamped into the
-    open interval (0, 1) so downstream Bernoulli sampling never degenerates.
-    """
-    if not (math.isfinite(u_a) and math.isfinite(u_b)):
-        raise ContractError(f"utilities must be finite, got ({u_a}, {u_b})")
-    diff = u_a - u_b
-    if diff >= 0:
-        p = 1.0 / (1.0 + math.exp(-diff))
-    else:
-        z = math.exp(diff)
-        p = z / (1.0 + z)
-    if p >= 1.0:
-        return _ONE_BELOW
-    if p <= 0.0:
-        return _ZERO_ABOVE
-    return p

@@ -39,6 +39,12 @@ _INIT_BUFFER = 75
 _TERM_BUFFER = 50
 _BASE_WINDOW = 25
 
+# Dual averaging of the step size (Hoffman & Gelman 2014): shrinkage
+# strength, iteration offset and decay exponent of the averaged iterate.
+_DA_GAMMA = 0.05
+_DA_T0 = 10.0
+_DA_KAPPA = 0.75
+
 
 @dataclass
 class ChainStats:
@@ -254,10 +260,9 @@ def _find_reasonable_step_size(ham, q, grad, logp, rng) -> float:
         h1 = ham.energy(logp1, p1, v1)
         return h0 - h1 if math.isfinite(h1) else -math.inf
 
-    a0 = accept_logprob(step)
-    direction = 1.0 if a0 > math.log(0.5) else -1.0
+    a = accept_logprob(step)
+    direction = 1.0 if a > math.log(0.5) else -1.0
     for _ in range(100):
-        a = accept_logprob(step)
         if direction > 0 and not (a > math.log(0.5)):
             break
         if direction < 0 and not (a < math.log(0.5)):
@@ -265,18 +270,16 @@ def _find_reasonable_step_size(ham, q, grad, logp, rng) -> float:
         step *= 2.0**direction
         if step > 1e7 or step < 1e-10:
             break
+        a = accept_logprob(step)
     return step
 
 
 class _DualAveraging:
     """Nesterov dual averaging on log step size, targeting an accept rate."""
 
-    def __init__(self, step0: float, target: float, gamma=0.05, t0=10.0, kappa=0.75):
+    def __init__(self, step0: float, target: float):
         self.mu = math.log(10.0 * step0)
         self.target = target
-        self.gamma = gamma
-        self.t0 = t0
-        self.kappa = kappa
         self.count = 0
         self.h_bar = 0.0
         self.log_step = math.log(step0)
@@ -284,10 +287,10 @@ class _DualAveraging:
 
     def update(self, accept_stat: float) -> float:
         self.count += 1
-        w = 1.0 / (self.count + self.t0)
+        w = 1.0 / (self.count + _DA_T0)
         self.h_bar = (1.0 - w) * self.h_bar + w * (self.target - min(accept_stat, 1.0))
-        self.log_step = self.mu - math.sqrt(self.count) / self.gamma * self.h_bar
-        eta = self.count**-self.kappa
+        self.log_step = self.mu - math.sqrt(self.count) / _DA_GAMMA * self.h_bar
+        eta = self.count**-_DA_KAPPA
         self.log_step_bar = eta * self.log_step + (1.0 - eta) * self.log_step_bar
         return math.exp(self.log_step)
 
@@ -317,15 +320,13 @@ class _RunningVariance:
         return w * var + 1e-3 * (1.0 - w)
 
 
-def _adaptation_windows(
-    warmup: int, init_buffer=_INIT_BUFFER, term_buffer=_TERM_BUFFER, base_window=_BASE_WINDOW
-) -> list[int]:
+def _adaptation_windows(warmup: int) -> list[int]:
     """Iteration indices (1-based) at which the metric is re-estimated."""
-    if warmup < init_buffer + term_buffer + base_window:
+    if warmup < _INIT_BUFFER + _TERM_BUFFER + _BASE_WINDOW:
         return []
     ends = []
-    start, width = init_buffer, base_window
-    boundary = warmup - term_buffer
+    start, width = _INIT_BUFFER, _BASE_WINDOW
+    boundary = warmup - _TERM_BUFFER
     while start + width <= boundary:
         end = start + width
         if end + 2 * width > boundary:

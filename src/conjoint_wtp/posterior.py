@@ -127,14 +127,13 @@ def hdi(samples: np.ndarray, mass: float = HDI_MASS) -> tuple[float, float]:
     return float(s[i]), float(s[i + k - 1])
 
 
-def summarize_wtp(wd: WtpDraws, mass: float = HDI_MASS) -> WtpSummary:
-    low, high = hdi(wd.draws, mass)
+def summarize_wtp(wd: WtpDraws) -> WtpSummary:
+    low, high = hdi(wd.draws, HDI_MASS)
     return WtpSummary(
         feature=wd.feature,
         mean=wd.mean,
         hdi_low=low,
         hdi_high=high,
-        hdi_mass=mass,
         flagged_count=wd.flagged_count,
     )
 

@@ -22,6 +22,7 @@ its contiguous consumers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -51,8 +52,9 @@ class BundleScenario:
             raise ContractError("upgrades must be non-empty")
         if not self.price_grid:
             raise ContractError("price_grid must be non-empty")
-        if any(not p > 0 for p in self.price_grid):
-            raise ContractError("price_grid entries must be positive")
+        bad = [p for p in self.price_grid if not 0 < p < math.inf]
+        if bad:
+            raise ContractError(f"price_grid entries must be finite and positive, got {bad}")
         if any(b >= a for a, b in zip(self.price_grid[1:], self.price_grid)):
             raise ContractError("price_grid must be strictly increasing")
         if self.market_size < 1:

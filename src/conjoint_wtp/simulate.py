@@ -1,10 +1,11 @@
 """Synthetic market and survey generation.
 
-Builds the ground-truth population, draws heterogeneous respondents,
-generates randomized paired-profile choice tasks, and simulates noisy
-choices through the logit model. Everything is a pure function of
-(inputs, seed): each respondent consumes an independent RNG substream, so
-the output is invariant to execution order.
+Builds the ground-truth population, draws heterogeneous respondents as rows
+of one coefficient array, generates randomized paired-profile choice tasks,
+and simulates noisy choices through the logit model, one array operation
+per respondent. Everything is a pure function of (inputs, seed): each
+respondent consumes an independent RNG substream, so the output is
+invariant to execution order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import AttributeScheme, ProductProfile, choice_probability, encode_profile, utility
+from .domain import AttributeScheme, ProductProfile, encode_profile
 from .errors import ContractError, DesignError
 from .rng import CHOICE_STREAM, RESPONDENT_STREAM, TASK_STREAM, substream
 
@@ -54,14 +55,6 @@ class GroundTruth:
 
 
 @dataclass(frozen=True)
-class RespondentParams:
-    """One simulated respondent's coefficient vector (scheme column order)."""
-
-    respondent_id: int
-    beta: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChoiceTask:
     """A paired comparison shown to one respondent."""
 
@@ -91,9 +84,6 @@ class ChoiceDataset:
     records: list[ChoiceRecord]
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         """Structure only: contiguous respondents and unique task ids per
         respondent. Profiles are checked where they are encoded."""
         seen_done: set[int] = set()
@@ -120,12 +110,13 @@ class ChoiceDataset:
 
 def sample_respondents(
     scheme: AttributeScheme, truth: GroundTruth, n: int, seed: int
-) -> list[RespondentParams]:
+) -> np.ndarray:
     """Draw n respondents from the ground-truth population.
 
-    Per respondent: a price coefficient from the truncated normal
-    (always below PRICE_COEF_CEILING), then a personal dollar WTP per
-    feature, converted to utility coefficients via
+    Returns the (n, features) coefficient array in scheme column order; row
+    i is respondent i. Per respondent: a price coefficient from the
+    truncated normal (always below PRICE_COEF_CEILING), then a personal
+    dollar WTP vector, converted to utility coefficients via
     beta_f = -beta_price * wtp_f. Heterogeneity therefore lives in WTP
     space, and each respondent's implied WTP is exactly their drawn one.
     """
@@ -139,17 +130,16 @@ def sample_respondents(
     if extra:
         raise ContractError(f"ground truth names unknown feature columns {extra}")
 
-    respondents = []
+    wtp_mean = np.array([truth.true_wtp[c] for c in columns])
+    wtp_sd = np.array([truth.wtp_sd[c] for c in columns])
+    betas = np.empty((n, scheme.n_features))
     for rid in range(n):
         rng = substream(seed, RESPONDENT_STREAM, rid)
         price_coef = _truncated_price_coef(truth, rng)
-        beta = np.empty(scheme.n_features)
-        for j, column in enumerate(columns):
-            wtp_i = truth.true_wtp[column] + truth.wtp_sd[column] * rng.standard_normal()
-            beta[j] = -price_coef * wtp_i
-        beta[scheme.price_index] = price_coef
-        respondents.append(RespondentParams(respondent_id=rid, beta=beta))
-    return respondents
+        wtp = wtp_mean + wtp_sd * rng.standard_normal(len(columns))
+        betas[rid, : len(columns)] = -price_coef * wtp
+        betas[rid, scheme.price_index] = price_coef
+    return betas
 
 
 def _truncated_price_coef(truth: GroundTruth, rng: np.random.Generator) -> float:
@@ -215,35 +205,35 @@ def _random_profile(
 
 def simulate_choices(
     scheme: AttributeScheme,
-    respondents: Sequence[RespondentParams],
+    betas: np.ndarray,
     tasks: Sequence[ChoiceTask],
     seed: int,
 ) -> ChoiceDataset:
     """Simulate each respondent's choices through the logit model.
 
-    For every task: p = P(choose A) from the utility difference under that
-    respondent's coefficients, then a Bernoulli draw. The randomness is the
-    Bernoulli draw only; p itself is never exactly 0 or 1.
+    `betas` is sample_respondents' (n, features) array: row i holds
+    respondent i's coefficients. Per respondent, in order of first
+    appearance: p = P(choose A) = 1 / (1 + exp(-(x_a - x_b) . beta)) for all
+    of their tasks at once, then one uniform draw per task. The randomness
+    is the uniform draws only; a utility difference too large for exp gives
+    p of exactly 0 or 1, so the dominant profile is always chosen.
     """
-    params_by_id = {r.respondent_id: r for r in respondents}
-    records: list[ChoiceRecord] = []
+    betas = np.asarray(betas, dtype=float)
+    if betas.ndim != 2 or betas.shape[1] != scheme.n_features:
+        raise ContractError(f"betas must be (respondents, {scheme.n_features}), got {betas.shape}")
     grouped: dict[int, list[ChoiceTask]] = {}
-    order: list[int] = []
     for task in tasks:
-        if task.respondent_id not in params_by_id:
-            raise ContractError(f"no respondent params for respondent {task.respondent_id}")
-        if task.respondent_id not in grouped:
-            grouped[task.respondent_id] = []
-            order.append(task.respondent_id)
-        grouped[task.respondent_id].append(task)
+        grouped.setdefault(task.respondent_id, []).append(task)
 
-    for rid in order:
-        rng = substream(seed, CHOICE_STREAM, rid)
-        beta = params_by_id[rid].beta
-        for task in grouped[rid]:
-            u_a = utility(encode_profile(scheme, task.profile_a), beta)
-            u_b = utility(encode_profile(scheme, task.profile_b), beta)
-            p = choice_probability(u_a, u_b)
-            chose_a = bool(rng.random() < p)
-            records.append(ChoiceRecord(task=task, chose_a=chose_a))
+    records: list[ChoiceRecord] = []
+    for rid, group in grouped.items():
+        if not 0 <= rid < len(betas):
+            raise ContractError(f"no respondent params for respondent {rid}")
+        x = np.array(
+            [encode_profile(scheme, t.profile_a) - encode_profile(scheme, t.profile_b) for t in group]
+        )
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(-(x @ betas[rid])))
+        chose_a = substream(seed, CHOICE_STREAM, rid).random(len(group)) < p
+        records.extend(ChoiceRecord(task=t, chose_a=bool(c)) for t, c in zip(group, chose_a))
     return ChoiceDataset(scheme=scheme, records=records)

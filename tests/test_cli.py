@@ -154,6 +154,21 @@ class TestFit:
         assert code == 2
         assert "draws_per_chain must be >= 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("price", ["inf", "1e309", "nan"])
+    def test_non_finite_price_exits_2_naming_the_row(self, tmp_path, capsys, price):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "choices.csv").read_text(encoding="utf-8").splitlines()
+        fields = lines[3].split(",")
+        fields[lines[0].split(",").index("a_price")] = price
+        lines[3] = ",".join(fields)
+        data = tmp_path / "bad_price.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["fit", "--config", str(config), "--out", str(tmp_path / "fit"), "--data", str(data)])
+        assert code == 2
+        assert f"{data}: row 4: price must be finite and positive" in capsys.readouterr().err
+
     def test_smoke_fit_on_full_size_dataset_under_60s(self, tmp_path):
         def mutate(c):
             c["simulation"]["n_respondents"] = 300

@@ -9,6 +9,7 @@ was written gives the same config.
 
 import copy
 import json
+import math
 import re
 
 import pytest
@@ -106,12 +107,18 @@ SECTIONS = [
     ("scheme", "price_attribute", ("price_attribute", 5), ("attributes", "duplicate", "names")),
     ("scheme.attributes[1]", "baseline", ("name", 5), ("baseline", "Ultra", "baseline")),
     ("ground_truth", "price_coef_mean", ("price_coef_sd", "x"), ("price_coef_mean", 0.5, "price_coef_mean")),
-    ("simulation", "price_grid", ("tasks_per_respondent", 2.5), ("n_respondents", 0, "n_respondents")),
+    (
+        "simulation", "price_grid", ("tasks_per_respondent", 2.5),
+        ("n_respondents", 0, "n_respondents"), ("price_grid", [0.0, 899.0], "price_grid"),
+    ),
     ("model", None, ("chains", "4"), ("chains", 0, "chains"), ("draws_per_chain", 3, "draws_per_chain")),
     ("model.prior_mu_price", None, ("mean", "x"), ("sd", 0.0, "sd")),
     ("model.prior_mu_feature", None, ("sd", [1]), ("sd", -2.0, "sd")),
-    ("scenario", "upgrades", ("market_size", 2.5), ("market_size", 0, "market_size")),
-    ("scenario.baseline", "price", ("levels", ["Pro"]), ("price", -5.0, "price")),
+    (
+        "scenario", "upgrades", ("market_size", 2.5),
+        ("market_size", 0, "market_size"), ("price_grid", [799.0, math.inf], "price_grid"),
+    ),
+    ("scenario.baseline", "price", ("levels", ["Pro"]), ("price", -5.0, "price"), ("price", math.inf, "price")),
 ]
 
 

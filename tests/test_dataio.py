@@ -1,6 +1,7 @@
 """File formats: bit-exact choices CSV, posterior JSONL round-trips, and
 summary emissions."""
 
+import csv
 import dataclasses
 import json
 
@@ -337,3 +338,22 @@ def test_revenue_csv(tmp_path, tiny_draws):
     price, mean, low, high = (float(v) for v in lines[1].split(","))
     assert price == curve.prices[0]
     assert low <= mean <= high or low <= high
+
+
+def test_table_fields_with_commas_and_quotes_survive_a_csv_reader(tmp_path):
+    features = ["frame:Ti, brushed", 'storage:1"TB']
+    summaries = [WtpSummary(feature=f, mean=1.0, hdi_low=0.5, hdi_high=1.5) for f in features]
+    path = tmp_path / "wtp_summary.csv"
+    write_wtp_summary_csv(path, summaries)
+    with open(path, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [7, 7, 7]
+    assert [row[0] for row in rows[1:]] == features
+
+    per_feature = [WtpDraws(feature=f, draws=np.arange(3.0), flagged_count=0) for f in features]
+    path = tmp_path / "wtp_draws.csv"
+    write_wtp_draws_csv(path, per_feature)
+    with open(path, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == features
+    assert [len(row) for row in rows] == [2, 2, 2, 2]

@@ -1,4 +1,4 @@
-"""Attribute coding, utility, logit choice, and the WTP ratio."""
+"""Attribute coding, the profile price rule, and the WTP ratio."""
 
 import math
 
@@ -11,9 +11,7 @@ from conjoint_wtp.domain import (
     Attribute,
     AttributeScheme,
     ProductProfile,
-    choice_probability,
     encode_profile,
-    utility,
 )
 from conjoint_wtp.errors import CodingError, ContractError, SignSafetyError
 from tests.helpers import wtp
@@ -118,6 +116,12 @@ class TestEncode:
             encode_profile(scheme, profile)
 
 
+@pytest.mark.parametrize("price", [0.0, -5.0, math.inf, -math.inf, math.nan])
+def test_profile_price_must_be_finite_and_positive(price):
+    with pytest.raises(ContractError, match="price must be finite and positive"):
+        ProductProfile(levels={"storage": "128GB"}, price=price)
+
+
 @st.composite
 def profiles(draw):
     storage = draw(st.sampled_from(["128GB", "256GB", "512GB"]))
@@ -140,78 +144,6 @@ class TestRoundTrip:
         x[0] = 0.5
         with pytest.raises(ContractError):
             decode_features(scheme, x)
-
-
-class TestUtility:
-    def test_zero_vector_gives_zero(self):
-        beta = np.array([3.0, -2.0, 0.7])
-        assert utility(np.zeros(3), beta) == 0.0
-
-    def test_price_only_term(self):
-        x = np.array([0.0, 999.0])
-        beta = np.array([0.0, -0.01])
-        assert utility(x, beta) == pytest.approx(-9.99, rel=1e-12)
-
-    def test_two_term_sum(self):
-        x = np.array([1.0, 0.0, 899.0])
-        beta = np.array([1.0, 0.0, -0.01])
-        assert utility(x, beta) == pytest.approx(1.0 - 8.99, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            utility(np.zeros(3), np.zeros(4))
-
-    @given(
-        a=st.floats(-5, 5),
-        b=st.floats(-5, 5),
-        data=st.data(),
-    )
-    def test_linearity(self, a, b, data):
-        n = 4
-        x = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
-        b1 = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
-        b2 = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
-        lhs = utility(x, a * b1 + b * b2)
-        rhs = a * utility(x, b1) + b * utility(x, b2)
-        assert lhs == pytest.approx(rhs, abs=1e-6)
-
-
-class TestChoiceProbability:
-    def test_equal_utilities_give_half(self):
-        assert choice_probability(1.7, 1.7) == 0.5
-
-    def test_large_difference_saturates_without_overflow(self):
-        p = choice_probability(1e3, 0.0)
-        assert 1.0 - 1e-12 < p < 1.0
-
-    def test_large_negative_difference(self):
-        p = choice_probability(0.0, 1e3)
-        assert 0.0 < p < 1e-12
-
-    def test_stable_up_to_700(self):
-        assert 0.0 < choice_probability(700.0, 0.0) < 1.0
-        assert 0.0 < choice_probability(0.0, 700.0) < 1.0
-
-    @given(
-        u_a=st.floats(-500, 500),
-        u_b=st.floats(-500, 500),
-    )
-    def test_complementarity(self, u_a, u_b):
-        total = choice_probability(u_a, u_b) + choice_probability(u_b, u_a)
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_monotone_in_both_arguments(self):
-        grid = np.linspace(-5, 5, 21)
-        increasing = [choice_probability(u, 0.0) for u in grid]
-        assert all(b > a for a, b in zip(increasing, increasing[1:]))
-        decreasing = [choice_probability(0.0, u) for u in grid]
-        assert all(b < a for a, b in zip(decreasing, decreasing[1:]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ContractError):
-            choice_probability(math.inf, 0.0)
-        with pytest.raises(ContractError):
-            choice_probability(0.0, math.nan)
 
 
 class TestWtp:

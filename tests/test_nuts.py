@@ -1,10 +1,17 @@
 """Sampler mechanics: leapfrog geometry, adaptation, determinism, and
 statistical correctness against analytic targets."""
 
+import math
+
 import numpy as np
 
 from conjoint_wtp.infer import run_nuts
-from conjoint_wtp.infer.nuts import _adaptation_windows, _Hamiltonian, resolve_workers
+from conjoint_wtp.infer.nuts import (
+    _adaptation_windows,
+    _find_reasonable_step_size,
+    _Hamiltonian,
+    resolve_workers,
+)
 
 
 class StandardNormalTarget:
@@ -63,6 +70,27 @@ class TestLeapfrog:
         for _ in range(100):
             q, p, grad, logp, v = ham.leapfrog(q, p, grad, 0.01)
         assert abs(ham.energy(logp, p, v) - h0) < 1e-3
+
+
+class TestStepSizeSearch:
+    def test_each_trial_step_costs_one_gradient(self):
+        # the search doubles or halves from 1.0, so the step it returns is
+        # 2**k after |k| + 1 trial leapfrogs, each one log_posterior call
+        for scale, seed in [(0.05, 0), (0.3, 1), (3.0, 2), (40.0, 3)]:
+            calls = 0
+
+            def log_posterior(theta, scale=scale):
+                nonlocal calls
+                calls += 1
+                return float(-0.5 * theta @ theta / scale**2), -theta / scale**2
+
+            rng = np.random.default_rng(seed)
+            q = rng.normal(0.0, scale, 5)
+            logp, grad = log_posterior(q)
+            calls = 0
+            ham = _Hamiltonian(log_posterior, np.ones(5))
+            step = _find_reasonable_step_size(ham, q, grad, logp, rng)
+            assert calls == abs(math.log2(step)) + 1
 
 
 class TestAdaptationSchedule:

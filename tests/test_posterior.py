@@ -275,8 +275,6 @@ class TestFitBasedOracles:
         # strictly between their own value and the population mean. Tight
         # price heterogeneity keeps the WTP ratio denominators stable so the
         # test isolates shrinkage of the camera coefficient.
-        from conjoint_wtp.simulate import RespondentParams
-
         scheme = camera_price_scheme()
         truth = GroundTruth(
             true_wtp={"camera:Pro": 200.0},
@@ -289,10 +287,7 @@ class TestFitBasedOracles:
         reps = 20
         for seed in range(1, reps + 1):
             respondents = sample_respondents(scheme, truth, 40, seed=seed)
-            price_coef = respondents[0].beta[1]
-            respondents[0] = RespondentParams(
-                respondent_id=0, beta=np.array([-price_coef * 300.0, price_coef])
-            )
+            respondents[0, 0] = -respondents[0, 1] * 300.0
             tasks = generate_tasks(
                 scheme, 40, 60, (799.0, 899.0, 999.0, 1099.0, 1199.0), seed=seed
             )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from conjoint_wtp.domain import ProductProfile, encode_profile, utility
+from conjoint_wtp.domain import ProductProfile, encode_profile
 from conjoint_wtp.errors import CodingError, ContractError, SignSafetyError
 from conjoint_wtp.infer import ModelConfig
 from conjoint_wtp.infer.design import Standardization
@@ -44,13 +44,12 @@ def purchase_probability(mu, sigma, scheme, scenario, price, noise):
     """Reference: the share of consumers beta = mu + sigma * noise (price
     coefficient capped at the simulator's ceiling) who prefer the bundle at
     `price` to the baseline, computed one consumer at a time."""
-    bundle = encode_profile(scheme, scenario.bundle_profile(price))
-    base = encode_profile(scheme, scenario.baseline)
+    x = encode_profile(scheme, scenario.bundle_profile(price)) - encode_profile(scheme, scenario.baseline)
     total = 0.0
     for row in noise:
         beta = mu + sigma * row
         beta[-1] = min(beta[-1], PRICE_COEF_CEILING)
-        total += expit(utility(bundle, beta) - utility(base, beta))
+        total += expit(x @ beta)
     return total / len(noise)
 
 

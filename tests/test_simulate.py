@@ -1,17 +1,14 @@
 """Ground-truth simulation: respondents, tasks, and stochastic choices."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conjoint_wtp.domain import (
-    AttributeScheme,
-    ProductProfile,
-    choice_probability,
-    encode_profile,
-    utility,
-)
+from conjoint_wtp import cli
+from conjoint_wtp.domain import AttributeScheme, ProductProfile, encode_profile
 from conjoint_wtp.errors import ContractError, DesignError
 from conjoint_wtp.infer import build_design
 from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_truth
@@ -20,12 +17,11 @@ from conjoint_wtp.simulate import (
     ChoiceRecord,
     ChoiceTask,
     GroundTruth,
-    RespondentParams,
     generate_tasks,
     sample_respondents,
     simulate_choices,
 )
-from tests.helpers import wtp
+from tests.helpers import DEMO_CONFIG, wtp
 from tests.logit_mle import fit_logit_mle
 
 
@@ -69,9 +65,10 @@ class TestSampleRespondents:
     def test_degenerate_truth_gives_identical_respondents_with_exact_wtp(self, scheme):
         truth = degenerate_truth()
         respondents = sample_respondents(scheme, truth, 5, seed=9)
+        assert respondents.shape == (5, scheme.n_features)
         for r in respondents:
-            assert np.array_equal(r.beta, respondents[0].beta)
-        beta = respondents[0].beta
+            assert np.array_equal(r, respondents[0])
+        beta = respondents[0]
         price_coef = beta[scheme.price_index]
         assert price_coef == truth.price_coef_mean
         for j, column in enumerate(scheme.dummy_columns):
@@ -81,14 +78,14 @@ class TestSampleRespondents:
         n = 300
         respondents = sample_respondents(scheme, truth, n, seed=20250808)
         j = scheme.dummy_columns.index("camera:Pro")
-        implied = np.array([wtp(r.beta[j], r.beta[scheme.price_index]) for r in respondents])
+        implied = np.array([wtp(r[j], r[scheme.price_index]) for r in respondents])
         bound = 3 * 50.0 / math.sqrt(n)
         assert abs(implied.mean() - 200.0) < bound
 
     def test_price_coef_sample_mean_within_three_standard_errors(self, scheme, truth):
         n = 300
         respondents = sample_respondents(scheme, truth, n, seed=20250808)
-        coefs = np.array([r.beta[scheme.price_index] for r in respondents])
+        coefs = respondents[:, scheme.price_index]
         bound = 3 * truth.price_coef_sd / math.sqrt(n)
         assert abs(coefs.mean() - truth.price_coef_mean) < bound
         assert np.all(coefs < 0)
@@ -141,37 +138,66 @@ class TestSimulateChoices:
             ChoiceTask(respondent_id=0, task_id=0, profile_a=a, profile_b=a)
 
     def test_missing_respondent_params(self, scheme):
-        with pytest.raises(ContractError):
-            simulate_choices(scheme, [], [_single_task(scheme)], seed=0)
+        with pytest.raises(ContractError, match="no respondent params for respondent 0"):
+            simulate_choices(scheme, np.empty((0, scheme.n_features)), [_single_task(scheme)], seed=0)
+
+    def test_negative_respondent_id_has_no_params(self, scheme):
+        # a negative id must not index the coefficient rows from the end
+        betas = np.zeros((2, scheme.n_features))
+        with pytest.raises(ContractError, match="no respondent params for respondent -1"):
+            simulate_choices(scheme, betas, [_single_task(scheme, respondent_id=-1)], seed=0)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (1, 6), (1, 1, 5)])
+    def test_betas_must_be_respondents_by_features(self, scheme, shape):
+        with pytest.raises(ContractError, match="betas must be"):
+            simulate_choices(scheme, np.zeros(shape), [_single_task(scheme)], seed=0)
 
     def test_indifferent_respondent_chooses_half(self, scheme):
-        respondent = RespondentParams(respondent_id=0, beta=np.zeros(scheme.n_features))
         tasks = generate_tasks(scheme, 1, 10_000, DEFAULT_PRICE_GRID, seed=17)
-        dataset = simulate_choices(scheme, [respondent], tasks, seed=17)
+        dataset = simulate_choices(scheme, np.zeros((1, scheme.n_features)), tasks, seed=17)
         rate = np.mean([r.chose_a for r in dataset.records])
         assert abs(rate - 0.5) < 0.015
 
     def test_dominant_profile_always_preferred_in_probability(self, scheme, truth):
         respondents = sample_respondents(scheme, truth, 20, seed=23)
         task = _single_task(scheme)
-        for r in respondents:
-            u_a = utility(encode_profile(scheme, task.profile_a), r.beta)
-            u_b = utility(encode_profile(scheme, task.profile_b), r.beta)
-            assert choice_probability(u_a, u_b) > 0.5
+        x = encode_profile(scheme, task.profile_a) - encode_profile(scheme, task.profile_b)
+        for beta in respondents:
+            assert 1.0 / (1.0 + math.exp(-(x @ beta))) > 0.5
 
     def test_empirical_frequency_matches_analytic_probability(self, scheme, truth):
-        respondent = sample_respondents(scheme, truth, 1, seed=31)[0]
+        respondent = sample_respondents(scheme, truth, 1, seed=31)
         n = 20_000
         template = _single_task(scheme)
         tasks = [
             ChoiceTask(0, i, template.profile_a, template.profile_b) for i in range(n)
         ]
-        u_a = utility(encode_profile(scheme, template.profile_a), respondent.beta)
-        u_b = utility(encode_profile(scheme, template.profile_b), respondent.beta)
-        p = choice_probability(u_a, u_b)
-        dataset = simulate_choices(scheme, [respondent], tasks, seed=31)
+        x = encode_profile(scheme, template.profile_a) - encode_profile(scheme, template.profile_b)
+        p = 1.0 / (1.0 + math.exp(-(x @ respondent[0])))
+        dataset = simulate_choices(scheme, respondent, tasks, seed=31)
         freq = np.mean([r.chose_a for r in dataset.records])
         assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_extreme_utility_differences_choose_the_dominant_profile(self, scheme):
+        # a price slope of -2.5 per dollar puts a $400 gap at |x.beta| = 1000,
+        # past where exp overflows: p must be exactly 0 or 1, with no warning
+        betas = np.zeros((2, scheme.n_features))
+        betas[:, scheme.price_index] = -2.5
+        task = _single_task(scheme)  # A: every upgrade at $799; B: none at $1,199
+        pair = (task.profile_a, task.profile_b)
+        tasks = [
+            ChoiceTask(rid, tid, *(pair if tid % 2 == 0 else pair[::-1]))
+            for rid in range(2)
+            for tid in range(200)
+        ]
+        for t in tasks:
+            x = encode_profile(scheme, t.profile_a) - encode_profile(scheme, t.profile_b)
+            assert abs(x @ betas[0]) >= 800
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dataset = simulate_choices(scheme, betas, tasks, seed=3)
+        for record in dataset.records:
+            assert record.chose_a == (record.task.profile_a.price == 799.0)
 
     def test_bit_identical_given_seed(self, scheme, truth):
         def run():
@@ -189,12 +215,23 @@ class TestSimulateChoices:
         target = 3
         alone = simulate_choices(
             scheme,
-            [respondents[target]],
+            respondents[: target + 1],
             [t for t in tasks if t.respondent_id == target],
             seed=5,
         )
         expected = [r for r in full.records if r.task.respondent_id == target]
         assert alone.records == expected
+
+
+def test_shipped_config_survey_is_byte_stable(tmp_path):
+    # the sha256 of the survey the shipped config simulates; any change to
+    # the respondent, task or choice streams shows here first
+    assert cli.main(["simulate", "--config", str(DEMO_CONFIG), "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "choices.csv").read_bytes()
+    assert len(data) == 383_726
+    assert hashlib.sha256(data).hexdigest() == (
+        "a68e137a3817934c4f29b0b00ade9d50bc08f1cad1c14994bf926a6701454f22"
+    )
 
 
 class TestDatasetInvariants:
