@@ -14,6 +14,7 @@ from conjoint_wtp.domain import (
     encode_profile,
 )
 from conjoint_wtp.errors import CodingError, ContractError, SignSafetyError
+from conjoint_wtp.simulate import ChoiceTask, simulate_choices
 from tests.helpers import wtp
 
 
@@ -144,6 +145,24 @@ class TestRoundTrip:
         x[0] = 0.5
         with pytest.raises(ContractError):
             decode_features(scheme, x)
+
+
+class TestChoiceProbability:
+    def test_equal_utilities_give_half(self, scheme):
+        # A's Pro camera is worth exactly its $128 premium (1.0 = 128 / 128),
+        # so the two distinct profiles have equal utility and P(choose A) = 1/2
+        beta = np.zeros(scheme.n_features)
+        beta[scheme.feature_columns.index("camera:Pro")] = 1.0
+        beta[scheme.price_index] = -0.0078125
+        a = baseline_profile(scheme, price=927.0)
+        a = ProductProfile(levels={**a.levels, "camera": "Pro"}, price=a.price)
+        b = baseline_profile(scheme, price=799.0)
+        assert (encode_profile(scheme, a) - encode_profile(scheme, b)) @ beta == 0.0
+        n = 10_000
+        tasks = [ChoiceTask(0, i, a, b) for i in range(n)]
+        dataset = simulate_choices(scheme, beta[None, :], tasks, seed=5)
+        rate = np.mean([r.chose_a for r in dataset.records])
+        assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 class TestWtp:
