@@ -13,14 +13,13 @@ per-unit RNG substreams are derived from it internally.
 from __future__ import annotations
 
 import json
-import math
 import types
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
-from .domain import AttributeScheme
+from .domain import AttributeScheme, check_price_grid
 from .errors import ConfigError, ContractError
 from .infer.model import ModelConfig
 from .revenue import BundleScenario
@@ -38,11 +37,7 @@ class SimulationSettings:
             raise ContractError(f"n_respondents must be >= 1, got {self.n_respondents}")
         if self.tasks_per_respondent < 1:
             raise ContractError(f"tasks_per_respondent must be >= 1, got {self.tasks_per_respondent}")
-        if not self.price_grid:
-            raise ContractError("price_grid must be non-empty")
-        bad = [p for p in self.price_grid if not 0 < p < math.inf]
-        if bad:
-            raise ContractError(f"price_grid entries must be finite and positive, got {bad}")
+        check_price_grid(self.price_grid)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Attribute coding and the WTP sign floor.
+"""Attribute coding, the price rule and the WTP sign floor.
 
 The feature vector layout is fixed by the attribute scheme: one 0/1 dummy
 per non-baseline level of each attribute (attribute order, then level
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -87,6 +87,19 @@ class AttributeScheme:
             object.__setattr__(self, name, value)
 
 
+def _is_price(value: float) -> bool:
+    return 0 < value < math.inf
+
+
+def check_price_grid(prices: Sequence[float]) -> None:
+    """The one price rule for a grid: non-empty, every entry finite and positive."""
+    if not prices:
+        raise ContractError("price_grid must be non-empty")
+    bad = [p for p in prices if not _is_price(p)]
+    if bad:
+        raise ContractError(f"price_grid entries must be finite and positive, got {bad}")
+
+
 @dataclass(frozen=True)
 class ProductProfile:
     """A concrete product: one level per attribute plus a finite positive price."""
@@ -95,7 +108,7 @@ class ProductProfile:
     price: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.price < math.inf):
+        if not _is_price(self.price):
             raise ContractError(f"price must be finite and positive, got {self.price}")
         object.__setattr__(self, "levels", dict(self.levels))
 

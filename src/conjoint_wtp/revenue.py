@@ -22,13 +22,12 @@ its contiguous consumers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .domain import AttributeScheme, ProductProfile, encode_profile
+from .domain import AttributeScheme, ProductProfile, check_price_grid, encode_profile
 from .errors import ContractError
 from .infer.fit import PosteriorDraws
 from .posterior import HDI_MASS, hdi, sign_safe_draws, unscale_population
@@ -50,11 +49,7 @@ class BundleScenario:
         object.__setattr__(self, "price_grid", tuple(float(p) for p in self.price_grid))
         if not self.upgrades:
             raise ContractError("upgrades must be non-empty")
-        if not self.price_grid:
-            raise ContractError("price_grid must be non-empty")
-        bad = [p for p in self.price_grid if not 0 < p < math.inf]
-        if bad:
-            raise ContractError(f"price_grid entries must be finite and positive, got {bad}")
+        check_price_grid(self.price_grid)
         if any(b >= a for a, b in zip(self.price_grid[1:], self.price_grid)):
             raise ContractError("price_grid must be strictly increasing")
         if self.market_size < 1:

@@ -10,12 +10,13 @@ invariant to execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import AttributeScheme, ProductProfile, encode_profile
+from .domain import AttributeScheme, ProductProfile, check_price_grid, encode_profile
 from .errors import ContractError, DesignError
 from .rng import CHOICE_STREAM, RESPONDENT_STREAM, TASK_STREAM, substream
 
@@ -43,15 +44,18 @@ class GroundTruth:
     def __post_init__(self) -> None:
         object.__setattr__(self, "true_wtp", dict(self.true_wtp))
         object.__setattr__(self, "wtp_sd", dict(self.wtp_sd))
-        if not (self.price_coef_mean < 0):
-            raise ContractError(f"price_coef_mean must be negative, got {self.price_coef_mean}")
-        if self.price_coef_sd < 0:
-            raise ContractError(f"price_coef_sd must be non-negative, got {self.price_coef_sd}")
+        if not -math.inf < self.price_coef_mean < 0:
+            raise ContractError(f"price_coef_mean must be finite and negative, got {self.price_coef_mean}")
+        if not 0 <= self.price_coef_sd < math.inf:
+            raise ContractError(f"price_coef_sd must be finite and non-negative, got {self.price_coef_sd}")
         if set(self.wtp_sd) != set(self.true_wtp):
             raise ContractError("wtp_sd must have exactly the same feature keys as true_wtp")
+        for feature, value in self.true_wtp.items():
+            if not math.isfinite(value):
+                raise ContractError(f"true_wtp[{feature!r}] must be finite, got {value}")
         for feature, sd in self.wtp_sd.items():
-            if sd < 0:
-                raise ContractError(f"wtp_sd[{feature!r}] must be non-negative, got {sd}")
+            if not 0 <= sd < math.inf:
+                raise ContractError(f"wtp_sd[{feature!r}] must be finite and non-negative, got {sd}")
 
 
 @dataclass(frozen=True)
@@ -86,31 +90,24 @@ class ChoiceDataset:
     def __post_init__(self) -> None:
         """Structure only: contiguous respondents and unique task ids per
         respondent. Profiles are checked where they are encoded."""
-        seen_done: set[int] = set()
-        current: int | None = None
-        task_ids: set[int] = set()
+        seen: set[int] = set()
+        keys: set[tuple[int, int]] = set()
+        previous: int | None = None
         for record in self.records:
-            rid = record.task.respondent_id
-            if rid != current:
-                if rid in seen_done:
-                    raise ContractError(f"records for respondent {rid} are not contiguous")
-                if current is not None:
-                    seen_done.add(current)
-                current = rid
-                task_ids = set()
-            if record.task.task_id in task_ids:
-                raise ContractError(
-                    f"duplicate task_id {record.task.task_id} for respondent {rid}"
-                )
-            task_ids.add(record.task.task_id)
+            rid, tid = record.task.respondent_id, record.task.task_id
+            if rid != previous and rid in seen:
+                raise ContractError(f"records for respondent {rid} are not contiguous")
+            if (rid, tid) in keys:
+                raise ContractError(f"duplicate task_id {tid} for respondent {rid}")
+            seen.add(rid)
+            keys.add((rid, tid))
+            previous = rid
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def sample_respondents(
-    scheme: AttributeScheme, truth: GroundTruth, n: int, seed: int
-) -> np.ndarray:
+def sample_respondents(scheme: AttributeScheme, truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     """Draw n respondents from the ground-truth population.
 
     Returns the (n, features) coefficient array in scheme column order; row
@@ -135,22 +132,19 @@ def sample_respondents(
     betas = np.empty((n, scheme.n_features))
     for rid in range(n):
         rng = substream(seed, RESPONDENT_STREAM, rid)
-        price_coef = _truncated_price_coef(truth, rng)
+        for _ in range(_MAX_TRUNCATION_ATTEMPTS):
+            price_coef = truth.price_coef_mean + truth.price_coef_sd * rng.standard_normal()
+            if price_coef < PRICE_COEF_CEILING:
+                break
+        else:
+            raise ContractError(
+                f"could not draw a price coefficient below {PRICE_COEF_CEILING} from "
+                f"Normal({truth.price_coef_mean}, {truth.price_coef_sd})"
+            )
         wtp = wtp_mean + wtp_sd * rng.standard_normal(len(columns))
         betas[rid, : len(columns)] = -price_coef * wtp
         betas[rid, scheme.price_index] = price_coef
     return betas
-
-
-def _truncated_price_coef(truth: GroundTruth, rng: np.random.Generator) -> float:
-    for _ in range(_MAX_TRUNCATION_ATTEMPTS):
-        draw = truth.price_coef_mean + truth.price_coef_sd * rng.standard_normal()
-        if draw < PRICE_COEF_CEILING:
-            return draw
-    raise ContractError(
-        f"could not draw a price coefficient below {PRICE_COEF_CEILING} from "
-        f"Normal({truth.price_coef_mean}, {truth.price_coef_sd})"
-    )
 
 
 def generate_tasks(
@@ -167,10 +161,7 @@ def generate_tasks(
     if tasks_per_respondent < 1:
         raise ContractError(f"tasks_per_respondent must be >= 1, got {tasks_per_respondent}")
     prices = [float(p) for p in price_grid]
-    if not prices:
-        raise ContractError("price_grid must be non-empty")
-    if any(not p > 0 for p in prices):
-        raise ContractError(f"price_grid entries must be positive, got {prices}")
+    check_price_grid(prices)
 
     tasks = []
     for rid in range(n_respondents):
@@ -195,12 +186,8 @@ def generate_tasks(
 def _random_profile(
     scheme: AttributeScheme, prices: list[float], rng: np.random.Generator
 ) -> ProductProfile:
-    levels = {
-        attr.name: attr.levels[rng.integers(len(attr.levels))]
-        for attr in scheme.attributes
-    }
-    price = prices[rng.integers(len(prices))]
-    return ProductProfile(levels=levels, price=price)
+    levels = {attr.name: attr.levels[rng.integers(len(attr.levels))] for attr in scheme.attributes}
+    return ProductProfile(levels=levels, price=prices[rng.integers(len(prices))])
 
 
 def simulate_choices(
@@ -212,7 +199,7 @@ def simulate_choices(
     """Simulate each respondent's choices through the logit model.
 
     `betas` is sample_respondents' (n, features) array: row i holds
-    respondent i's coefficients. Per respondent, in order of first
+    respondent i's coefficients, all finite. Per respondent, in order of first
     appearance: p = P(choose A) = 1 / (1 + exp(-(x_a - x_b) . beta)) for all
     of their tasks at once, then one uniform draw per task. The randomness
     is the uniform draws only; a utility difference too large for exp gives
@@ -221,6 +208,8 @@ def simulate_choices(
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 2 or betas.shape[1] != scheme.n_features:
         raise ContractError(f"betas must be (respondents, {scheme.n_features}), got {betas.shape}")
+    if not np.isfinite(betas).all():
+        raise ContractError("betas must be finite")
     grouped: dict[int, list[ChoiceTask]] = {}
     for task in tasks:
         grouped.setdefault(task.respondent_id, []).append(task)

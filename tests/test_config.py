@@ -106,7 +106,11 @@ SECTIONS = [
     ("", "scheme", ("seed", "7"), ("seed", -1, "seed")),
     ("scheme", "price_attribute", ("price_attribute", 5), ("attributes", "duplicate", "names")),
     ("scheme.attributes[1]", "baseline", ("name", 5), ("baseline", "Ultra", "baseline")),
-    ("ground_truth", "price_coef_mean", ("price_coef_sd", "x"), ("price_coef_mean", 0.5, "price_coef_mean")),
+    (
+        "ground_truth", "price_coef_mean", ("price_coef_sd", "x"), ("price_coef_mean", 0.5, "price_coef_mean"),
+        ("true_wtp", {**BASE_CONFIG["ground_truth"]["true_wtp"], "camera:Pro": math.inf}, "true_wtp"),
+        ("price_coef_sd", math.inf, "price_coef_sd"),
+    ),
     (
         "simulation", "price_grid", ("tasks_per_respondent", 2.5),
         ("n_respondents", 0, "n_respondents"), ("price_grid", [0.0, 899.0], "price_grid"),

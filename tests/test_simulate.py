@@ -48,6 +48,26 @@ class TestGroundTruth:
         with pytest.raises(ContractError):
             GroundTruth(true_wtp={"f": 1.0}, wtp_sd={"f": -1.0}, price_coef_mean=-0.01, price_coef_sd=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("true_wtp", {"f": math.inf}),
+            ("true_wtp", {"f": math.nan}),
+            ("wtp_sd", {"f": math.inf}),
+            ("price_coef_mean", -math.inf),
+            ("price_coef_mean", math.nan),
+            ("price_coef_sd", math.inf),
+            ("price_coef_sd", math.nan),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        # a NaN or infinite value would make every utility NaN, and a NaN
+        # probability silently chooses profile B in every task
+        args = dict(true_wtp={"f": 1.0}, wtp_sd={"f": 0.0}, price_coef_mean=-0.01, price_coef_sd=0.0)
+        args[field] = value
+        with pytest.raises(ContractError, match=field):
+            GroundTruth(**args)
+
 
 class TestSampleRespondents:
     def test_zero_respondents_rejected(self, scheme, truth):
@@ -118,6 +138,12 @@ class TestGenerateTasks:
         with pytest.raises(ContractError):
             generate_tasks(scheme, 1, 1, [], seed=0)
 
+    @pytest.mark.parametrize("grid", [[899.0, math.inf], [0.0, 899.0], [899.0, math.nan]])
+    def test_price_grid_entries_must_be_finite_and_positive(self, scheme, grid):
+        # refused up front, not only when a task happens to draw the bad price
+        with pytest.raises(ContractError, match="finite and positive"):
+            generate_tasks(scheme, 1, 1, grid, seed=0)
+
     def test_degenerate_scheme_raises_design_error(self):
         # no attribute and one price: every profile is the same product
         scheme = AttributeScheme(attributes=(), price_attribute="price")
@@ -151,6 +177,13 @@ class TestSimulateChoices:
     def test_betas_must_be_respondents_by_features(self, scheme, shape):
         with pytest.raises(ContractError, match="betas must be"):
             simulate_choices(scheme, np.zeros(shape), [_single_task(scheme)], seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_betas_must_be_finite(self, scheme, bad):
+        betas = np.zeros((1, scheme.n_features))
+        betas[0, 0] = bad
+        with pytest.raises(ContractError, match="betas must be finite"):
+            simulate_choices(scheme, betas, [_single_task(scheme)], seed=0)
 
     def test_indifferent_respondent_chooses_half(self, scheme):
         tasks = generate_tasks(scheme, 1, 10_000, DEFAULT_PRICE_GRID, seed=17)
