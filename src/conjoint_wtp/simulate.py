@@ -107,7 +107,9 @@ class ChoiceDataset:
         return len(self.records)
 
 
-def sample_respondents(scheme: AttributeScheme, truth: GroundTruth, n: int, seed: int) -> np.ndarray:
+def sample_respondents(
+    scheme: AttributeScheme, truth: GroundTruth, n: int, seed: int
+) -> np.ndarray:
     """Draw n respondents from the ground-truth population.
 
     Returns the (n, features) coefficient array in scheme column order; row
@@ -186,8 +188,12 @@ def generate_tasks(
 def _random_profile(
     scheme: AttributeScheme, prices: list[float], rng: np.random.Generator
 ) -> ProductProfile:
-    levels = {attr.name: attr.levels[rng.integers(len(attr.levels))] for attr in scheme.attributes}
-    return ProductProfile(levels=levels, price=prices[rng.integers(len(prices))])
+    levels = {
+        attr.name: attr.levels[rng.integers(len(attr.levels))]
+        for attr in scheme.attributes
+    }
+    price = prices[rng.integers(len(prices))]
+    return ProductProfile(levels=levels, price=price)
 
 
 def simulate_choices(
