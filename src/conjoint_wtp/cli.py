@@ -33,8 +33,9 @@ from .dataio import (
     write_wtp_draws_csv,
     write_wtp_summary_csv,
 )
-from .errors import ConfigError, ConjointError
+from .errors import ConfigError, ConjointError, DataError
 from .infer import build_design, sample
+from .infer.diagnostics import POPULATION_PREFIXES
 from .posterior import recovery_report, summarize_wtp, wtp_draws
 from .revenue import revenue_curve
 from .simulate import generate_tasks, sample_respondents, simulate_choices
@@ -131,7 +132,7 @@ def _stage_fit(state: RunState) -> None:
     write_posterior_jsonl(state.path("posterior.jsonl"), draws)
     write_diagnostics_json(state.path("diagnostics.json"), diagnostics)
     state.draws, state.diagnostics = draws, diagnostics
-    max_rhat = max(diagnostics.max_r_hat("mu["), diagnostics.max_r_hat("sigma["))
+    max_rhat = diagnostics.max_r_hat(POPULATION_PREFIXES)
     print(
         f"fit complete: {draws.n_draws} draws, {diagnostics.divergence_count} divergences, "
         f"max population r_hat {max_rhat:.4f}"
@@ -150,7 +151,7 @@ def _stage_wtp(state: RunState) -> None:
     write_wtp_draws_csv(state.path("wtp_draws.csv"), per_feature)
     if truth is not None:
         state.recovery = recovery_report(truth, state.summaries)
-        write_json(state.path("recovery.json"), _recovery_to_dict(state.recovery))
+        write_json(state.path("recovery.json"), dataclasses.asdict(state.recovery))
     else:  # an earlier run's report would sit beside summaries it does not describe
         (state.out / "recovery.json").unlink(missing_ok=True)
     for s in state.summaries:
@@ -197,25 +198,6 @@ STAGES = {
     "revenue": Stage(_stage_revenue, (), ("revenue_curve.csv",)),
 }
 PIPELINE_STAGES = tuple(STAGES)
-
-
-def _recovery_to_dict(report) -> dict:
-    return {
-        "overall_pass": report.overall_pass,
-        "features": [
-            {
-                "feature": r.feature,
-                "true_wtp": r.true_wtp,
-                "mean": r.summary.mean,
-                "hdi_low": r.summary.hdi_low,
-                "hdi_high": r.summary.hdi_high,
-                "hdi_mass": r.summary.hdi_mass,
-                "covered": r.covered,
-                "abs_error": r.abs_error,
-            }
-            for r in report.features
-        ],
-    }
 
 
 def _revenue_to_dict(curve) -> dict:
@@ -265,7 +247,7 @@ def cmd_pipeline(args) -> int:
         "stages_run": list(timings),
         "quality": _quality_section(state),
         "wtp": [dataclasses.asdict(s) for s in state.summaries or []],
-        "recovery": _recovery_to_dict(state.recovery) if state.recovery is not None else None,
+        "recovery": dataclasses.asdict(state.recovery) if state.recovery is not None else None,
         "revenue": _revenue_to_dict(state.curve) if state.curve is not None else None,
         "files": files,
         "timings": {k: round(v, 3) for k, v in timings.items()},
@@ -284,9 +266,10 @@ def _quality_section(state: RunState) -> dict | None:
         d = read_json_object(path)
     else:
         return None
-    population = {
-        k: v for k, v in d.get("r_hat", {}).items() if k.startswith(("mu[", "sigma["))
-    }
+    r_hat = d.get("r_hat", {})
+    if not isinstance(r_hat, dict) or any(type(v) not in (int, float, type(None)) for v in r_hat.values()):
+        raise DataError(f"{path}: r_hat must map parameter names to numbers or null")
+    population = {k: v for k, v in r_hat.items() if k.startswith(POPULATION_PREFIXES)}
     finite = [v for v in population.values() if v is not None]
     return {
         "divergence_count": d.get("divergence_count"),

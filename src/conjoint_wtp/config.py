@@ -145,6 +145,6 @@ def load_run_config(path: str | Path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path} is not valid JSON: {e}") from None
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError on a byte that is not UTF-8
+        raise ConfigError(f"{path} is not valid UTF-8 JSON: {e}") from None
     return parse_run_config(data)

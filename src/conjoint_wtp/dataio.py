@@ -11,13 +11,12 @@ levels and price, the B-side equivalents, then chose_a as 0/1.
 from __future__ import annotations
 
 import csv
-import io
-import itertools
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -40,13 +39,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
+    """Call `write` on a temp file beside `path`, then rename it over `path`;
+    if anything fails, the temp file goes and `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(chunks)
+            write(f)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
@@ -55,17 +56,18 @@ def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    _atomic_write(path, (text,))
-
-
-def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line plus "\n", streamed, so the whole text is never held."""
-    _atomic_write(path, (line + "\n" for line in lines))
+@contextmanager
+def _open_utf8(path: str | Path) -> Iterator[TextIO]:
+    """`path` opened as UTF-8 text; a byte that does not decode is a DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            yield f
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def write_json(path: str | Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
+    _atomic_write(path, lambda f: f.write(json.dumps(obj, indent=2) + "\n"))
 
 
 def choices_header(scheme: AttributeScheme) -> list[str]:
@@ -83,17 +85,13 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -
     """Stream the header and rows through one csv.writer (LF endings, minimal
     quoting) into an atomic write: a field holding a comma, quote or newline
     is quoted, so every row reads back with the header's column count."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
 
-    def chunks():
-        for row in itertools.chain([header], rows):
-            writer.writerow(row)
-            yield buffer.getvalue()
-            buffer.seek(0)
-            buffer.truncate()
+    def write(f: TextIO) -> None:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    _atomic_write(path, chunks())
+    _atomic_write(path, write)
 
 
 def write_choices_csv(path: str | Path, dataset: ChoiceDataset) -> None:
@@ -119,7 +117,7 @@ def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset
     expected = choices_header(scheme)
     attrs = [a.name for a in scheme.attributes]
     records: list[ChoiceRecord] = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with _open_utf8(path) as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -152,8 +150,6 @@ def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset
                     respondent_id=rid, task_id=tid, profile_a=profile_a, profile_b=profile_b
                 )
                 records.append(ChoiceRecord(task=task, chose_a=chose_raw == "1"))
-            except DataError:
-                raise
             except Exception as e:
                 raise DataError(f"{path}: row {line_no}: {e}") from None
     try:
@@ -185,9 +181,9 @@ def write_provenance_json(
 def read_json_object(path: str | Path) -> dict:
     """A file's JSON object; unreadable JSON or another JSON type is a DataError."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with _open_utf8(path) as f:
             data = json.load(f)
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+    except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise DataError(f"{path}: expected a JSON object")
@@ -223,25 +219,25 @@ def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
     n = draws.n_draws
     flat_z = draws.z.reshape(n, -1)
 
-    def lines():
-        yield json.dumps(header, separators=(",", ":"))
+    def write(f: TextIO) -> None:
+        f.write(json.dumps(header, separators=(",", ":")) + "\n")
         for i in range(n):
             params = np.concatenate([draws.mu[i], draws.sigma[i], flat_z[i]])
-            yield json.dumps(
-                {
-                    "chain": int(draws.chain_index[i]),
-                    "draw": i,
-                    "divergent": bool(draws.divergent[i]),
-                    "params": params.tolist(),
-                },
-                separators=(",", ":"),
-            )
+            line = {
+                "chain": int(draws.chain_index[i]),
+                "draw": i,
+                "divergent": bool(draws.divergent[i]),
+                "params": params.tolist(),
+            }
+            f.write(json.dumps(line, separators=(",", ":")) + "\n")
 
-    atomic_write_lines(path, lines())
+    _atomic_write(path, write)
 
 
 def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
-    with open(path, encoding="utf-8") as f:
+    """Read a posterior file; a bad header or draw line, including a
+    parameter that is not finite, is a DataError naming the path and line."""
+    with _open_utf8(path) as f:
         header_line = f.readline()
         if not header_line:
             raise DataError(f"{path}: empty file")
@@ -288,6 +284,8 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
                 raise DataError(
                     f"{path}: line {line_no}: {params.size} parameters, expected {expected}"
                 )
+            if not np.isfinite(params).all():
+                raise DataError(f"{path}: line {line_no}: every parameter must be finite")
             mu_rows.append(params[:f_dim])
             sigma_rows.append(params[f_dim : 2 * f_dim])
             z_rows.append(params[2 * f_dim :])

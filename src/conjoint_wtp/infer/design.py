@@ -39,9 +39,9 @@ class Standardization:
                     f"standardization {name} has shape {np.shape(values)}, "
                     f"expected one entry per column ({len(self.columns)})"
                 )
-        if not np.all(self.scale > 0):
-            bad = [c for c, s in zip(self.columns, self.scale) if not s > 0]
-            raise ContractError(f"standardization scale must be positive, bad columns: {bad}")
+        bad = [c for c, s in zip(self.columns, self.scale) if not 0 < s < np.inf]
+        if bad:
+            raise ContractError(f"standardization scale must be finite and positive, bad columns: {bad}")
 
 
 @dataclass(frozen=True)

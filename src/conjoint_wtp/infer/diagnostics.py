@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RHAT_WARN_THRESHOLD = 1.05
-WARN_PREFIXES = ("mu[", "sigma[")
+# Name prefixes of the population parameters, whose R-hat the run reports.
+POPULATION_PREFIXES = ("mu[", "sigma[")
 
 # Bytes of one float64 (split chains x FFT length) buffer for a block of
 # parameters; a block holds a few such buffers at once. Small blocks stay in
@@ -36,7 +37,8 @@ class Diagnostics:
     mean_accept_prob: tuple[float, ...]
     warnings: list[str] = field(default_factory=list)
 
-    def max_r_hat(self, prefix: str = "") -> float:
+    def max_r_hat(self, prefix: str | tuple[str, ...] = "") -> float:
+        """Largest finite R-hat among the names starting with `prefix` (one or several)."""
         values = [v for k, v in self.r_hat.items() if k.startswith(prefix) and math.isfinite(v)]
         return max(values) if values else math.nan
 
@@ -133,7 +135,7 @@ def diagnose(
     warnings = [
         f"r_hat[{name}] = {value:.4f} exceeds {RHAT_WARN_THRESHOLD}"
         for name, value in r_hat_by_name.items()
-        if name.startswith(WARN_PREFIXES) and math.isfinite(value) and value > RHAT_WARN_THRESHOLD
+        if name.startswith(POPULATION_PREFIXES) and math.isfinite(value) and value > RHAT_WARN_THRESHOLD
     ]
     n_div = int(np.asarray(divergent).sum())
     total = int(np.asarray(divergent).size)

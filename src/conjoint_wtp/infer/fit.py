@@ -69,15 +69,13 @@ def split_draws(model: HierarchicalLogitModel, result: SampleResult):
     return mu, sigma, z
 
 
-def sample(
-    design: Design, config: ModelConfig, *, workers: int | None = None
-) -> tuple[PosteriorDraws, Diagnostics]:
+def sample(design: Design, config: ModelConfig) -> tuple[PosteriorDraws, Diagnostics]:
     """Fit the hierarchical logit to a built design via NUTS.
 
-    Runs config.chains independent chains (optionally in parallel; results
-    are identical either way), gates on the divergence rate, and attaches
-    convergence diagnostics. R-hat above 1.05 on a population parameter is
-    reported as a warning, not an error.
+    Runs config.chains independent chains (in parallel up to
+    CONJOINT_WTP_THREADS; results are identical either way), gates on the
+    divergence rate, and attaches convergence diagnostics. R-hat above 1.05
+    on a population parameter is reported as a warning, not an error.
     """
     model = HierarchicalLogitModel(design, config)
     result = run_nuts(
@@ -88,7 +86,6 @@ def sample(
         target_accept=config.target_accept,
         max_treedepth=config.max_treedepth,
         seed=config.seed,
-        workers=workers,
     )
     divergent = np.concatenate([s.divergent for s in result.stats])
     rate = float(divergent.mean())

@@ -18,10 +18,9 @@ score sgn / (1 + exp(s)), whose overflow for s above about 709 gives an
 exact 0.
 
 The hierarchical model lays the rows out as a padded (R, T_max, F) array,
-built once: respondent r's tasks fill the first slots of row r. A balanced
-panel is a reshape view of the design matrix. In a ragged panel each pad
-slot has x = 0 and sgn = 0, so s = 0: it adds exactly -log 2 to the sum,
-which a precomputed constant cancels, and 0 to the score.
+built once: respondent r's tasks fill the first slots of row r. Each pad
+slot of a ragged panel has x = 0 and sgn = 0, so s = 0: it adds exactly
+-log 2 to the sum, which a precomputed constant cancels, and 0 to the score.
 """
 
 from __future__ import annotations
@@ -104,8 +103,6 @@ def _padded_layout(design: Design):
     sgn = 2.0 * design.choices - 1.0
     counts = np.diff(np.r_[design.row_starts, n])
     t_max = int(counts.max()) if n else 0
-    if n == r * t_max:  # balanced: no pad slots, so a view suffices
-        return design.x.reshape(r, t_max, f), sgn.reshape(r, t_max)
     resp = design.respondent_index
     slot = np.arange(n) - design.row_starts[resp]
     x3 = np.zeros((r, t_max, f))

@@ -115,32 +115,20 @@ class _Hamiltonian:
         return q_new, p_new, grad_new, logp_new, self.velocity(p_new)
 
 
+@dataclass(slots=True)
 class _Tree:
     """A built subtree: its two edge states, the multinomial proposal
     (q, grad, logp, energy), and the sums merged up the tree."""
 
-    __slots__ = (
-        "left",
-        "right",
-        "proposal",
-        "log_sum_weight",
-        "rho",
-        "sum_accept",
-        "n_states",
-        "divergent",
-        "turning",
-    )
-
-    def __init__(self, left, right, proposal, log_sum_weight, rho, sum_accept, n_states, divergent, turning):
-        self.left = left
-        self.right = right
-        self.proposal = proposal
-        self.log_sum_weight = log_sum_weight
-        self.rho = rho
-        self.sum_accept = sum_accept
-        self.n_states = n_states
-        self.divergent = divergent
-        self.turning = turning
+    left: tuple
+    right: tuple
+    proposal: tuple
+    log_sum_weight: float
+    rho: np.ndarray
+    sum_accept: float
+    n_states: int
+    divergent: bool
+    turning: bool
 
 
 def _is_turning(rho: np.ndarray, v_left: np.ndarray, v_right: np.ndarray) -> bool:
@@ -236,16 +224,17 @@ def _transition(ham, q, grad, logp, step, max_depth, rng):
             break
     accept_stat = sum_accept / n_states if n_states else 0.0
     prop_q, prop_grad, prop_logp, prop_energy = proposal
+    # after the new state, one value per ChainStats array, in field order
     return (
         prop_q,
         prop_grad,
         prop_logp,
         accept_stat,
         divergent,
-        depth,
-        n_states,  # one leapfrog step per new state
         prop_energy,
         prop_energy - h0,
+        depth,
+        n_states,  # one leapfrog step per new state
     )
 
 
@@ -342,15 +331,13 @@ def _run_chain(args):
     rng = substream(seed, CHAIN_STREAM, chain_idx)
     dim = model.dim
 
-    q = model.initial_position(rng)
-    logp, grad = model.log_posterior(q)
-    tries = 0
-    while not math.isfinite(logp):
-        tries += 1
-        if tries > _MAX_INIT_TRIES:
-            raise FitError("could not find a finite starting point for the sampler")
+    for _ in range(1 + _MAX_INIT_TRIES):
         q = model.initial_position(rng)
         logp, grad = model.log_posterior(q)
+        if math.isfinite(logp):
+            break
+    else:
+        raise FitError("could not find a finite starting point for the sampler")
 
     ham = _Hamiltonian(model.log_posterior, np.ones(dim))
     step = _find_reasonable_step_size(ham, q, grad, logp, rng)
@@ -375,47 +362,23 @@ def _run_chain(args):
         step = averager.adapted()
 
     out = np.empty((draws, dim))
-    accept_stat = np.empty(draws)
-    divergent = np.zeros(draws, dtype=bool)
-    energy = np.empty(draws)
-    energy_error = np.empty(draws)
-    tree_depth = np.empty(draws, dtype=np.int64)
-    n_leapfrog = np.empty(draws, dtype=np.int64)
+    rows = []
     for s in range(draws):
-        q, grad, logp, accept, div, depth, leap, h, h_err = _transition(
-            ham, q, grad, logp, step, max_depth, rng
-        )
+        q, grad, logp, *row = _transition(ham, q, grad, logp, step, max_depth, rng)
         out[s] = q
-        accept_stat[s] = accept
-        divergent[s] = div
-        energy[s] = h
-        energy_error[s] = h_err
-        tree_depth[s] = depth
-        n_leapfrog[s] = leap
-    stats = ChainStats(
-        accept_stat=accept_stat,
-        divergent=divergent,
-        energy=energy,
-        energy_error=energy_error,
-        tree_depth=tree_depth,
-        n_leapfrog=n_leapfrog,
-        step_size=step,
-        inv_mass=ham.inv_mass,
-    )
-    return out, stats
+        rows.append(row)
+    dtypes = (float, bool, float, float, np.int64, np.int64)
+    columns = (np.array([row[k] for row in rows], dtype) for k, dtype in enumerate(dtypes))
+    return out, ChainStats(*columns, step_size=step, inv_mass=ham.inv_mass)
 
 
-def resolve_workers(chains: int, workers: int | None = None) -> int:
-    """Worker count: explicit argument, else CONJOINT_WTP_THREADS, else CPUs."""
-    if workers is None:
-        env = os.environ.get("CONJOINT_WTP_THREADS", "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigError(f"CONJOINT_WTP_THREADS must be an integer, got {env!r}") from None
-        else:
-            workers = os.cpu_count() or 1
+def resolve_workers(chains: int) -> int:
+    """Worker count: CONJOINT_WTP_THREADS, else the CPU count, at most one per chain."""
+    env = os.environ.get("CONJOINT_WTP_THREADS", "").strip()
+    try:
+        workers = int(env) if env else os.cpu_count() or 1
+    except ValueError:
+        raise ConfigError(f"CONJOINT_WTP_THREADS must be an integer, got {env!r}") from None
     return max(1, min(chains, workers))
 
 
@@ -428,19 +391,18 @@ def run_nuts(
     target_accept: float,
     max_treedepth: int,
     seed: int,
-    workers: int | None = None,
 ) -> SampleResult:
     """Run independent NUTS chains over `model.log_posterior`.
 
     The model must expose dim, log_posterior(theta) -> (logp, grad), and
-    initial_position(rng). Results are identical whether chains run serially
-    or in a process pool.
+    initial_position(rng). Chains run in a pool of resolve_workers(chains)
+    processes, or serially for one; the results are identical either way.
     """
     jobs = [
         (model, warmup, draws, target_accept, max_treedepth, seed, chain_idx)
         for chain_idx in range(chains)
     ]
-    n_workers = resolve_workers(chains, workers)
+    n_workers = resolve_workers(chains)
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_run_chain, jobs))

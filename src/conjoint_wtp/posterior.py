@@ -58,19 +58,25 @@ class WtpSummary:
 
 @dataclass(frozen=True)
 class FeatureRecovery:
+    """One feature's truth against its WTP summary, as listed in recovery.json."""
+
     feature: str
     true_wtp: float
-    summary: WtpSummary
+    mean: float
+    hdi_low: float
+    hdi_high: float
+    hdi_mass: float
     covered: bool
     abs_error: float
 
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Per-feature truth coverage; passes only if every HDI contains truth."""
+    """Per-feature truth coverage; passes only if every HDI contains truth.
+    `dataclasses.asdict` of it is the recovery.json document."""
 
-    features: tuple[FeatureRecovery, ...]
     overall_pass: bool
+    features: tuple[FeatureRecovery, ...]
 
 
 def unscale_population(draws: PosteriorDraws) -> tuple[np.ndarray, np.ndarray]:
@@ -155,9 +161,12 @@ def recovery_report(truth: GroundTruth, summaries: list[WtpSummary]) -> Recovery
             FeatureRecovery(
                 feature=feature,
                 true_wtp=float(true_value),
-                summary=summary,
+                mean=summary.mean,
+                hdi_low=summary.hdi_low,
+                hdi_high=summary.hdi_high,
+                hdi_mass=summary.hdi_mass,
                 covered=bool(covered),
                 abs_error=float(abs(summary.mean - true_value)),
             )
         )
-    return RecoveryReport(features=tuple(results), overall_pass=all(r.covered for r in results))
+    return RecoveryReport(overall_pass=all(r.covered for r in results), features=tuple(results))

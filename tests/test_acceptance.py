@@ -159,7 +159,7 @@ class TestCriterion3QuadratureOracle:
 
         result = run_nuts(
             model, chains=4, warmup=1000, draws=8000, target_accept=0.8,
-            max_treedepth=10, seed=303, workers=2,
+            max_treedepth=10, seed=303,
         )
         mcmc_mean = result.flat().mean(axis=0)
         errors = np.abs(mcmc_mean - grid_mean) / grid_sd
@@ -179,7 +179,7 @@ class TestCriterion4PriorRecovery:
         )
         result = run_nuts(
             model, chains=4, warmup=500, draws=2000, target_accept=0.8,
-            max_treedepth=10, seed=404, workers=2,
+            max_treedepth=10, seed=404,
         )
         flat = result.flat()
         means = flat.mean(axis=0)

@@ -3,6 +3,7 @@ config-echo reproducibility guarantee."""
 
 import copy
 import json
+import shutil
 import time
 
 import pytest
@@ -168,6 +169,14 @@ class TestFit:
         code = cli.main(["fit", "--config", str(config), "--out", str(tmp_path / "fit"), "--data", str(data)])
         assert code == 2
         assert f"{data}: row 4: price must be finite and positive" in capsys.readouterr().err
+
+    def test_non_integer_worker_setting_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        monkeypatch.setenv("CONJOINT_WTP_THREADS", "two")
+        assert cli.main(["fit", "--config", str(config), "--out", str(out)]) == 2
+        assert "CONJOINT_WTP_THREADS must be an integer, got 'two'" in capsys.readouterr().err
 
     def test_smoke_fit_on_full_size_dataset_under_60s(self, tmp_path):
         def mutate(c):
@@ -468,7 +477,8 @@ def test_demo_config_matches_presets():
 
 
 class TestMalformedInputs:
-    """Unreadable posterior, truth and report files exit 2 naming the problem."""
+    """Unreadable config, data, posterior, truth, diagnostics and report files
+    exit 2 naming the problem."""
 
     def test_posterior_header_missing_field_exits_2(self, fitted_run, tmp_path, capsys):
         _, run_dir = fitted_run
@@ -504,3 +514,56 @@ class TestMalformedInputs:
         assert code == 2
         assert "report.json" in capsys.readouterr().err
         assert (out / "report.json").read_text(encoding="utf-8") == "[1, 2"
+
+    @pytest.mark.parametrize("command", ["wtp", "revenue"])
+    @pytest.mark.parametrize(
+        "where, token",
+        [("draw", "NaN"), ("draw", "Infinity"), ("draw", "1e309"), ("scale", "Infinity")],
+    )
+    def test_non_finite_posterior_exits_2(self, fitted_run, tmp_path, capsys, command, where, token):
+        config, run_dir = fitted_run
+        lines = (run_dir / "posterior.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        header, draw = json.loads(lines[0]), json.loads(lines[5])
+        if where == "scale":
+            header["standardization"]["scale"][0] = "@"
+        else:
+            draw["params"][0] = "@"
+        lines[0], lines[5] = (json.dumps(obj).replace('"@"', token) + "\n" for obj in (header, draw))
+        path = tmp_path / "posterior.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        argv = ["--posterior", str(path), "--out", str(tmp_path / "o")]
+        if command == "revenue":
+            argv += ["--config", str(config)]
+        assert cli.main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        if where == "scale":
+            assert f"{path}: bad header: standardization scale must be finite and positive" in err
+        else:
+            assert f"{path}: line 6: every parameter must be finite" in err
+
+    @pytest.mark.parametrize("case", ["config", "data", "posterior", "diagnostics"])
+    def test_unreadable_input_exits_2_naming_the_file(self, fitted_run, tmp_path, capsys, case):
+        # the first three files start with a byte that is not UTF-8; the
+        # diagnostics file is JSON whose r_hat is a list, not an object
+        config, run_dir = fitted_run
+        out = tmp_path / "o"
+        out.mkdir()
+        if case == "config":
+            bad = tmp_path / "config.json"
+            bad.write_bytes(b"\xff" + config.read_bytes())
+            argv = ["simulate", "--config", str(bad)]
+        elif case == "data":
+            bad = tmp_path / "choices.csv"
+            bad.write_bytes(b"\xff" + (run_dir / "choices.csv").read_bytes())
+            argv = ["fit", "--config", str(config), "--data", str(bad)]
+        elif case == "posterior":
+            bad = tmp_path / "posterior.jsonl"
+            bad.write_bytes(b"\xff" + (run_dir / "posterior.jsonl").read_bytes())
+            argv = ["wtp", "--posterior", str(bad)]
+        else:
+            shutil.copy(run_dir / "posterior.jsonl", out)
+            bad = out / "diagnostics.json"
+            write_json(bad, {"r_hat": [1.0]})
+            argv = ["pipeline", "--config", str(config), "--from", "wtp"]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert str(bad) in capsys.readouterr().err

@@ -10,7 +10,7 @@ import pytest
 
 from conjoint_wtp.config import to_dict
 from conjoint_wtp.dataio import (
-    atomic_write_lines,
+    _atomic_write,
     choices_header,
     read_choices_csv,
     read_ground_truth_json,
@@ -136,12 +136,12 @@ def test_unencodable_profile_is_refused_before_writing(tmp_path, scheme, small_d
 
 
 def test_failed_streamed_write_leaves_nothing(tmp_path):
-    def lines():
-        yield "first"
+    def write(f):
+        f.write("first\n")
         raise RuntimeError("source failed mid-write")
 
     with pytest.raises(RuntimeError):
-        atomic_write_lines(tmp_path / "out.txt", lines())
+        _atomic_write(tmp_path / "out.txt", write)
     assert list(tmp_path.iterdir()) == []
 
 

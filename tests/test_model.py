@@ -272,12 +272,6 @@ class TestStandardizationIsAChangeOfUnits:
 
 
 class TestPaddedKernel:
-    def test_balanced_layout_is_a_view_of_the_design(self):
-        design = tiny_design()
-        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
-        assert model.x3.shape == (5, 8, design.n_features)
-        assert np.shares_memory(model.x3, design.x)
-
     def test_ragged_layout_pads_with_zeros(self):
         design = ragged_design()
         model = HierarchicalLogitModel(design, ModelConfig(seed=1))

@@ -111,17 +111,19 @@ class TestDeterminism:
     def test_same_seed_is_bit_identical(self):
         target = StandardNormalTarget(3)
         kwargs = dict(chains=2, warmup=200, draws=100, target_accept=0.8,
-                      max_treedepth=10, seed=99, workers=1)
+                      max_treedepth=10, seed=99)
         first = run_nuts(target, **kwargs)
         second = run_nuts(target, **kwargs)
         assert np.array_equal(first.draws, second.draws)
 
-    def test_serial_and_parallel_chains_agree(self):
+    def test_serial_and_parallel_chains_agree(self, monkeypatch):
         target = StandardNormalTarget(3)
         kwargs = dict(chains=2, warmup=200, draws=100, target_accept=0.8,
                       max_treedepth=10, seed=7)
-        serial = run_nuts(target, workers=1, **kwargs)
-        parallel = run_nuts(target, workers=2, **kwargs)
+        monkeypatch.setenv("CONJOINT_WTP_THREADS", "1")
+        serial = run_nuts(target, **kwargs)
+        monkeypatch.setenv("CONJOINT_WTP_THREADS", "2")
+        parallel = run_nuts(target, **kwargs)
         assert np.array_equal(serial.draws, parallel.draws)
         for a, b in zip(serial.stats, parallel.stats):
             assert np.array_equal(a.divergent, b.divergent)
@@ -140,7 +142,7 @@ class TestStatisticalCorrectness:
     def test_standard_normal_moments(self):
         target = StandardNormalTarget(5)
         result = run_nuts(target, chains=2, warmup=500, draws=1500,
-                          target_accept=0.8, max_treedepth=10, seed=3, workers=2)
+                          target_accept=0.8, max_treedepth=10, seed=3)
         flat = result.flat()
         assert np.all(np.abs(flat.mean(axis=0)) < 0.1)
         assert np.all(np.abs(flat.std(axis=0) - 1.0) < 0.1)
@@ -148,7 +150,7 @@ class TestStatisticalCorrectness:
     def test_acceptance_tracks_target(self):
         target = StandardNormalTarget(10)
         result = run_nuts(target, chains=1, warmup=600, draws=400,
-                          target_accept=0.9, max_treedepth=10, seed=11, workers=1)
+                          target_accept=0.9, max_treedepth=10, seed=11)
         assert 0.75 < result.stats[0].mean_accept <= 1.0
 
     def test_energy_error_median_is_small_at_adapted_step(self, small_design, quick_config):
@@ -156,14 +158,14 @@ class TestStatisticalCorrectness:
 
         model = HierarchicalLogitModel(small_design, quick_config)
         result = run_nuts(model, chains=1, warmup=500, draws=300,
-                          target_accept=0.8, max_treedepth=10, seed=2, workers=1)
+                          target_accept=0.8, max_treedepth=10, seed=2)
         median_error = float(np.median(np.abs(result.stats[0].energy_error)))
         assert median_error < 0.2
 
     def test_hard_wall_produces_divergence_flags(self):
         target = WalledTarget()
         result = run_nuts(target, chains=1, warmup=0, draws=200,
-                          target_accept=0.8, max_treedepth=6, seed=13, workers=1)
+                          target_accept=0.8, max_treedepth=6, seed=13)
         # with no warmup the step stays at the coarse initial guess, so the
         # wall is hit and flagged rather than crashing
         assert result.stats[0].divergent.any()
@@ -183,7 +185,7 @@ class TestStatisticalCorrectness:
 
         target = ScaledNormal()
         result = run_nuts(target, chains=1, warmup=800, draws=800,
-                          target_accept=0.8, max_treedepth=10, seed=17, workers=1)
+                          target_accept=0.8, max_treedepth=10, seed=17)
         inv_mass = result.stats[0].inv_mass
         # learned metric should be within a factor ~3 of the true variances
         ratio = inv_mass / target.scales**2
