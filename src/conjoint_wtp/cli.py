@@ -257,6 +257,27 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# The diagnostics.json fields the quality section reads: a check of each
+# value and what the check asks for.
+_QUALITY_FIELDS = {
+    "r_hat": (
+        lambda v: type(v) is dict and all(x is None or _is_number(x) for x in v.values()),
+        "an object mapping parameter names to numbers or null",
+    ),
+    "divergence_count": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "divergence_rate": (_is_number, "a number"),
+    "mean_accept_prob": (
+        lambda v: type(v) is list and all(x is None or _is_number(x) for x in v),
+        "a list of numbers or null",
+    ),
+    "warnings": (lambda v: type(v) is list and all(type(x) is str for x in v), "a list of strings"),
+}
+
+
 def _quality_section(state: RunState) -> dict | None:
     """Sampler health from this command's fit, else from <out>/diagnostics.json."""
     path = state.out / "diagnostics.json"
@@ -266,18 +287,18 @@ def _quality_section(state: RunState) -> dict | None:
         d = read_json_object(path)
     else:
         return None
-    r_hat = d.get("r_hat", {})
-    if not isinstance(r_hat, dict) or any(type(v) not in (int, float, type(None)) for v in r_hat.values()):
-        raise DataError(f"{path}: r_hat must map parameter names to numbers or null")
-    population = {k: v for k, v in r_hat.items() if k.startswith(POPULATION_PREFIXES)}
+    for key, (check, wanted) in _QUALITY_FIELDS.items():
+        if not check(d.get(key)):
+            raise DataError(f"{path}: {key} must be {wanted}")
+    population = {k: v for k, v in d["r_hat"].items() if k.startswith(POPULATION_PREFIXES)}
     finite = [v for v in population.values() if v is not None]
     return {
-        "divergence_count": d.get("divergence_count"),
-        "divergence_rate": d.get("divergence_rate"),
+        "divergence_count": d["divergence_count"],
+        "divergence_rate": d["divergence_rate"],
         "max_population_r_hat": max(finite) if finite else None,
         "population_r_hat": population,
-        "mean_accept_prob": d.get("mean_accept_prob"),
-        "warnings": d.get("warnings", []),
+        "mean_accept_prob": d["mean_accept_prob"],
+        "warnings": d["warnings"],
     }
 
 

@@ -315,6 +315,9 @@ def diagnostics_to_dict(diag: Diagnostics) -> dict:
         "divergence_count": diag.divergence_count,
         "divergence_rate": diag.divergence_rate,
         "mean_accept_prob": [_json_float(v) for v in diag.mean_accept_prob],
+        "step_size": list(diag.step_size),
+        "grad_evals_warmup": list(diag.grad_evals_warmup),
+        "grad_evals_sampling": list(diag.grad_evals_sampling),
         "warnings": list(diag.warnings),
     }
 

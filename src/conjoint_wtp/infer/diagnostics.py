@@ -7,14 +7,21 @@ the classic between/within variance ratio, and ESS sums autocorrelations
 (Vehtari et al. 2021, arXiv:1903.08008). Parameters are taken in blocks
 sized from the draw count, so the FFT buffers stay within a few MB however
 long the chains are. Both are deterministic functions of the draws.
+
+Beside them it carries each chain's sampler statistics: mean acceptance,
+adapted step size, and gradient evaluations in warmup and in sampling.
+These are counts, not timings, so repeat runs write the same file.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .nuts import ChainStats
 
 RHAT_WARN_THRESHOLD = 1.05
 # Name prefixes of the population parameters, whose R-hat the run reports.
@@ -34,7 +41,11 @@ class Diagnostics:
     effective_sample_size: dict[str, float]
     divergence_count: int
     divergence_rate: float
+    # one entry per chain
     mean_accept_prob: tuple[float, ...]
+    step_size: tuple[float, ...]
+    grad_evals_warmup: tuple[int, ...]
+    grad_evals_sampling: tuple[int, ...]
     warnings: list[str] = field(default_factory=list)
 
     def max_r_hat(self, prefix: str | tuple[str, ...] = "") -> float:
@@ -113,13 +124,9 @@ def _rhat_ess(draws: np.ndarray, ndtri) -> tuple[np.ndarray, np.ndarray]:
     return r_hat, ess
 
 
-def diagnose(
-    draws: np.ndarray,
-    names: list[str],
-    divergent: np.ndarray,
-    accept_by_chain: tuple[float, ...],
-) -> Diagnostics:
-    """Compute R-hat/ESS for every named parameter of (chains, draws, dim)."""
+def diagnose(draws: np.ndarray, names: list[str], stats: Sequence[ChainStats]) -> Diagnostics:
+    """Compute R-hat/ESS for every named parameter of (chains, draws, dim),
+    and collect each chain's sampler statistics."""
     from scipy.special import ndtri  # imported here so only `diagnose` pays for scipy
 
     draws = np.asarray(draws, dtype=float)
@@ -137,13 +144,16 @@ def diagnose(
         for name, value in r_hat_by_name.items()
         if name.startswith(POPULATION_PREFIXES) and math.isfinite(value) and value > RHAT_WARN_THRESHOLD
     ]
-    n_div = int(np.asarray(divergent).sum())
-    total = int(np.asarray(divergent).size)
+    divergent = np.concatenate([c.divergent for c in stats])
+    n_div = int(divergent.sum())
     return Diagnostics(
         r_hat=r_hat_by_name,
         effective_sample_size=dict(zip(names, ess.tolist())),
         divergence_count=n_div,
-        divergence_rate=n_div / total if total else 0.0,
-        mean_accept_prob=accept_by_chain,
+        divergence_rate=n_div / divergent.size if divergent.size else 0.0,
+        mean_accept_prob=tuple(c.mean_accept for c in stats),
+        step_size=tuple(c.step_size for c in stats),
+        grad_evals_warmup=tuple(c.grad_evals_warmup for c in stats),
+        grad_evals_sampling=tuple(c.grad_evals_sampling for c in stats),
         warnings=warnings,
     )

@@ -94,12 +94,7 @@ def sample(design: Design, config: ModelConfig) -> tuple[PosteriorDraws, Diagnos
             f"{rate:.1%} of post-warmup transitions diverged (limit {MAX_DIVERGENCE_RATE:.0%}); "
             "consider raising target_accept or reparameterizing"
         )
-    diagnostics = diagnose(
-        result.draws,
-        model.parameter_names(),
-        divergent,
-        tuple(s.mean_accept for s in result.stats),
-    )
+    diagnostics = diagnose(result.draws, model.parameter_names(), result.stats)
     mu, sigma, z = split_draws(model, result)
     chain_index = np.repeat(np.arange(config.chains), config.draws_per_chain)
     draws = PosteriorDraws(

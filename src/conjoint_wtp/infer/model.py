@@ -197,3 +197,14 @@ class HierarchicalLogitModel:
 
     def initial_position(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, self.dim)
+
+    def initial_inv_mass(self) -> np.ndarray:
+        """The diagonal inverse metric warmup starts from: 1/R on mu, 1 elsewhere.
+
+        Every respondent informs each population mean, so its posterior
+        variance is about 1/R, however many tasks each respondent answered;
+        log_sigma and z are on unit scale.
+        """
+        inv_mass = np.ones(self.dim)
+        inv_mass[: self.n_features] = 1.0 / self.n_respondents
+        return inv_mass

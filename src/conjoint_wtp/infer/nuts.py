@@ -7,11 +7,13 @@ selected multinomially by density within each new subtree and merged into
 the running proposal with the biased-progressive rule, which prefers states
 far from the start.
 
-Warmup follows the windowed schedule: an initial step-size-only buffer,
-expanding windows that re-estimate the diagonal metric from the warmup
-draws (step size re-initialized and dual averaging restarted at every
-window close), and a final step-size-only buffer. Post-warmup, the step
-size is frozen at the dual-averaged value.
+Warmup starts from the model's initial diagonal metric, which puts each
+coordinate roughly on its posterior scale, and follows the windowed
+schedule: an initial step-size-only buffer, expanding windows that
+re-estimate the diagonal metric from the warmup draws (step size
+re-initialized and dual averaging restarted at every window close), and a
+final step-size-only buffer. Post-warmup, the step size is frozen at the
+dual-averaged value.
 
 Chains are independent given (seed, chain index), so serial and parallel
 execution produce bit-identical results.
@@ -48,7 +50,8 @@ _DA_KAPPA = 0.75
 
 @dataclass
 class ChainStats:
-    """Per-draw sampler statistics for one chain (post-warmup only)."""
+    """Per-draw sampler statistics for one chain (post-warmup only), plus
+    the adapted step size and metric and the chain's gradient count in warmup."""
 
     accept_stat: np.ndarray
     divergent: np.ndarray
@@ -58,10 +61,15 @@ class ChainStats:
     n_leapfrog: np.ndarray
     step_size: float
     inv_mass: np.ndarray
+    grad_evals_warmup: int  # the start, step-size searches and warmup transitions
 
     @property
     def mean_accept(self) -> float:
         return float(self.accept_stat.mean()) if self.accept_stat.size else math.nan
+
+    @property
+    def grad_evals_sampling(self) -> int:
+        return int(self.n_leapfrog.sum())  # one gradient per leapfrog step
 
 
 @dataclass
@@ -330,16 +338,22 @@ def _run_chain(args):
     model, warmup, draws, target_accept, max_depth, seed, chain_idx = args
     rng = substream(seed, CHAIN_STREAM, chain_idx)
     dim = model.dim
+    grad_evals = 0
+
+    def log_posterior(theta):
+        nonlocal grad_evals
+        grad_evals += 1
+        return model.log_posterior(theta)
 
     for _ in range(1 + _MAX_INIT_TRIES):
         q = model.initial_position(rng)
-        logp, grad = model.log_posterior(q)
+        logp, grad = log_posterior(q)
         if math.isfinite(logp):
             break
     else:
         raise FitError("could not find a finite starting point for the sampler")
 
-    ham = _Hamiltonian(model.log_posterior, np.ones(dim))
+    ham = _Hamiltonian(log_posterior, model.initial_inv_mass())
     step = _find_reasonable_step_size(ham, q, grad, logp, rng)
     averager = _DualAveraging(step, target_accept)
     windows = _adaptation_windows(warmup)
@@ -354,12 +368,13 @@ def _run_chain(args):
         if slow_start < m <= slow_end:
             welford.add(q)
         if m in window_set:
-            ham = _Hamiltonian(model.log_posterior, welford.regularized_variance())
+            ham = _Hamiltonian(log_posterior, welford.regularized_variance())
             welford = _RunningVariance(dim)
             step = _find_reasonable_step_size(ham, q, grad, logp, rng)
             averager = _DualAveraging(step, target_accept)
     if warmup > 0:
         step = averager.adapted()
+    warmup_evals = grad_evals
 
     out = np.empty((draws, dim))
     rows = []
@@ -369,7 +384,9 @@ def _run_chain(args):
         rows.append(row)
     dtypes = (float, bool, float, float, np.int64, np.int64)
     columns = (np.array([row[k] for row in rows], dtype) for k, dtype in enumerate(dtypes))
-    return out, ChainStats(*columns, step_size=step, inv_mass=ham.inv_mass)
+    return out, ChainStats(
+        *columns, step_size=step, inv_mass=ham.inv_mass, grad_evals_warmup=warmup_evals
+    )
 
 
 def resolve_workers(chains: int) -> int:
@@ -394,8 +411,9 @@ def run_nuts(
 ) -> SampleResult:
     """Run independent NUTS chains over `model.log_posterior`.
 
-    The model must expose dim, log_posterior(theta) -> (logp, grad), and
-    initial_position(rng). Chains run in a pool of resolve_workers(chains)
+    The model must expose dim, log_posterior(theta) -> (logp, grad),
+    initial_position(rng) and initial_inv_mass(), the diagonal inverse
+    metric warmup starts from. Chains run in a pool of resolve_workers(chains)
     processes, or serially for one; the results are identical either way.
     """
     jobs = [

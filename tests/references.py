@@ -71,6 +71,9 @@ class FlatLogitModel:
     def initial_position(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, self.dim)
 
+    def initial_inv_mass(self) -> np.ndarray:
+        return np.ones(self.dim)
+
 
 @dataclass
 class IndividualWtpDraws(WtpDraws):

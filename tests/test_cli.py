@@ -541,6 +541,33 @@ class TestMalformedInputs:
         else:
             assert f"{path}: line 6: every parameter must be finite" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("divergence_count", "lots"),
+            ("divergence_count", -1),
+            ("divergence_count", True),
+            ("divergence_rate", "high"),
+            ("mean_accept_prob", [0.9, "x"]),
+            ("warnings", 7),
+            ("warnings", ["ok", 7]),
+        ],
+    )
+    def test_malformed_diagnostics_field_exits_2(self, fitted_run, tmp_path, capsys, field, value):
+        # the quality section of a resumed pipeline reads these from disk
+        config, run_dir = fitted_run
+        out = tmp_path / "o"
+        out.mkdir()
+        shutil.copy(run_dir / "posterior.jsonl", out)
+        diagnostics = json.loads((run_dir / "diagnostics.json").read_text(encoding="utf-8"))
+        diagnostics[field] = value
+        bad = out / "diagnostics.json"
+        write_json(bad, diagnostics)
+        argv = ["pipeline", "--config", str(config), "--out", str(out), "--from", "revenue"]
+        assert cli.main(argv) == 2
+        assert f"{bad}: {field} must be" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("case", ["config", "data", "posterior", "diagnostics"])
     def test_unreadable_input_exits_2_naming_the_file(self, fitted_run, tmp_path, capsys, case):
         # the first three files start with a byte that is not UTF-8; the

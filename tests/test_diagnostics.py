@@ -8,13 +8,30 @@ import pytest
 
 from conjoint_wtp.infer import diagnose
 from conjoint_wtp.infer.diagnostics import _average_ranks, _block_size
+from conjoint_wtp.infer.nuts import ChainStats
 from tests.references import ess_bulk, split_rhat
+
+
+def chain_stats(n_draws, accept=0.9, divergent=0, leapfrogs=7, step_size=0.25, warmup_evals=100):
+    """Sampler statistics of one chain of n_draws, the first `divergent` divergent."""
+    zeros = np.zeros(n_draws)
+    return ChainStats(
+        accept_stat=np.full(n_draws, accept),
+        divergent=np.arange(n_draws) < divergent,
+        energy=zeros,
+        energy_error=zeros,
+        tree_depth=np.full(n_draws, 3),
+        n_leapfrog=np.full(n_draws, leapfrogs),
+        step_size=step_size,
+        inv_mass=np.ones(1),
+        grad_evals_warmup=warmup_evals,
+    )
 
 
 def diagnose_all(draws):
     """diagnose on (chains, n, dim) draws: R-hat and ESS arrays in column order."""
     names = [f"p[{j}]" for j in range(draws.shape[2])]
-    diag = diagnose(draws, names, np.zeros(draws.shape[:2], dtype=bool), (0.9,) * draws.shape[0])
+    diag = diagnose(draws, names, [chain_stats(draws.shape[1])] * draws.shape[0])
     return np.array(list(diag.r_hat.values())), np.array(list(diag.effective_sample_size.values()))
 
 
@@ -84,8 +101,7 @@ def test_diagnose_names_and_warnings():
     diag = diagnose(
         draws,
         names=["mu[price]", "sigma[price]"],
-        divergent=np.zeros(800, dtype=bool),
-        accept_by_chain=(0.9, 0.88),
+        stats=[chain_stats(400, accept=0.9), chain_stats(400, accept=0.88)],
     )
     assert set(diag.r_hat) == {"mu[price]", "sigma[price]"}
     assert diag.r_hat["mu[price]"] < 1.05
@@ -93,6 +109,21 @@ def test_diagnose_names_and_warnings():
     assert any("sigma[price]" in w for w in diag.warnings)
     assert diag.divergence_count == 0
     assert diag.max_r_hat("sigma[") == diag.r_hat["sigma[price]"]
+
+
+def test_diagnose_reports_each_chains_sampler_statistics():
+    draws = np.random.default_rng(6).standard_normal((2, 40, 1))
+    stats = [
+        chain_stats(40, accept=0.8, divergent=2, leapfrogs=15, step_size=0.3, warmup_evals=900),
+        chain_stats(40, accept=0.9, divergent=0, leapfrogs=7, step_size=0.5, warmup_evals=700),
+    ]
+    diag = diagnose(draws, ["mu[price]"], stats)
+    assert diag.divergence_count == 2
+    assert diag.divergence_rate == 2 / 80
+    assert diag.mean_accept_prob == (0.8, 0.9)
+    assert diag.step_size == (0.3, 0.5)
+    assert diag.grad_evals_warmup == (900, 700)
+    assert diag.grad_evals_sampling == (600, 280)
 
 
 def _tie_patterns(rng, size):

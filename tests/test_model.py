@@ -271,6 +271,21 @@ class TestStandardizationIsAChangeOfUnits:
             assert grad_raw[f:] == pytest.approx(grad_std[f:], rel=1e-9, abs=1e-9)
 
 
+class TestInitialMetric:
+    @pytest.mark.parametrize(
+        "make_design", [lambda: tiny_design(n_respondents=7), ragged_design], ids=["balanced", "ragged"]
+    )
+    def test_one_over_r_on_mu_and_one_elsewhere(self, make_design):
+        design = make_design()
+        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
+        inv_mass = model.initial_inv_mass()
+        assert inv_mass.shape == (model.dim,)
+        mu, log_sigma, z = model.unpack(inv_mass)
+        assert np.all(mu == 1.0 / design.n_respondents)
+        assert np.all(log_sigma == 1.0)
+        assert np.all(z == 1.0)
+
+
 class TestPaddedKernel:
     def test_ragged_layout_pads_with_zeros(self):
         design = ragged_design()

@@ -26,6 +26,9 @@ class StandardNormalTarget:
     def initial_position(self, rng):
         return rng.uniform(-1.0, 1.0, self.dim)
 
+    def initial_inv_mass(self):
+        return np.ones(self.dim)
+
 
 class WalledTarget:
     """Standard normal with a hard wall: off-support points are -inf."""
@@ -39,6 +42,9 @@ class WalledTarget:
 
     def initial_position(self, rng):
         return rng.uniform(-0.5, 0.5, self.dim)
+
+    def initial_inv_mass(self):
+        return np.ones(self.dim)
 
 
 class TestLeapfrog:
@@ -171,6 +177,30 @@ class TestStatisticalCorrectness:
         assert result.stats[0].divergent.any()
         assert np.all(np.isfinite(result.draws))
 
+    def test_initial_metric_on_the_posterior_scale_shortens_warmup(self):
+        class BadlyScaledNormal:
+            dim = 10
+            variances = np.r_[np.full(5, 0.05**2), np.ones(5)]
+
+            def __init__(self, inv_mass):
+                self.inv_mass = inv_mass
+
+            def log_posterior(self, theta):
+                return float(-0.5 * (theta**2 / self.variances).sum()), -theta / self.variances
+
+            def initial_position(self, rng):
+                return rng.uniform(-1.0, 1.0, self.dim)
+
+            def initial_inv_mass(self):
+                return self.inv_mass
+
+        kwargs = dict(chains=1, warmup=200, draws=20, target_accept=0.8, max_treedepth=10, seed=5)
+        identity = run_nuts(BadlyScaledNormal(np.ones(10)), **kwargs).stats[0]
+        scaled = run_nuts(BadlyScaledNormal(BadlyScaledNormal.variances), **kwargs).stats[0]
+        assert scaled.grad_evals_warmup < 0.8 * identity.grad_evals_warmup
+        # the sampling count is the draws' leapfrog steps
+        assert scaled.grad_evals_sampling == scaled.n_leapfrog.sum()
+
     def test_mass_matrix_adapts_to_scale(self):
         class ScaledNormal:
             dim = 4
@@ -182,6 +212,9 @@ class TestStatisticalCorrectness:
 
             def initial_position(self, rng):
                 return rng.uniform(-1.0, 1.0, 4)
+
+            def initial_inv_mass(self):
+                return np.ones(self.dim)
 
         target = ScaledNormal()
         result = run_nuts(target, chains=1, warmup=800, draws=800,
