@@ -147,10 +147,13 @@ def _stage_wtp(state: RunState) -> None:
     features = [c for c in draws.columns if c != draws.price_column]
     per_feature = [wtp_draws(draws, feature) for feature in features]
     state.summaries = [summarize_wtp(w) for w in per_feature]
-    write_wtp_summary_csv(state.path("wtp_summary.csv"), state.summaries, truth)
-    write_wtp_draws_csv(state.path("wtp_draws.csv"), per_feature)
+    # built before any file is written: a truth that names a feature the
+    # posterior lacks must leave --out as it was
     if truth is not None:
         state.recovery = recovery_report(truth, state.summaries)
+    write_wtp_summary_csv(state.path("wtp_summary.csv"), state.summaries, truth)
+    write_wtp_draws_csv(state.path("wtp_draws.csv"), per_feature)
+    if state.recovery is not None:
         write_json(state.path("recovery.json"), dataclasses.asdict(state.recovery))
     else:  # an earlier run's report would sit beside summaries it does not describe
         (state.out / "recovery.json").unlink(missing_ok=True)

@@ -1,12 +1,11 @@
 """Design-matrix construction for the choice model.
 
 Each record becomes one row of difference regressors,
-encode(profile_a) - encode(profile_b), by default divided by each column's
-population SD. Standardizing is a change of units only: the columns are
-never centered, and the model states its priors per unit-scaled column
-whatever the design's units, so a standardized and a raw design give the
-same posterior. The scaling is kept alongside the matrix because unscaling
-is mandatory before any dollar-valued output.
+encode(profile_a) - encode(profile_b), divided by each column's population
+SD. That is the one scale the model is fitted on, and this module alone
+chooses it. Standardizing is a change of units only: the columns are never
+centered. The scaling is kept alongside the matrix because unscaling is
+mandatory before any dollar-valued output.
 """
 
 from __future__ import annotations
@@ -46,11 +45,8 @@ class Standardization:
 
 @dataclass(frozen=True)
 class Design:
-    """Difference regressors grouped by respondent.
-
-    `column_sd` is each raw difference column's population SD, the unit in
-    which the priors are stated; `standardization.scale` is what the columns
-    of `x` were divided by (`column_sd`, or ones for a raw design).
+    """Difference regressors grouped by respondent, each column divided by
+    its population SD. `standardization.scale` records those SDs.
     """
 
     columns: tuple[str, ...]
@@ -61,7 +57,6 @@ class Design:
     respondent_ids: tuple[int, ...]
     row_starts: np.ndarray
     standardization: Standardization
-    column_sd: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -80,14 +75,13 @@ class Design:
         return self.columns.index(self.price_column)
 
 
-def build_design(dataset: ChoiceDataset, standardize: bool = True) -> Design:
-    """Build the difference-regressor matrix and choice vector.
+def build_design(dataset: ChoiceDataset) -> Design:
+    """Build the standardized difference-regressor matrix and choice vector.
 
     Rows keep the dataset's respondent grouping; `row_starts` marks each
     respondent's first row, from which the model builds its padded
-    (respondent, task, feature) layout once. A constant column is a
-    DataError either way; with standardize=False the columns stay in raw
-    units and the standardization is the identity.
+    (respondent, task, feature) layout once. A constant column has no SD to
+    divide by and is a DataError.
     """
     if len(dataset.records) == 0:
         raise ContractError("dataset has no records")
@@ -111,11 +105,10 @@ def build_design(dataset: ChoiceDataset, standardize: bool = True) -> Design:
             id_order.append(rid)
         resp_index[i] = id_to_pos[rid]
 
-    column_sd = x.std(axis=0)
-    constant = [c for c, s in zip(columns, column_sd) if s < _MIN_SCALE]
+    scale = x.std(axis=0)
+    constant = [c for c, s in zip(columns, scale) if s < _MIN_SCALE]
     if constant:
         raise DataError(f"constant difference column(s): {constant}")
-    scale = column_sd if standardize else np.ones(len(columns))
     x /= scale
 
     row_starts = np.flatnonzero(np.r_[True, resp_index[1:] != resp_index[:-1]])
@@ -128,5 +121,4 @@ def build_design(dataset: ChoiceDataset, standardize: bool = True) -> Design:
         respondent_ids=tuple(id_order),
         row_starts=row_starts,
         standardization=Standardization(columns=columns, mean=np.zeros(len(columns)), scale=scale),
-        column_sd=column_sd,
     )

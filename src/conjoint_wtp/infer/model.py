@@ -51,9 +51,8 @@ class ModelConfig:
     """Priors and sampler settings.
 
     The priors (a normal on the price mean, one on each feature mean, and a
-    HalfNormal on each SD) are stated per unit-scaled column: a difference
-    column divided by its SD. The model maps them into the units of the
-    design it is given, so standardizing the design changes no posterior.
+    HalfNormal on each SD) are stated on the one scale the design has: each
+    difference column divided by its SD.
     """
 
     prior_mu_price: NormalPrior = NormalPrior(-1.0, 1.0)
@@ -125,16 +124,11 @@ class HierarchicalLogitModel:
         self.n_respondents = design.n_respondents
         self.x3, self.sgn3 = _padded_layout(design)
         self._pad_const = (self.sgn3.size - design.n_rows) * math.log(2.0)
-        # A coefficient on a unit-scaled column is `unit` times one on this
-        # design's column: 1 on a standardized design, the column SD on a raw
-        # one. So a N(m, s) prior there is N(m / unit, s / unit) here, and a
-        # HalfNormal(tau) SD there is HalfNormal(tau / unit) here.
-        unit = design.column_sd / design.standardization.scale
         price = np.arange(self.n_features) == design.price_index
         mu_price, mu_feature = config.prior_mu_price, config.prior_mu_feature
-        self.prior_mean = np.where(price, mu_price.mean, mu_feature.mean) / unit
-        self.prior_sd = np.where(price, mu_price.sd, mu_feature.sd) / unit
-        self.sigma_tau = config.prior_sigma_sd / unit
+        self.prior_mean = np.where(price, mu_price.mean, mu_feature.mean)
+        self.prior_sd = np.where(price, mu_price.sd, mu_feature.sd)
+        self.sigma_tau = np.full(self.n_features, config.prior_sigma_sd)
         self._tau2 = self.sigma_tau**2
         f, r = self.n_features, self.n_respondents
         self._mu_const = -0.5 * f * _LOG_2PI - np.log(self.prior_sd).sum()

@@ -396,7 +396,9 @@ def resolve_workers(chains: int) -> int:
         workers = int(env) if env else os.cpu_count() or 1
     except ValueError:
         raise ConfigError(f"CONJOINT_WTP_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(chains, workers))
+    if workers < 1:
+        raise ConfigError(f"CONJOINT_WTP_THREADS must be >= 1, got {env!r}")
+    return min(chains, workers)
 
 
 def run_nuts(

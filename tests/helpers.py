@@ -9,11 +9,19 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from conjoint_wtp.config import load_run_config
 from conjoint_wtp.domain import WTP_PRICE_EPS
 from conjoint_wtp.errors import ContractError, SignSafetyError
+from conjoint_wtp.revenue import BundleScenario
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartphone.json"
 DEMO_SEED = 20250808
+
+
+def demo_scenario() -> BundleScenario:
+    """The demo config's revenue scenario: the camera + frame bundle priced
+    against the $799 baseline. The config is the one source of its prices."""
+    return load_run_config(DEMO_CONFIG).scenario
 
 
 def wtp(beta_f: float, beta_price: float, eps: float = WTP_PRICE_EPS) -> float:

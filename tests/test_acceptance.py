@@ -24,20 +24,17 @@ from conjoint_wtp.infer import (
     sample,
 )
 from conjoint_wtp.posterior import hdi, recovery_report, summarize_wtp, wtp_draws
-from conjoint_wtp.presets import (
-    DEFAULT_PRICE_GRID,
-    smartphone_pro_bundle,
-    smartphone_scheme,
-)
+from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_scheme
 from conjoint_wtp.revenue import revenue_curve
 from conjoint_wtp.simulate import (
     PRICE_COEF_CEILING,
+    ChoiceDataset,
     GroundTruth,
     generate_tasks,
     sample_respondents,
     simulate_choices,
 )
-from tests.helpers import DEMO_SEED
+from tests.helpers import DEMO_SEED, demo_scenario
 from tests.logit_mle import fit_logit_mle
 from tests.references import FlatLogitModel, individual_beta, individual_wtp
 
@@ -80,26 +77,26 @@ class TestCriterion2GradientOracle:
         respondents = sample_respondents(scheme, truth, 5, seed=7)
         tasks = generate_tasks(scheme, 5, 8, DEFAULT_PRICE_GRID, seed=7)
         dataset = simulate_choices(scheme, respondents, tasks, seed=7)
+        # the same survey with tasks dropped, so respondents answered 8, 1,
+        # 5, 3 and 6 tasks: a ragged panel, as `fit --data` accepts
+        kept = (8, 1, 5, 3, 6)
+        ragged = ChoiceDataset(
+            scheme=scheme,
+            records=[r for r in dataset.records if r.task.task_id < kept[r.task.respondent_id]],
+        )
         h = 1e-5
         worst = 0.0
-        for standardize in (True, False):
-            design = build_design(dataset, standardize=standardize)
-            model = HierarchicalLogitModel(design, ModelConfig(seed=1))
-            # states drawn on the unit-scaled columns, then put in the
-            # design's units (the identity on the standardized design)
-            unit = design.column_sd / design.standardization.scale
-            f = model.n_features
+        for data in (dataset, ragged):
+            model = HierarchicalLogitModel(build_design(data), ModelConfig(seed=1))
             rng = np.random.default_rng(2024)
             for _ in range(20):
                 theta = rng.normal(0.0, 1.0, model.dim)
-                theta[:f] /= unit
-                theta[f : 2 * f] -= np.log(unit)
                 worst = max(worst, _worst_gradient_error(model, theta, h))
         report_criterion(
             2,
             "analytic gradient vs central finite differences, rel err < 1e-5",
             worst < 1e-5,
-            f"worst relative error {worst:.2e} over 20 states on each of the standardized and raw designs",
+            f"worst relative error {worst:.2e} over 20 states on each of a balanced and a ragged panel",
         )
 
 
@@ -256,7 +253,7 @@ class TestCriterion6Shrinkage:
 class TestCriterion7RevenueStructure:
     def test_revenue_simulation_structure(self, demo_draws):
         scheme = smartphone_scheme()
-        scenario = smartphone_pro_bundle()
+        scenario = demo_scenario()
         curve = revenue_curve(demo_draws, scheme, scenario, seed=DEMO_SEED)
         monotone = bool(np.all(np.diff(curve.purchase_prob, axis=1) <= 0.0))
         bounded = bool(np.all(curve.revenue <= curve.prices[None, :]))
@@ -410,7 +407,7 @@ def true_revenue_curve(truth, scenario, n_consumers=400_000, seed=0):
 
 class TestRevenueRecoveryOracle:
     def test_true_revenue_curve_lies_in_the_demo_hdi(self, demo_report, scheme, truth):
-        scenario = smartphone_pro_bundle()
+        scenario = demo_scenario()
         baseline = {a.name: a.baseline for a in scheme.attributes}
         assert scenario.baseline.levels == baseline  # the reference prices upgrades only
         revenue = demo_report["revenue"]
@@ -440,7 +437,7 @@ class TestRecoveryFitExamples:
 
     def test_argmax_distribution_is_concentrated(self, demo_draws):
         scheme = smartphone_scheme()
-        scenario = smartphone_pro_bundle()
+        scenario = demo_scenario()
         curve = revenue_curve(demo_draws, scheme, scenario, seed=DEMO_SEED)
         grid_step = curve.prices[1] - curve.prices[0]
         width = curve.argmax_hdi[1] - curve.argmax_hdi[0]

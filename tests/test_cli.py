@@ -274,6 +274,25 @@ class TestWtp:
         assert cli.main(["wtp", "--posterior", posterior, "--out", out]) == 0
         assert not (tmp_path / "wtp" / "recovery.json").exists()
 
+    def test_truth_naming_a_missing_feature_changes_no_file(self, fitted_run, tmp_path, capsys):
+        _, run_dir = fitted_run
+        out = tmp_path / "wtp"
+        posterior = str(run_dir / "posterior.jsonl")
+        good = str(run_dir / "provenance.json")
+        assert cli.main(["wtp", "--posterior", posterior, "--truth", good, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"wtp_summary.csv", "wtp_draws.csv", "recovery.json"} <= set(before)
+
+        truth = copy.deepcopy(BASE_CONFIG["ground_truth"])
+        truth["true_wtp"].update({"camera:Pro": 999.0, "frame:Carbon": 50.0})
+        truth["wtp_sd"]["frame:Carbon"] = 10.0
+        bad = tmp_path / "bad.json"
+        write_json(bad, truth)
+        code = cli.main(["wtp", "--posterior", posterior, "--truth", str(bad), "--out", str(out)])
+        assert code == 2
+        assert "no WTP summary for ground-truth feature 'frame:Carbon'" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_positive_price_posterior_exits_4(self, fitted_run, tmp_path, capsys):
         _, run_dir = fitted_run
         draws = read_posterior_jsonl(run_dir / "posterior.jsonl")
@@ -458,17 +477,13 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_demo_config_matches_presets():
     from conjoint_wtp.config import load_run_config
-    from conjoint_wtp.presets import (
-        smartphone_pro_bundle,
-        smartphone_scheme,
-        smartphone_truth,
-    )
+    from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_scheme, smartphone_truth
     from tests.helpers import DEMO_CONFIG
 
     config = load_run_config(DEMO_CONFIG)
     assert config.scheme == smartphone_scheme()
     assert config.ground_truth == smartphone_truth()
-    assert config.scenario == smartphone_pro_bundle()
+    assert config.simulation.price_grid == DEFAULT_PRICE_GRID
     assert config.model.chains == 4
     assert config.model.draws_per_chain == 2000
     assert config.model.warmup_per_chain == 1000

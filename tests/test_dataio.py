@@ -27,9 +27,10 @@ from conjoint_wtp.domain import ProductProfile
 from conjoint_wtp.errors import CodingError, DataError
 from conjoint_wtp.infer import ModelConfig, build_design, sample
 from conjoint_wtp.posterior import WtpDraws, WtpSummary
-from conjoint_wtp.presets import smartphone_pro_bundle, smartphone_scheme, smartphone_truth
+from conjoint_wtp.presets import smartphone_scheme, smartphone_truth
 from conjoint_wtp.revenue import revenue_curve
 from conjoint_wtp.simulate import ChoiceDataset, ChoiceRecord
+from tests.helpers import demo_scenario
 
 
 def test_header_is_bit_exact(scheme):
@@ -329,7 +330,7 @@ def test_wtp_draws_csv(tmp_path):
 
 
 def test_revenue_csv(tmp_path, tiny_draws):
-    curve = revenue_curve(tiny_draws, smartphone_scheme(), smartphone_pro_bundle(), seed=4)
+    curve = revenue_curve(tiny_draws, smartphone_scheme(), demo_scenario(), seed=4)
     path = tmp_path / "revenue_curve.csv"
     write_revenue_csv(path, curve)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conjoint_wtp.domain import ProductProfile
+from conjoint_wtp.domain import ProductProfile, encode_profile
 from conjoint_wtp.errors import CodingError, ContractError, DataError
 from conjoint_wtp.infer import build_design
 from conjoint_wtp.simulate import ChoiceDataset, ChoiceRecord, ChoiceTask
@@ -29,22 +29,34 @@ def test_shared_levels_difference_out(scheme):
     mid = _task(0, 2, {**BASE, "storage": "256GB"}, 899.0, BASE, 799.0)  # no constant column
     records = [ChoiceRecord(task, True), ChoiceRecord(other, False), ChoiceRecord(mid, True)]
     dataset = ChoiceDataset(scheme=scheme, records=records)
-    design = build_design(dataset, standardize=False)
-    assert design.x[0, :4].tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert design.x[0, 4] == 100.0
+    design = build_design(dataset)
+    dollars = design.x[0] * design.standardization.scale
+    assert dollars[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert dollars[4] == pytest.approx(100.0, rel=1e-12)
+
+
+def _raw_differences(dataset):
+    """encode(profile_a) - encode(profile_b) per record, in dollars and dummies."""
+    return np.array(
+        [
+            encode_profile(dataset.scheme, r.task.profile_a)
+            - encode_profile(dataset.scheme, r.task.profile_b)
+            for r in dataset.records
+        ]
+    )
 
 
 def test_standardized_columns_have_unit_sd_and_no_centering(small_dataset):
     # standardizing divides each column by its SD and subtracts nothing:
     # a logit without intercept must not get a per-respondent offset
     design = build_design(small_dataset)
-    raw = build_design(small_dataset, standardize=False)
+    raw = _raw_differences(small_dataset)
+    scale = design.standardization.scale
     assert np.all(np.abs(design.x.std(axis=0) - 1.0) < 1e-10)
-    assert np.array_equal(design.x, raw.x / design.column_sd)
-    assert np.array_equal(design.standardization.scale, design.column_sd)
+    assert np.array_equal(scale, raw.std(axis=0))
+    assert np.array_equal(design.x, raw / scale)
+    assert np.abs(raw.mean(axis=0)).max() > 0.1  # there was a mean to subtract
     assert not design.standardization.mean.any()
-    assert np.array_equal(raw.column_sd, design.column_sd)
-    assert np.array_equal(raw.standardization.scale, np.ones(design.n_features))
 
 
 def test_price_difference_scales_linearly(scheme):
@@ -59,9 +71,11 @@ def test_price_difference_scales_linearly(scheme):
     ]
     dataset = ChoiceDataset(scheme=scheme, records=records)
     design = build_design(dataset)
+    raw = _raw_differences(dataset)[:, design.price_index]
+    assert raw[1] - raw[0] == 100.0
     scale = design.standardization.scale[design.price_index]
     delta = design.x[1, design.price_index] - design.x[0, design.price_index]
-    assert delta == pytest.approx(100.0 / scale, rel=1e-12)
+    assert delta * scale == pytest.approx(100.0, rel=1e-12)
 
 
 def _constant_columns_dataset(scheme):
@@ -81,11 +95,6 @@ def _constant_columns_dataset(scheme):
 def test_constant_column_is_a_data_error(scheme):
     with pytest.raises(DataError, match="storage:256GB"):
         build_design(_constant_columns_dataset(scheme))
-
-
-def test_constant_column_is_a_data_error_on_a_raw_design(scheme):
-    with pytest.raises(DataError, match="storage:256GB"):
-        build_design(_constant_columns_dataset(scheme), standardize=False)
 
 
 def test_empty_dataset_rejected(scheme):

@@ -96,27 +96,13 @@ def empty_design(columns=("camera:Pro", "price")):
         respondent_ids=(),
         row_starts=np.zeros(0, dtype=np.int64),
         standardization=Standardization(columns=tuple(columns), mean=np.zeros(f), scale=np.ones(f)),
-        column_sd=np.ones(f),
     )
-
-
-def to_design_units(design, theta):
-    """A state given on the unit-scaled columns, in the design's units:
-    mu divides and log sigma shifts by each column's unit."""
-    unit = design.column_sd / design.standardization.scale
-    f = design.n_features
-    theta = theta.copy()
-    theta[:f] /= unit
-    theta[f : 2 * f] -= np.log(unit)
-    return theta
 
 
 def assert_gradient_matches_finite_differences(model, seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
         theta = rng.normal(0.0, 1.0, model.dim)
-        if isinstance(model, HierarchicalLogitModel):
-            theta = to_design_units(model.design, theta)
         _, grad = model.log_posterior(theta)
         fd = finite_difference_gradient(model.log_posterior, theta)
         rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
@@ -130,11 +116,6 @@ class TestGradient:
 
     def test_hierarchical_gradient_on_ragged_panel(self):
         model = HierarchicalLogitModel(ragged_design(), ModelConfig(seed=1))
-        assert_gradient_matches_finite_differences(model, seed=12)
-
-    def test_hierarchical_gradient_on_raw_design(self):
-        design = build_design(tiny_dataset(), standardize=False)
-        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
         assert_gradient_matches_finite_differences(model, seed=12)
 
     def test_flat_gradient_matches_finite_differences(self):
@@ -198,8 +179,8 @@ class TestLikelihoodFactorization:
             )
         doubled = ChoiceDataset(scheme=scheme, records=doubled_records)
 
-        design_one = build_design(dataset, standardize=False)
-        design_two = build_design(doubled, standardize=False)
+        design_one = build_design(dataset)
+        design_two = build_design(doubled)
         model_one = HierarchicalLogitModel(design_one, ModelConfig(seed=1))
         model_two = HierarchicalLogitModel(design_two, ModelConfig(seed=1))
 
@@ -248,27 +229,6 @@ class TestNonCenteredIdentity:
         jacobian = r * np.log(sigma).sum()
         logp, _ = model.log_posterior(theta)
         assert logp == pytest.approx(centered_total + jacobian, abs=1e-10)
-
-
-class TestStandardizationIsAChangeOfUnits:
-    def test_raw_and_standardized_designs_are_one_posterior(self):
-        # The same state in both units: the log densities differ by the
-        # Jacobian of mu_raw = mu_std / sd, a constant sum(log sd), and the
-        # gradients map by the chain rule.
-        dataset = tiny_dataset()
-        std = HierarchicalLogitModel(build_design(dataset), ModelConfig(seed=1))
-        raw = HierarchicalLogitModel(build_design(dataset, standardize=False), ModelConfig(seed=1))
-        sd = std.design.column_sd
-        assert np.array_equal(raw.design.column_sd, sd)
-        f = std.n_features
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            theta = rng.normal(0.0, 1.0, std.dim)
-            logp_std, grad_std = std.log_posterior(theta)
-            logp_raw, grad_raw = raw.log_posterior(to_design_units(raw.design, theta))
-            assert logp_raw - logp_std == pytest.approx(np.log(sd).sum(), rel=1e-9)
-            assert grad_raw[:f] == pytest.approx(grad_std[:f] * sd, rel=1e-9)
-            assert grad_raw[f:] == pytest.approx(grad_std[f:], rel=1e-9, abs=1e-9)
 
 
 class TestInitialMetric:

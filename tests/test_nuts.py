@@ -4,7 +4,9 @@ statistical correctness against analytic targets."""
 import math
 
 import numpy as np
+import pytest
 
+from conjoint_wtp.errors import ConfigError
 from conjoint_wtp.infer import run_nuts
 from conjoint_wtp.infer.nuts import (
     _adaptation_windows,
@@ -142,6 +144,15 @@ class TestDeterminism:
         assert resolve_workers(4) == 4
         monkeypatch.delenv("CONJOINT_WTP_THREADS")
         assert resolve_workers(1) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_worker_setting_below_one_is_a_config_error(self, monkeypatch, value):
+        # checked before any process pool starts; the CLI exits 2 naming it
+        monkeypatch.setenv("CONJOINT_WTP_THREADS", value)
+        message = f"CONJOINT_WTP_THREADS must be >= 1, got '{value}'"
+        with pytest.raises(ConfigError, match=message) as raised:
+            resolve_workers(4)
+        assert raised.value.exit_code == 2
 
 
 class TestStatisticalCorrectness:

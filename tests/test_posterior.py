@@ -19,12 +19,14 @@ from conjoint_wtp.posterior import (
     wtp_draws,
 )
 from conjoint_wtp.simulate import (
+    ChoiceDataset,
+    ChoiceRecord,
     GroundTruth,
     generate_tasks,
     sample_respondents,
     simulate_choices,
 )
-from tests.references import individual_wtp
+from tests.references import ess_bulk, individual_wtp
 
 
 def make_draws(mu, sigma=None, z=None, scale=None, columns=("camera:Pro", "price")):
@@ -221,18 +223,40 @@ class TestRecoveryReport:
         assert not report.overall_pass
 
 
-def _fit(scheme, truth, n_respondents, tasks, seed, config, standardize=True):
+def _survey(scheme, truth, n_respondents, tasks, seed):
     respondents = sample_respondents(scheme, truth, n_respondents, seed=seed)
     task_list = generate_tasks(
         scheme, n_respondents, tasks, (799.0, 899.0, 999.0, 1099.0, 1199.0), seed=seed
     )
-    dataset = simulate_choices(scheme, respondents, task_list, seed=seed)
-    design = build_design(dataset, standardize=standardize)
-    return sample(design, config), respondents
+    return simulate_choices(scheme, respondents, task_list, seed=seed)
+
+
+def _in_cents(dataset):
+    """The same survey and choices with every profile price in cents."""
+
+    def cents(profile):
+        return replace(profile, price=profile.price * 100.0)
+
+    records = [
+        ChoiceRecord(
+            replace(r.task, profile_a=cents(r.task.profile_a), profile_b=cents(r.task.profile_b)),
+            r.chose_a,
+        )
+        for r in dataset.records
+    ]
+    return ChoiceDataset(scheme=dataset.scheme, records=records)
+
+
+def _agree_within_two_joint_se(a, ess_a, b, ess_b):
+    joint = math.hypot(a.std() / math.sqrt(ess_a), b.std() / math.sqrt(ess_b))
+    return abs(a.mean() - b.mean()) < 2 * joint
 
 
 class TestFitBasedOracles:
-    def test_standardized_and_raw_fits_agree_after_unscaling(self):
+    def test_the_unit_of_price_changes_no_dollar_output(self):
+        # One survey fitted with its prices in dollars and again in cents,
+        # with the same choices: a coefficient per cent is 1/100 of one per
+        # dollar, the feature coefficients and every dollar WTP are unchanged.
         scheme = camera_price_scheme()
         truth = GroundTruth(
             true_wtp={"camera:Pro": 200.0},
@@ -241,16 +265,29 @@ class TestFitBasedOracles:
             price_coef_sd=0.002,
         )
         config = ModelConfig(chains=2, draws_per_chain=400, warmup_per_chain=400, seed=61)
-        (std_draws, std_diag), _ = _fit(scheme, truth, 100, 20, 61, config, standardize=True)
-        (raw_draws, raw_diag), _ = _fit(scheme, truth, 100, 20, 61, config, standardize=False)
+        dollars = _survey(scheme, truth, 100, 20, 61)
+        dollar_draws, dollar_diag = sample(build_design(dollars), config)
+        cent_draws, cent_diag = sample(build_design(_in_cents(dollars)), config)
 
-        std_mu = unscale_population(std_draws)[0]
-        raw_mu = unscale_population(raw_draws)[0]
-        for j, column in enumerate(std_draws.columns):
-            se_std = std_mu[:, j].std() / math.sqrt(std_diag.effective_sample_size[f"mu[{column}]"])
-            se_raw = raw_mu[:, j].std() / math.sqrt(raw_diag.effective_sample_size[f"mu[{column}]"])
-            joint = math.hypot(se_std, se_raw)
-            assert abs(std_mu[:, j].mean() - raw_mu[:, j].mean()) < 2 * joint
+        dollar_mu = unscale_population(dollar_draws)[0]
+        # per dollar, the price coefficient is 100 times the one per cent
+        cent_mu = unscale_population(cent_draws)[0]
+        cent_mu[:, cent_draws.price_index] *= 100.0
+        for j, column in enumerate(dollar_draws.columns):
+            ess = f"mu[{column}]"
+            assert _agree_within_two_joint_se(
+                dollar_mu[:, j], dollar_diag.effective_sample_size[ess],
+                cent_mu[:, j], cent_diag.effective_sample_size[ess],
+            ), column
+
+        dollar_wtp = wtp_draws(dollar_draws, "camera:Pro")
+        cent_wtp = wtp_draws(cent_draws, "camera:Pro")
+        assert dollar_wtp.flagged_count == cent_wtp.flagged_count == 0
+        in_dollars = cent_wtp.draws / 100.0
+        assert _agree_within_two_joint_se(
+            dollar_wtp.draws, ess_bulk(dollar_wtp.draws.reshape(config.chains, -1)),
+            in_dollars, ess_bulk(in_dollars.reshape(config.chains, -1)),
+        )
 
     def test_degenerate_hierarchy_pins_individuals_to_population(self):
         scheme = camera_price_scheme()
@@ -261,7 +298,7 @@ class TestFitBasedOracles:
             price_coef_sd=0.0,
         )
         config = ModelConfig(chains=2, draws_per_chain=300, warmup_per_chain=400, seed=71)
-        (draws, _), _ = _fit(scheme, truth, 50, 20, 71, config)
+        draws, _ = sample(build_design(_survey(scheme, truth, 50, 20, 71)), config)
         population = wtp_draws(draws, "camera:Pro")
         for rid in (0, 17, 49):
             ind = individual_wtp(draws, rid, "camera:Pro")

@@ -13,10 +13,11 @@ from conjoint_wtp.errors import CodingError, ContractError, SignSafetyError
 from conjoint_wtp.infer import ModelConfig
 from conjoint_wtp.infer.design import Standardization
 from conjoint_wtp.infer.fit import PosteriorDraws
-from conjoint_wtp.presets import REVENUE_PRICE_GRID, smartphone_pro_bundle, smartphone_scheme
+from conjoint_wtp.presets import smartphone_scheme
 from conjoint_wtp.revenue import BundleScenario, revenue_curve
 from conjoint_wtp.rng import MARKET_STREAM, substream
 from conjoint_wtp.simulate import PRICE_COEF_CEILING
+from tests.helpers import demo_scenario
 
 COLUMNS = ("storage:256GB", "storage:512GB", "camera:Pro", "frame:Titanium", "price")
 
@@ -140,7 +141,7 @@ class TestScenarioValidation:
 class TestClosedForm:
     def test_indifference_price_gives_exactly_half(self):
         scheme = smartphone_scheme()
-        scenario = smartphone_pro_bundle()
+        scenario = demo_scenario()
         beta_price = -0.0078125  # dyadic so the utility cancellation is exact
         wtp_sum = 280.0  # camera 200 + frame 80
         mu = np.array([1.0, 2.5, -beta_price * 200.0, -beta_price * 80.0, beta_price])
@@ -149,7 +150,7 @@ class TestClosedForm:
 
     def test_matches_logistic_demand_at_any_price(self):
         scheme = smartphone_scheme()
-        scenario = smartphone_pro_bundle()
+        scenario = demo_scenario()
         beta_price = -0.01
         mu = np.array([1.0, 2.5, 2.0, 0.8, beta_price])
         p0 = scenario.baseline.price
@@ -161,19 +162,20 @@ class TestClosedForm:
 
     def test_zero_heterogeneity_revenue_has_interior_max_on_default_grid(self):
         # analytic bracket check: p * sigmoid(-beta (p - p0 - W)) peaks
-        # strictly inside the default grid for the demo ground truth
+        # strictly inside the demo scenario's grid for the demo ground truth
         beta = 0.01
         p0, wtp_sum = 799.0, 280.0
-        fine = np.linspace(REVENUE_PRICE_GRID[0], REVENUE_PRICE_GRID[-1], 20001)
+        grid = demo_scenario().price_grid
+        fine = np.linspace(grid[0], grid[-1], 20001)
         revenue = fine * expit(-beta * (fine - p0 - wtp_sum))
         best = fine[np.argmax(revenue)]
-        assert REVENUE_PRICE_GRID[0] < best < REVENUE_PRICE_GRID[-1]
+        assert grid[0] < best < grid[-1]
 
 
 class TestRevenueCurve:
     def test_matches_per_consumer_reference(self):
         scheme = smartphone_scheme()
-        scenario = dataclasses.replace(smartphone_pro_bundle(), market_size=40)
+        scenario = dataclasses.replace(demo_scenario(), market_size=40)
         draws = realistic_draws(n=100)
         draws.sigma[:, -1] *= 4.0  # wide enough that some consumers hit the price ceiling
         curve = revenue_curve(draws, scheme, scenario, seed=7)
@@ -188,7 +190,7 @@ class TestRevenueCurve:
 
     def test_demand_is_exactly_monotone_per_draw(self):
         scheme = smartphone_scheme()
-        scenario = smartphone_pro_bundle()
+        scenario = demo_scenario()
         curve = revenue_curve(realistic_draws(), scheme, scenario, seed=11)
         assert np.all(np.diff(curve.purchase_prob, axis=1) <= 0.0)
 
@@ -196,7 +198,7 @@ class TestRevenueCurve:
         # consumers' logit arguments sit beyond +-709, where exp over- or
         # underflows: purchase is exactly 1 or 0, with no RuntimeWarning
         scheme = smartphone_scheme()
-        scenario = smartphone_pro_bundle()
+        scenario = demo_scenario()
         mu = np.tile([0.0, 0.0, 500.0, 500.0, -4.0], (100, 1))
         mu[:10, 2:4] = 3000.0  # buys at every price
         mu[10:20, 2:4] = -3000.0  # buys at no price
@@ -216,14 +218,14 @@ class TestRevenueCurve:
 
     def test_revenue_draws_bounded_by_price(self):
         scheme = smartphone_scheme()
-        scenario = smartphone_pro_bundle()
+        scenario = demo_scenario()
         curve = revenue_curve(realistic_draws(), scheme, scenario, seed=11)
         assert np.all(curve.revenue >= 0.0)
         assert np.all(curve.revenue <= curve.prices[None, :])
 
     def test_doubling_market_size_concentrates(self):
         scheme = smartphone_scheme()
-        base = smartphone_pro_bundle()
+        base = demo_scenario()
         small = BundleScenario(
             baseline=base.baseline,
             upgrades=base.upgrades,
@@ -246,7 +248,7 @@ class TestRevenueCurve:
 
     def test_argmax_fields(self):
         scheme = smartphone_scheme()
-        scenario = smartphone_pro_bundle()
+        scenario = demo_scenario()
         curve = revenue_curve(realistic_draws(), scheme, scenario, seed=31)
         assert curve.argmax_price in curve.prices
         assert curve.argmax_hdi[0] <= curve.argmax_price <= curve.argmax_hdi[1]
@@ -256,10 +258,10 @@ class TestRevenueCurve:
         mu[:5, 4] = 0.02  # 2.5% of draws price-positive
         draws = make_draws(mu, np.full((200, 5), 0.1))
         with pytest.raises(SignSafetyError):
-            revenue_curve(draws, smartphone_scheme(), smartphone_pro_bundle(), seed=1)
+            revenue_curve(draws, smartphone_scheme(), demo_scenario(), seed=1)
 
     def test_all_flagged_draws_error(self):
         mu = np.tile([1.0, 2.5, 2.0, 0.8, 0.01], (150, 1))
         draws = make_draws(mu, np.full((150, 5), 0.1))
         with pytest.raises(SignSafetyError):
-            revenue_curve(draws, smartphone_scheme(), smartphone_pro_bundle(), seed=1)
+            revenue_curve(draws, smartphone_scheme(), demo_scenario(), seed=1)
