@@ -36,7 +36,7 @@ from .dataio import (
 from .errors import ConfigError, ConjointError, DataError
 from .infer import build_design, sample
 from .infer.diagnostics import POPULATION_PREFIXES
-from .posterior import recovery_report, summarize_wtp, wtp_draws
+from .posterior import MIN_HDI_SAMPLES, recovery_report, summarize_wtp, wtp_draws
 from .revenue import revenue_curve
 from .simulate import generate_tasks, sample_respondents, simulate_choices
 
@@ -71,8 +71,7 @@ class RunState:
         output_dir = args.out if self.config is None else self.config.output_dir
         if output_dir is None:
             raise ConfigError("no output directory: set config.output_dir or pass --out")
-        self.out = Path(output_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
+        self.out = Path(output_dir)  # every writer makes it when it first writes
         self.written: list[str] = []
         self.dataset = self.draws = self.diagnostics = None
         self.summaries = self.recovery = self.curve = None
@@ -231,8 +230,12 @@ def cmd_stage(args) -> int:
 def cmd_pipeline(args) -> int:
     state = RunState(args)
     config = state.config
+    stages = PIPELINE_STAGES[PIPELINE_STAGES.index(args.from_stage) :]
+    n = config.model.chains * config.model.draws_per_chain
+    if "fit" in stages and n < MIN_HDI_SAMPLES:  # else the wtp stage would refuse the fit
+        raise ConfigError(f"config.model: chains x draws_per_chain is {n}, an HDI needs {MIN_HDI_SAMPLES}")
     timings: dict[str, float] = {}
-    for name in PIPELINE_STAGES[PIPELINE_STAGES.index(args.from_stage) :]:
+    for name in stages:
         if name == "revenue" and config.scenario is None:
             continue  # the config names no bundle to price
         t0 = time.perf_counter()

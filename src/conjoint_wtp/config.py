@@ -20,10 +20,10 @@ from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .domain import AttributeScheme, check_price_grid
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ConjointError, ContractError
 from .infer.model import ModelConfig
 from .revenue import BundleScenario
-from .simulate import GroundTruth
+from .simulate import GroundTruth, check_truth_columns
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class SimulationSettings:
 @dataclass(frozen=True)
 class RunConfig:
     """The whole document. Its seed is also the model's seed, and the
-    model's own check of it is the seed's one check."""
+    model's own check of it is the seed's one check. The truth and the
+    scenario are checked against the scheme here, before any stage runs."""
 
     seed: int
     scheme: AttributeScheme
@@ -55,6 +56,15 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", replace(self.model, seed=self.seed))
+        field = "ground_truth"
+        try:
+            if self.ground_truth is not None:
+                check_truth_columns(self.scheme, self.ground_truth)
+            field = "scenario"
+            if self.scenario is not None:
+                self.scenario.offsets(self.scheme)
+        except ConjointError as e:  # CodingError or ContractError
+            raise ConfigError(f"config.{field}: {e}") from None
 
 
 # Fields that are not JSON keys: the model's seed is the document's seed.

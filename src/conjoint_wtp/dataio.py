@@ -5,7 +5,9 @@ byte-deterministic: UTF-8, LF line endings, '.' decimal separator, floats
 rendered with repr (shortest round-trip form). Every CSV table goes through
 one csv.writer, which quotes a field holding a comma, quote or newline. The
 choices CSV schema is fixed: respondent_id, task_id, the A-side attribute
-levels and price, the B-side equivalents, then chose_a as 0/1.
+levels and price, the B-side equivalents, then chose_a as 0/1. The reader
+codes each level name once, through the scheme, into the survey table's
+level indices; the writer turns each index back into its name.
 """
 
 from __future__ import annotations
@@ -21,15 +23,15 @@ from typing import Callable, Iterable, Iterator, TextIO
 import numpy as np
 
 from .config import from_dict, to_dict
-from .domain import AttributeScheme, ProductProfile, encode_profile
-from .errors import ContractError, DataError
+from .domain import AttributeScheme
+from .errors import ContractError, DataError, RowError
 from .infer.design import Standardization
 from .infer.diagnostics import Diagnostics
 from .infer.fit import PosteriorDraws
 from .infer.model import ModelConfig
 from .posterior import WtpDraws, WtpSummary
 from .revenue import RevenueCurve
-from .simulate import ChoiceDataset, ChoiceRecord, ChoiceTask, GroundTruth
+from .simulate import ChoiceDataset, GroundTruth
 
 POSTERIOR_FORMAT = "conjoint-wtp-posterior"
 POSTERIOR_VERSION = 1
@@ -71,14 +73,8 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def choices_header(scheme: AttributeScheme) -> list[str]:
-    attrs = [a.name for a in scheme.attributes]
-    return (
-        ["respondent_id", "task_id"]
-        + [f"a_{name}" for name in attrs]
-        + ["a_price"]
-        + [f"b_{name}" for name in attrs]
-        + ["b_price", "chose_a"]
-    )
+    a, b = ([f"{side}_{attr.name}" for attr in scheme.attributes] + [f"{side}_price"] for side in "ab")
+    return ["respondent_id", "task_id", *a, *b, "chose_a"]
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -95,28 +91,27 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -
 
 
 def write_choices_csv(path: str | Path, dataset: ChoiceDataset) -> None:
-    """Write the choices CSV; a profile the scheme cannot encode raises
-    CodingError naming the attribute or level, and leaves `path` as it was."""
-    scheme = dataset.scheme
-    attrs = [a.name for a in scheme.attributes]
-
-    def rows():
-        for record in dataset.records:
-            task = record.task
-            row = [str(task.respondent_id), str(task.task_id)]
-            for profile in (task.profile_a, task.profile_b):
-                encode_profile(scheme, profile)
-                row += [profile.levels[name] for name in attrs] + [_fmt(profile.price)]
-            yield row + ["1" if record.chose_a else "0"]
-
-    _write_csv(path, choices_header(scheme), rows())
+    """Write the choices CSV: each level index back to its name, column by
+    column. The table checked every row when it was built."""
+    if dataset.chose_a is None:
+        raise ContractError("dataset has no choices")
+    columns = [dataset.respondent_id.tolist(), dataset.task_id.tolist()]
+    for side in (0, 1):
+        for j, attr in enumerate(dataset.scheme.attributes):
+            columns.append([attr.levels[k] for k in dataset.levels[:, side, j].tolist()])
+        columns.append([_fmt(p) for p in dataset.prices[:, side].tolist()])
+    columns.append(["1" if c else "0" for c in dataset.chose_a.tolist()])
+    _write_csv(path, choices_header(dataset.scheme), zip(*columns))
 
 
 def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset:
-    """Read and check a choices CSV; any bad row is a DataError naming the path and row."""
+    """Read and check a choices CSV; any bad row is a DataError naming the
+    path and row. Level names are coded through the scheme as each row is
+    read; the table checks the rest once every row is in."""
     expected = choices_header(scheme)
-    attrs = [a.name for a in scheme.attributes]
-    records: list[ChoiceRecord] = []
+    names = [a.name for a in scheme.attributes]
+    k = len(names)
+    ids, levels, prices, chose_a = [], [], [], []
     with _open_utf8(path) as f:
         reader = csv.reader(f)
         try:
@@ -131,29 +126,21 @@ def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset
             if len(row) != len(expected):
                 raise DataError(f"{path}: row {line_no} has {len(row)} fields, expected {len(expected)}")
             try:
-                rid = int(row[0])
-                tid = int(row[1])
-                offset = 2
-                a_levels = dict(zip(attrs, row[offset : offset + len(attrs)]))
-                a_price = float(row[offset + len(attrs)])
-                offset += len(attrs) + 1
-                b_levels = dict(zip(attrs, row[offset : offset + len(attrs)]))
-                b_price = float(row[offset + len(attrs)])
-                chose_raw = row[-1]
-                if chose_raw not in ("0", "1"):
-                    raise ValueError(f"chose_a must be 0 or 1, got {chose_raw!r}")
-                profile_a = ProductProfile(levels=a_levels, price=a_price)
-                profile_b = ProductProfile(levels=b_levels, price=b_price)
-                encode_profile(scheme, profile_a)
-                encode_profile(scheme, profile_b)
-                task = ChoiceTask(
-                    respondent_id=rid, task_id=tid, profile_a=profile_a, profile_b=profile_b
-                )
-                records.append(ChoiceRecord(task=task, chose_a=chose_raw == "1"))
+                ids.append((np.int64(int(row[0])), np.int64(int(row[1]))))  # too large an id fails here
+                prices.append((float(row[2 + k]), float(row[3 + 2 * k])))
+                if row[-1] not in ("0", "1"):
+                    raise ValueError(f"chose_a must be 0 or 1, got {row[-1]!r}")
+                levels.append([scheme.code_levels(dict(zip(names, row[s : s + k]))) for s in (2, 3 + k)])
             except Exception as e:
                 raise DataError(f"{path}: row {line_no}: {e}") from None
+            chose_a.append(row[-1] == "1")
     try:
-        return ChoiceDataset(scheme=scheme, records=records)
+        ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+        levels = np.array(levels, dtype=np.intp).reshape(-1, 2, k)
+        prices = np.array(prices).reshape(-1, 2)
+        return ChoiceDataset(scheme, ids[:, 0], ids[:, 1], levels, prices, np.array(chose_a, dtype=bool))
+    except RowError as e:
+        raise DataError(f"{path}: row {e.row + 2}: {e.message}") from None
     except Exception as e:
         raise DataError(f"{path}: {e}") from None
 

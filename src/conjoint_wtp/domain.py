@@ -43,15 +43,12 @@ class Attribute:
 class AttributeScheme:
     """Catalog of product attributes plus the name of the price column.
 
-    Price is not an attribute: a profile carries its price in dollars, and
-    the survey draws prices from its price grid, so `price_attribute` only
-    names the last feature column and must not be a listed attribute.
-    Derives, once at construction, the deterministic feature-column order
-    used everywhere else: `feature_columns` is the tuple of "<attr>:<level>"
-    dummy names (`dummy_columns`) followed by `price_attribute`, at
-    `price_index`. `level_columns` maps each attribute to {level: column},
-    with None for the baseline. These are plain attributes, not dataclass
-    fields, so equality and hashing see only the declaration.
+    Price is not an attribute: prices come from the price grid, so
+    `price_attribute` only names the last feature column. Derived once, as
+    plain attributes that equality and hashing do not see: the "<attr>:<level>"
+    `dummy_columns`, then `price_attribute` at `price_index`, make
+    `feature_columns`; `dummy_levels` gives each dummy's (attribute index,
+    level index), and `level_index` maps attribute -> {level: index}.
     """
 
     attributes: tuple[Attribute, ...]
@@ -66,36 +63,52 @@ class AttributeScheme:
                 f"price attribute {self.price_attribute!r} must not be listed among the "
                 "attributes: it names the price column, and prices come from the price grid"
             )
-        dummies: list[str] = []
-        level_columns: dict[str, dict[str, int | None]] = {}
-        for attr in self.attributes:
-            columns = level_columns[attr.name] = {}
-            for level in attr.levels:
-                if level == attr.baseline:
-                    columns[level] = None
-                else:
-                    columns[level] = len(dummies)
-                    dummies.append(f"{attr.name}:{level}")
+        dummies = [
+            (f"{attr.name}:{level}", (j, k))
+            for j, attr in enumerate(self.attributes)
+            for k, level in enumerate(attr.levels)
+            if level != attr.baseline
+        ]
         derived = {
-            "dummy_columns": tuple(dummies),
-            "feature_columns": tuple(dummies) + (self.price_attribute,),
+            "dummy_columns": tuple(name for name, _ in dummies),
+            "dummy_levels": tuple(code for _, code in dummies),
+            "feature_columns": tuple(name for name, _ in dummies) + (self.price_attribute,),
             "n_features": len(dummies) + 1,
             "price_index": len(dummies),
-            "level_columns": level_columns,
+            "level_index": {a.name: {level: k for k, level in enumerate(a.levels)} for a in self.attributes},
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
+    def code_levels(self, levels: Mapping[str, str]) -> list[int]:
+        """Each attribute's level index for a profile's {attribute: level}
+        names; the one check of names against the scheme, so a missing
+        attribute, unknown level or unknown attribute is a CodingError."""
+        codes = []
+        for name, index in self.level_index.items():
+            level = levels.get(name)
+            if level is None:
+                raise CodingError(f"profile is missing attribute {name!r}")
+            try:
+                codes.append(index[level])
+            except KeyError:
+                raise CodingError(f"unknown level {level!r} for attribute {name!r}") from None
+        if len(levels) != len(codes):
+            unknown = next(name for name in levels if name not in self.level_index)
+            raise CodingError(f"unknown attribute {unknown!r} in profile")
+        return codes
 
-def _is_price(value: float) -> bool:
-    return 0 < value < math.inf
+
+def is_price(value):
+    """The price rule, for a number or elementwise for an array: finite and positive."""
+    return (value > 0) & (value < math.inf)
 
 
 def check_price_grid(prices: Sequence[float]) -> None:
     """The one price rule for a grid: non-empty, every entry finite and positive."""
     if not prices:
         raise ContractError("price_grid must be non-empty")
-    bad = [p for p in prices if not _is_price(p)]
+    bad = [p for p in prices if not is_price(p)]
     if bad:
         raise ContractError(f"price_grid entries must be finite and positive, got {bad}")
 
@@ -108,34 +121,24 @@ class ProductProfile:
     price: float
 
     def __post_init__(self) -> None:
-        if not _is_price(self.price):
+        if not is_price(self.price):
             raise ContractError(f"price must be finite and positive, got {self.price}")
         object.__setattr__(self, "levels", dict(self.levels))
 
 
-def encode_profile(scheme: AttributeScheme, profile: ProductProfile) -> np.ndarray:
-    """Dummy-code a profile into the scheme's feature-column order.
-
-    The one check of a profile against a scheme: an unknown attribute, a
-    missing attribute or an unknown level raises CodingError naming it.
-    Baseline levels code as all-zeros for their attribute; the price is
-    copied verbatim in dollars into the last column.
+def encode(scheme: AttributeScheme, levels: np.ndarray, prices) -> np.ndarray:
+    """Every feature row in the program: `levels` (..., attributes) level
+    indices and dollar `prices` (...) dummy-coded in feature-column order. A
+    baseline level codes as zeros; the price is copied into the last column.
     """
-    levels = profile.levels
-    values = np.zeros(scheme.n_features)
-    for name, columns in scheme.level_columns.items():
-        level = levels.get(name)
-        if level is None:
-            raise CodingError(f"profile is missing attribute {name!r}")
-        try:
-            column = columns[level]
-        except KeyError:
-            raise CodingError(f"unknown level {level!r} for attribute {name!r}") from None
-        if column is not None:
-            values[column] = 1.0
-    if len(levels) != len(scheme.level_columns):
-        unknown = next(name for name in levels if name not in scheme.level_columns)
-        raise CodingError(f"unknown attribute {unknown!r} in profile")
-    values[scheme.price_index] = profile.price
-    return values
+    x = np.zeros(np.shape(prices) + (scheme.n_features,))
+    for column, (j, k) in enumerate(scheme.dummy_levels):
+        x[..., column] = levels[..., j] == k
+    x[..., scheme.price_index] = prices
+    return x
 
+
+def encode_profile(scheme: AttributeScheme, profile: ProductProfile) -> np.ndarray:
+    """One named profile's feature row: its level names coded through the
+    scheme (CodingError names a bad one), then `encode`."""
+    return encode(scheme, np.array(scheme.code_levels(profile.levels), dtype=np.intp), profile.price)

@@ -20,6 +20,14 @@ class ContractError(ConjointError):
     """An operation was called with arguments that violate its contract."""
 
 
+class RowError(ContractError):
+    """A fault in the table row at 0-based index `row`."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row, self.message = row, message
+
+
 class DesignError(ConjointError):
     """The attribute scheme cannot support the requested task design."""
 

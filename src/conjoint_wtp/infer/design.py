@@ -1,11 +1,11 @@
 """Design-matrix construction for the choice model.
 
-Each record becomes one row of difference regressors,
-encode(profile_a) - encode(profile_b), divided by each column's population
-SD. That is the one scale the model is fitted on, and this module alone
-chooses it. Standardizing is a change of units only: the columns are never
-centered. The scaling is kept alongside the matrix because unscaling is
-mandatory before any dollar-valued output.
+Each row of the survey table becomes one row of difference regressors,
+encode(profile A) - encode(profile B) (`ChoiceDataset.differences`),
+divided by each column's population SD. That is the one scale the model is
+fitted on, and this module alone chooses it. Standardizing is a change of
+units only: the columns are never centered. The scaling is kept alongside
+the matrix because unscaling is mandatory before any dollar-valued output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..domain import encode_profile
 from ..errors import ContractError, DataError
 from ..simulate import ChoiceDataset
 
@@ -78,47 +77,31 @@ class Design:
 def build_design(dataset: ChoiceDataset) -> Design:
     """Build the standardized difference-regressor matrix and choice vector.
 
-    Rows keep the dataset's respondent grouping; `row_starts` marks each
-    respondent's first row, from which the model builds its padded
-    (respondent, task, feature) layout once. A constant column has no SD to
-    divide by and is a DataError.
+    Rows keep the dataset's row order, which groups them by respondent;
+    `row_starts` marks each respondent's first row, from which the model
+    builds its padded (respondent, task, feature) layout once. A constant
+    column has no SD to divide by and is a DataError.
     """
-    if len(dataset.records) == 0:
+    if len(dataset) == 0:
         raise ContractError("dataset has no records")
-    scheme = dataset.scheme
-    columns = scheme.feature_columns
-    n = len(dataset.records)
-    x = np.empty((n, len(columns)))
-    choices = np.empty(n, dtype=np.int8)
-    resp_index = np.empty(n, dtype=np.int64)
-
-    id_order: list[int] = []
-    id_to_pos: dict[int, int] = {}
-    for i, record in enumerate(dataset.records):
-        x[i] = encode_profile(scheme, record.task.profile_a) - encode_profile(
-            scheme, record.task.profile_b
-        )
-        choices[i] = 1 if record.chose_a else 0
-        rid = record.task.respondent_id
-        if rid not in id_to_pos:
-            id_to_pos[rid] = len(id_order)
-            id_order.append(rid)
-        resp_index[i] = id_to_pos[rid]
-
+    if dataset.chose_a is None:
+        raise ContractError("dataset has no choices")
+    columns = dataset.scheme.feature_columns
+    x = dataset.differences()
     scale = x.std(axis=0)
     constant = [c for c, s in zip(columns, scale) if s < _MIN_SCALE]
     if constant:
         raise DataError(f"constant difference column(s): {constant}")
     x /= scale
 
-    row_starts = np.flatnonzero(np.r_[True, resp_index[1:] != resp_index[:-1]])
+    row_starts = dataset.row_starts
     return Design(
         columns=columns,
-        price_column=scheme.price_attribute,
+        price_column=dataset.scheme.price_attribute,
         x=x,
-        choices=choices,
-        respondent_index=resp_index,
-        respondent_ids=tuple(id_order),
+        choices=dataset.chose_a.astype(np.int8),
+        respondent_index=np.repeat(np.arange(len(row_starts)), np.diff(np.r_[row_starts, len(dataset)])),
+        respondent_ids=tuple(dataset.respondent_id[row_starts].tolist()),
         row_starts=row_starts,
         standardization=Standardization(columns=columns, mean=np.zeros(len(columns)), scale=scale),
     )

@@ -22,7 +22,7 @@ from .simulate import GroundTruth
 POPULATION_FLAG_LIMIT = 0.001
 HDI_MASS = 0.95
 
-_MIN_HDI_SAMPLES = 100
+MIN_HDI_SAMPLES = 100
 
 
 @dataclass
@@ -125,8 +125,8 @@ def hdi(samples: np.ndarray, mass: float = HDI_MASS) -> tuple[float, float]:
         raise ContractError(f"mass must be in (0, 1), got {mass}")
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
-    if n < _MIN_HDI_SAMPLES:
-        raise ContractError(f"need at least {_MIN_HDI_SAMPLES} samples for an HDI, got {n}")
+    if n < MIN_HDI_SAMPLES:
+        raise ContractError(f"need at least {MIN_HDI_SAMPLES} samples for an HDI, got {n}")
     k = math.ceil(mass * n)
     widths = s[k - 1 :] - s[: n - k + 1]
     i = int(np.argmin(widths))

@@ -60,6 +60,15 @@ class BundleScenario:
         levels.update(self.upgrades)
         return ProductProfile(levels=levels, price=price)
 
+    def offsets(self, scheme: AttributeScheme) -> np.ndarray:
+        """Feature-vector difference bundle-minus-baseline at equal price;
+        a baseline or upgrade the scheme cannot code is a CodingError."""
+        base = self.baseline
+        diff = encode_profile(scheme, self.bundle_profile(base.price)) - encode_profile(scheme, base)
+        if not np.any(diff[: scheme.price_index] != 0):
+            raise ContractError("bundle upgrades do not change the baseline profile")
+        return diff
+
 
 @dataclass
 class RevenueCurve:
@@ -75,19 +84,6 @@ class RevenueCurve:
     argmax_hdi: tuple[float, float]
     hdi_mass: float
     flagged_count: int
-
-
-def _bundle_offsets(scheme: AttributeScheme, scenario: BundleScenario) -> np.ndarray:
-    """Feature-vector difference bundle-minus-baseline at equal price.
-
-    Encoding validates both profiles, so an unknown upgrade attribute or
-    level raises CodingError naming it.
-    """
-    base = scenario.baseline
-    diff = encode_profile(scheme, scenario.bundle_profile(base.price)) - encode_profile(scheme, base)
-    if not np.any(diff[: scheme.price_index] != 0):
-        raise ContractError("bundle upgrades do not change the baseline profile")
-    return diff
 
 
 def _purchase_probabilities(
@@ -140,7 +136,7 @@ def revenue_curve(
     keep, flagged = sign_safe_draws(mu_raw[:, draws.price_index])
     retained = np.flatnonzero(keep)
     prices = np.asarray(scenario.price_grid)
-    diff = _bundle_offsets(scheme, scenario)
+    diff = scenario.offsets(scheme)
     neg_price_offsets = scenario.baseline.price - prices
     probs = np.empty((retained.size, prices.size))
     buffer = np.empty((prices.size, scenario.market_size))

@@ -1,23 +1,25 @@
-"""Synthetic market and survey generation.
+"""The survey table, and synthetic market and survey generation.
 
-Builds the ground-truth population, draws heterogeneous respondents as rows
-of one coefficient array, generates randomized paired-profile choice tasks,
-and simulates noisy choices through the logit model, one array operation
-per respondent. Everything is a pure function of (inputs, seed): each
-respondent consumes an independent RNG substream, so the output is
-invariant to execution order.
+`ChoiceDataset` holds the survey as one table of level indices, prices and
+answers, checked once where it is built. This module builds the
+ground-truth population, draws heterogeneous respondents as rows of one
+coefficient array, draws randomized paired-profile tasks straight into the
+table as level indices, and simulates noisy choices through the logit
+model, one array operation per respondent. Everything is a pure function
+of (inputs, seed): each respondent consumes an independent RNG substream,
+so the output is invariant to execution order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import AttributeScheme, ProductProfile, check_price_grid, encode_profile
-from .errors import ContractError, DesignError
+from .domain import AttributeScheme, check_price_grid, encode, is_price
+from .errors import ContractError, DesignError, RowError
 from .rng import CHOICE_STREAM, RESPONDENT_STREAM, TASK_STREAM, substream
 
 # Respondent price coefficients are sampled truncated below this ceiling so
@@ -58,53 +60,72 @@ class GroundTruth:
                 raise ContractError(f"wtp_sd[{feature!r}] must be finite and non-negative, got {sd}")
 
 
-@dataclass(frozen=True)
-class ChoiceTask:
-    """A paired comparison shown to one respondent."""
-
-    respondent_id: int
-    task_id: int
-    profile_a: ProductProfile
-    profile_b: ProductProfile
-
-    def __post_init__(self) -> None:
-        if self.profile_a == self.profile_b:
-            raise ContractError(
-                f"task {self.task_id} for respondent {self.respondent_id} has identical profiles"
-            )
+def _first_repeat(keys: np.ndarray):
+    """The index of the first row whose key an earlier row holds, or None."""
+    _, first = np.unique(keys, axis=0, return_index=True)
+    repeats = np.setdiff1d(np.arange(len(keys)), first)
+    return repeats[0] if repeats.size else None
 
 
-@dataclass(frozen=True)
-class ChoiceRecord:
-    task: ChoiceTask
-    chose_a: bool
-
-
-@dataclass
+@dataclass(eq=False)
 class ChoiceDataset:
-    """Respondent-grouped choice records; the sole input to inference."""
+    """The survey as one table, one row per paired task: the sole input to
+    inference. `levels` (n, 2, attributes) holds the level indices of
+    profiles A and B, `prices` (n, 2) their dollar prices and `chose_a` (n)
+    the answers, or None before anyone answers. The constructor checks
+    every row once; a fault in one row is a RowError naming it.
+    `row_starts` marks each respondent's first row.
+    """
 
     scheme: AttributeScheme
-    records: list[ChoiceRecord]
+    respondent_id: np.ndarray
+    task_id: np.ndarray
+    levels: np.ndarray
+    prices: np.ndarray
+    chose_a: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        """Structure only: contiguous respondents and unique task ids per
-        respondent. Profiles are checked where they are encoded."""
-        seen: set[int] = set()
-        keys: set[tuple[int, int]] = set()
-        previous: int | None = None
-        for record in self.records:
-            rid, tid = record.task.respondent_id, record.task.task_id
-            if rid != previous and rid in seen:
-                raise ContractError(f"records for respondent {rid} are not contiguous")
-            if (rid, tid) in keys:
-                raise ContractError(f"duplicate task_id {tid} for respondent {rid}")
-            seen.add(rid)
-            keys.add((rid, tid))
-            previous = rid
+        rid, tid, levels, prices = self.respondent_id, self.task_id, self.levels, self.prices
+        n, attrs = len(rid), self.scheme.attributes
+        shapes = {"respondent_id": (n,), "task_id": (n,), "levels": (n, 2, len(attrs)),
+                  "prices": (n, 2), "chose_a": (n,)}
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != shape:
+                raise ContractError(f"{name} has shape {np.shape(value)}, expected {shape}")
+        bad = (levels < 0) | (levels >= [len(a.levels) for a in attrs])
+        if bad.any():
+            i, side, j = np.argwhere(bad)[0]
+            raise RowError(i, f"level {levels[i, side, j]} is out of range for attribute {attrs[j].name!r}")
+        bad = ~is_price(prices)
+        if bad.any():
+            i, side = np.argwhere(bad)[0]
+            raise RowError(i, f"price must be finite and positive, got {prices[i, side]}")
+        same = (levels[:, 0] == levels[:, 1]).all(axis=1) & (prices[:, 0] == prices[:, 1])
+        if same.any():
+            i = np.argmax(same)
+            raise RowError(i, f"task {tid[i]} for respondent {rid[i]} has identical profiles")
+        self.row_starts = np.flatnonzero(np.r_[True, rid[1:] != rid[:-1]][:n])  # [] if n == 0
+        if (run := _first_repeat(rid[self.row_starts])) is not None:
+            raise ContractError(f"records for respondent {rid[self.row_starts[run]]} are not contiguous")
+        if (i := _first_repeat(np.column_stack([rid, tid]))) is not None:
+            raise ContractError(f"duplicate task_id {tid[i]} for respondent {rid[i]}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.respondent_id)
+
+    def differences(self) -> np.ndarray:
+        """encode(profile A) - encode(profile B), one feature row per task."""
+        x = encode(self.scheme, self.levels, self.prices)
+        return x[:, 0] - x[:, 1]
+
+
+def check_truth_columns(scheme: AttributeScheme, truth: GroundTruth) -> None:
+    """The truth must give a WTP for exactly the scheme's dummy columns."""
+    missing = [c for c in scheme.dummy_columns if c not in truth.true_wtp]
+    unknown = [c for c in truth.true_wtp if c not in scheme.dummy_columns]
+    if missing or unknown:
+        raise ContractError(f"ground truth WTP columns: missing {missing}, unknown {unknown}")
 
 
 def sample_respondents(
@@ -121,14 +142,8 @@ def sample_respondents(
     """
     if n < 1:
         raise ContractError(f"need at least one respondent, got n={n}")
+    check_truth_columns(scheme, truth)
     columns = scheme.dummy_columns
-    missing = [c for c in columns if c not in truth.true_wtp]
-    if missing:
-        raise ContractError(f"ground truth is missing WTP for feature columns {missing}")
-    extra = [c for c in truth.true_wtp if c not in columns]
-    if extra:
-        raise ContractError(f"ground truth names unknown feature columns {extra}")
-
     wtp_mean = np.array([truth.true_wtp[c] for c in columns])
     wtp_sd = np.array([truth.wtp_sd[c] for c in columns])
     betas = np.empty((n, scheme.n_features))
@@ -155,80 +170,74 @@ def generate_tasks(
     tasks_per_respondent: int,
     price_grid: Sequence[float],
     seed: int,
-) -> list[ChoiceTask]:
-    """Randomized paired-profile tasks: levels uniform per attribute, price
-    uniform over the grid, identical pairs rejected and re-drawn."""
-    if n_respondents < 1:
-        raise ContractError(f"n_respondents must be >= 1, got {n_respondents}")
-    if tasks_per_respondent < 1:
-        raise ContractError(f"tasks_per_respondent must be >= 1, got {tasks_per_respondent}")
+) -> ChoiceDataset:
+    """Randomized paired-profile tasks, unanswered: levels uniform per
+    attribute, price uniform over the grid, identical pairs rejected and
+    re-drawn. Per respondent stream, each profile takes one integer draw per
+    attribute and then one for its price, A before B."""
+    if n_respondents < 1 or tasks_per_respondent < 1:
+        raise ContractError(f"need >= 1 respondent and task, got {n_respondents} x {tasks_per_respondent}")
     prices = [float(p) for p in price_grid]
     check_price_grid(prices)
 
-    tasks = []
+    sizes = [len(attr.levels) for attr in scheme.attributes]
+    pairs = []
     for rid in range(n_respondents):
         rng = substream(seed, TASK_STREAM, rid)
-        for tid in range(tasks_per_respondent):
+        for _ in range(tasks_per_respondent):
             for _ in range(_MAX_PAIR_ATTEMPTS):
-                profile_a = _random_profile(scheme, prices, rng)
-                profile_b = _random_profile(scheme, prices, rng)
-                if profile_a != profile_b:
+                pair = [
+                    ([rng.integers(k) for k in sizes], prices[rng.integers(len(prices))])
+                    for _ in range(2)
+                ]
+                if pair[0] != pair[1]:
                     break
             else:
                 raise DesignError(
                     "could not draw two distinct profiles; the scheme and price grid "
                     "admit too few distinct products"
                 )
-            tasks.append(
-                ChoiceTask(respondent_id=rid, task_id=tid, profile_a=profile_a, profile_b=profile_b)
-            )
-    return tasks
-
-
-def _random_profile(
-    scheme: AttributeScheme, prices: list[float], rng: np.random.Generator
-) -> ProductProfile:
-    levels = {
-        attr.name: attr.levels[rng.integers(len(attr.levels))]
-        for attr in scheme.attributes
-    }
-    price = prices[rng.integers(len(prices))]
-    return ProductProfile(levels=levels, price=price)
+            pairs.append(pair)
+    return ChoiceDataset(
+        scheme=scheme,
+        respondent_id=np.repeat(np.arange(n_respondents), tasks_per_respondent),
+        task_id=np.tile(np.arange(tasks_per_respondent), n_respondents),
+        levels=np.array([[a[0], b[0]] for a, b in pairs], dtype=np.intp).reshape(-1, 2, len(sizes)),
+        prices=np.array([[a[1], b[1]] for a, b in pairs]),
+    )
 
 
 def simulate_choices(
     scheme: AttributeScheme,
     betas: np.ndarray,
-    tasks: Sequence[ChoiceTask],
+    tasks: ChoiceDataset,
     seed: int,
 ) -> ChoiceDataset:
-    """Simulate each respondent's choices through the logit model.
+    """The tasks answered through the logit model: the same table with `chose_a`.
 
-    `betas` is sample_respondents' (n, features) array: row i holds
-    respondent i's coefficients, all finite. Per respondent, in order of first
-    appearance: p = P(choose A) = 1 / (1 + exp(-(x_a - x_b) . beta)) for all
-    of their tasks at once, then one uniform draw per task. The randomness
-    is the uniform draws only; a utility difference too large for exp gives
-    p of exactly 0 or 1, so the dominant profile is always chosen.
+    `betas` is sample_respondents' (n, features) array. Per respondent:
+    p = P(choose A) = 1 / (1 + exp(-(x_a - x_b) . beta)) for all of their
+    tasks at once, then one uniform draw per task. A utility difference too
+    large for exp gives p of exactly 0 or 1: the dominant profile wins.
     """
+    if tasks.scheme != scheme:
+        raise ContractError("the tasks were drawn for another attribute scheme")
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 2 or betas.shape[1] != scheme.n_features:
         raise ContractError(f"betas must be (respondents, {scheme.n_features}), got {betas.shape}")
     if not np.isfinite(betas).all():
         raise ContractError("betas must be finite")
-    grouped: dict[int, list[ChoiceTask]] = {}
-    for task in tasks:
-        grouped.setdefault(task.respondent_id, []).append(task)
+    rids = tasks.respondent_id
+    unknown = rids[(rids < 0) | (rids >= len(betas))]
+    if unknown.size:
+        raise ContractError(f"no respondent params for respondent {unknown[0]}")
 
-    records: list[ChoiceRecord] = []
-    for rid, group in grouped.items():
-        if not 0 <= rid < len(betas):
-            raise ContractError(f"no respondent params for respondent {rid}")
-        x = np.array(
-            [encode_profile(scheme, t.profile_a) - encode_profile(scheme, t.profile_b) for t in group]
-        )
+    x = tasks.differences()
+    chose_a = np.empty(len(tasks), dtype=bool)
+    bounds = np.r_[tasks.row_starts, len(tasks)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        rid = int(rids[start])
         with np.errstate(over="ignore"):
-            p = 1.0 / (1.0 + np.exp(-(x @ betas[rid])))
-        chose_a = substream(seed, CHOICE_STREAM, rid).random(len(group)) < p
-        records.extend(ChoiceRecord(task=t, chose_a=bool(c)) for t, c in zip(group, chose_a))
-    return ChoiceDataset(scheme=scheme, records=records)
+            p = 1.0 / (1.0 + np.exp(-(x[start:stop] @ betas[rid])))
+        chose_a[start:stop] = substream(seed, CHOICE_STREAM, rid).random(stop - start) < p
+    return replace(tasks, chose_a=chose_a)

@@ -7,12 +7,16 @@ to perfbench's conftest.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from conjoint_wtp.config import load_run_config
-from conjoint_wtp.domain import WTP_PRICE_EPS
+from conjoint_wtp.domain import WTP_PRICE_EPS, ProductProfile
 from conjoint_wtp.errors import ContractError, SignSafetyError
 from conjoint_wtp.revenue import BundleScenario
+from conjoint_wtp.simulate import ChoiceDataset
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartphone.json"
 DEMO_SEED = 20250808
@@ -33,3 +37,43 @@ def wtp(beta_f: float, beta_price: float, eps: float = WTP_PRICE_EPS) -> float:
     if not (beta_price < -eps):
         raise SignSafetyError(f"price coefficient {beta_price} is not below -{eps}")
     return -beta_f / beta_price
+
+
+def survey(scheme, rows, chose_a=None) -> ChoiceDataset:
+    """A survey table from rows of (respondent, task, A levels, A price,
+    B levels, B price), levels given by name. The names are coded through
+    the scheme, so a bad one raises CodingError."""
+    rows = list(rows)
+    levels = [[scheme.code_levels(r[2]), scheme.code_levels(r[4])] for r in rows]
+    return ChoiceDataset(
+        scheme=scheme,
+        respondent_id=np.array([r[0] for r in rows], dtype=np.int64),
+        task_id=np.array([r[1] for r in rows], dtype=np.int64),
+        levels=np.array(levels, dtype=np.intp).reshape(len(rows), 2, len(scheme.attributes)),
+        prices=np.array([[r[3], r[5]] for r in rows], dtype=float).reshape(len(rows), 2),
+        chose_a=None if chose_a is None else np.array(chose_a, dtype=bool),
+    )
+
+
+def take(dataset: ChoiceDataset, rows) -> ChoiceDataset:
+    """The table's rows selected by a mask or an index array, as a new table."""
+    return replace(
+        dataset,
+        respondent_id=dataset.respondent_id[rows],
+        task_id=dataset.task_id[rows],
+        levels=dataset.levels[rows],
+        prices=dataset.prices[rows],
+        chose_a=None if dataset.chose_a is None else dataset.chose_a[rows],
+    )
+
+
+def profiles(dataset: ChoiceDataset, row: int) -> tuple[ProductProfile, ProductProfile]:
+    """Profiles A and B of one row, with their levels named."""
+    attrs = dataset.scheme.attributes
+    return tuple(
+        ProductProfile(
+            levels={a.name: a.levels[k] for a, k in zip(attrs, dataset.levels[row, side])},
+            price=float(dataset.prices[row, side]),
+        )
+        for side in (0, 1)
+    )

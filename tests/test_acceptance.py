@@ -28,13 +28,12 @@ from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_scheme
 from conjoint_wtp.revenue import revenue_curve
 from conjoint_wtp.simulate import (
     PRICE_COEF_CEILING,
-    ChoiceDataset,
     GroundTruth,
     generate_tasks,
     sample_respondents,
     simulate_choices,
 )
-from tests.helpers import DEMO_SEED, demo_scenario
+from tests.helpers import DEMO_SEED, demo_scenario, take
 from tests.logit_mle import fit_logit_mle
 from tests.references import FlatLogitModel, individual_beta, individual_wtp
 
@@ -80,10 +79,7 @@ class TestCriterion2GradientOracle:
         # the same survey with tasks dropped, so respondents answered 8, 1,
         # 5, 3 and 6 tasks: a ragged panel, as `fit --data` accepts
         kept = (8, 1, 5, 3, 6)
-        ragged = ChoiceDataset(
-            scheme=scheme,
-            records=[r for r in dataset.records if r.task.task_id < kept[r.task.respondent_id]],
-        )
+        ragged = take(dataset, dataset.task_id < np.array(kept)[dataset.respondent_id])
         h = 1e-5
         worst = 0.0
         for data in (dataset, ragged):

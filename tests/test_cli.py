@@ -320,18 +320,21 @@ class TestRevenue:
             report = json.load(f)
         assert report["revenue"]["argmax_price"] == 999.0
 
-    def test_unknown_upgrade_exits_2(self, tmp_path, capsys):
+    def test_unknown_upgrade_exits_2(self, fitted_run, tmp_path, capsys):
+        # the scenario is checked against the scheme as the config is read
         def mutate(c):
             c["scenario"]["upgrades"] = {"camera": "Pro", "antenna": "5G"}
 
         config = write_config(tmp_path, mutate)
+        _, run_dir = fitted_run
         out = tmp_path / "run"
-        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        assert cli.main(["fit", "--config", str(config), "--out", str(out)]) == 0
-        capsys.readouterr()
-        code = cli.main(["revenue", "--config", str(config), "--out", str(out)])
+        code = cli.main(
+            ["revenue", "--config", str(config), "--out", str(out),
+             "--posterior", str(run_dir / "posterior.jsonl")]
+        )
         assert code == 2
-        assert "antenna" in capsys.readouterr().err
+        assert "config.scenario: unknown attribute 'antenna' in profile" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_standalone_revenue_merges_report(self, tmp_path):
         config = write_config(tmp_path)
@@ -347,6 +350,45 @@ class TestRevenue:
         for line in curve_lines[1:]:
             price, mean, low, high = (float(v) for v in line.split(","))
             assert 0.0 <= mean <= price
+
+
+def _scenario_typo(c):
+    c["scenario"]["upgrades"] = {"camera": "pro"}
+
+
+def _truth_names_a_foreign_column(c):
+    for key in ("true_wtp", "wtp_sd"):
+        c["ground_truth"][key]["camera:Ultra"] = 300.0
+
+
+def _one_chain_of_50_draws(c):
+    c["model"].update(chains=1, draws_per_chain=50)
+
+
+class TestConfigCheckedBeforeAnyStage:
+    @pytest.mark.parametrize(
+        "mutate, start, message",
+        [
+            (_scenario_typo, "simulate", "config.scenario: unknown level 'pro' for attribute 'camera'"),
+            (_truth_names_a_foreign_column, "fit",
+             "config.ground_truth: ground truth WTP columns: missing [], unknown ['camera:Ultra']"),
+            (_one_chain_of_50_draws, "fit", "config.model: chains x draws_per_chain is 50, an HDI needs 100"),
+        ],
+        ids=["scenario-level", "truth-column", "hdi-draws"],
+    )
+    def test_pipeline_exits_2_naming_the_field_and_writes_nothing(
+        self, fitted_run, tmp_path, capsys, mutate, start, message
+    ):
+        config = write_config(tmp_path, mutate)
+        out = tmp_path / "run"
+        if start != "simulate":  # resume on the fitted run's survey
+            out.mkdir()
+            shutil.copy(fitted_run[1] / "choices.csv", out)
+        before = sorted(p.name for p in out.iterdir()) if out.exists() else None
+        code = cli.main(["pipeline", "--config", str(config), "--out", str(out), "--from", start])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
 
 
 class TestPipeline:

@@ -23,14 +23,12 @@ from conjoint_wtp.dataio import (
     write_wtp_draws_csv,
     write_wtp_summary_csv,
 )
-from conjoint_wtp.domain import ProductProfile
-from conjoint_wtp.errors import CodingError, DataError
+from conjoint_wtp.errors import CodingError, ContractError, DataError
 from conjoint_wtp.infer import ModelConfig, build_design, sample
 from conjoint_wtp.posterior import WtpDraws, WtpSummary
 from conjoint_wtp.presets import smartphone_scheme, smartphone_truth
 from conjoint_wtp.revenue import revenue_curve
-from conjoint_wtp.simulate import ChoiceDataset, ChoiceRecord
-from tests.helpers import demo_scenario
+from tests.helpers import demo_scenario, profiles, survey
 
 
 def test_header_is_bit_exact(scheme):
@@ -53,7 +51,8 @@ def test_choices_roundtrip(tmp_path, scheme, small_dataset):
     path = tmp_path / "choices.csv"
     write_choices_csv(path, small_dataset)
     loaded = read_choices_csv(path, scheme)
-    assert loaded.records == small_dataset.records
+    for name in ("respondent_id", "task_id", "levels", "prices", "chose_a"):
+        assert np.array_equal(getattr(loaded, name), getattr(small_dataset, name))
 
 
 def test_choices_file_shape(tmp_path, scheme, small_dataset):
@@ -62,7 +61,7 @@ def test_choices_file_shape(tmp_path, scheme, small_dataset):
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     assert lines[0] == ",".join(choices_header(scheme))
-    assert len(lines) == len(small_dataset.records) + 1
+    assert len(lines) == len(small_dataset) + 1
     assert "\r" not in text
     first = lines[1].split(",")
     assert first[-1] in ("0", "1")
@@ -107,6 +106,20 @@ def test_unknown_level_names_path_row_and_level(tmp_path, scheme, small_dataset)
     assert str(err.value) == f"{path}: row 6: unknown level 'Ultra' for attribute 'camera'"
 
 
+def test_identical_profiles_name_the_file_row(tmp_path, scheme, small_dataset):
+    # checked once the whole table is in, and still reported by file row
+    path = tmp_path / "choices.csv"
+    write_choices_csv(path, small_dataset)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[7].split(",")
+    fields[6:10] = fields[2:6]  # B copies A
+    lines[7] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_choices_csv(path, scheme)
+    assert str(err.value) == f"{path}: row 8: task {fields[1]} for respondent {fields[0]} has identical profiles"
+
+
 def test_no_temp_files_left_behind(tmp_path, scheme, small_dataset):
     write_choices_csv(tmp_path / "choices.csv", small_dataset)
     assert [p.name for p in tmp_path.iterdir()] == ["choices.csv"]
@@ -124,16 +137,23 @@ def test_unencodable_profile_is_refused_before_writing(tmp_path, scheme, small_d
     path = tmp_path / "choices.csv"
     write_choices_csv(path, small_dataset)
     before = path.read_bytes()
-    good = small_dataset.records[0].task
-    levels = dict(good.profile_b.levels)
+    # a profile is coded where it enters the table, so a bad one never
+    # reaches the writer
+    a, b = profiles(small_dataset, 0)
+    levels = dict(b.levels)
     edit(levels)
-    bad = dataclasses.replace(good, profile_b=ProductProfile(levels=levels, price=good.profile_b.price))
-    dataset = ChoiceDataset(scheme=scheme, records=[ChoiceRecord(task=bad, chose_a=True)])
     with pytest.raises(CodingError) as err:
-        write_choices_csv(path, dataset)
+        write_choices_csv(path, survey(scheme, [(0, 0, a.levels, a.price, levels, b.price)], [True]))
     assert str(err.value) == message
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["choices.csv"]
+
+
+def test_unanswered_tasks_are_not_written(tmp_path, scheme, small_dataset):
+    tasks = dataclasses.replace(small_dataset, chose_a=None)
+    with pytest.raises(ContractError, match="no choices"):
+        write_choices_csv(tmp_path / "choices.csv", tasks)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_streamed_write_leaves_nothing(tmp_path):

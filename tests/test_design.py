@@ -3,19 +3,10 @@
 import numpy as np
 import pytest
 
-from conjoint_wtp.domain import ProductProfile, encode_profile
+from conjoint_wtp.domain import encode_profile
 from conjoint_wtp.errors import CodingError, ContractError, DataError
 from conjoint_wtp.infer import build_design
-from conjoint_wtp.simulate import ChoiceDataset, ChoiceRecord, ChoiceTask
-
-
-def _task(rid, tid, a_levels, a_price, b_levels, b_price):
-    return ChoiceTask(
-        respondent_id=rid,
-        task_id=tid,
-        profile_a=ProductProfile(levels=a_levels, price=a_price),
-        profile_b=ProductProfile(levels=b_levels, price=b_price),
-    )
+from tests.helpers import profiles, survey
 
 
 BASE = {"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}
@@ -24,11 +15,12 @@ UP = {"storage": "512GB", "camera": "Pro", "frame": "Titanium"}
 
 def test_shared_levels_difference_out(scheme):
     levels = {"storage": "256GB", "camera": "Pro", "frame": "Aluminum"}
-    task = _task(0, 0, levels, 999.0, levels, 899.0)
-    other = _task(0, 1, UP, 799.0, BASE, 1199.0)
-    mid = _task(0, 2, {**BASE, "storage": "256GB"}, 899.0, BASE, 799.0)  # no constant column
-    records = [ChoiceRecord(task, True), ChoiceRecord(other, False), ChoiceRecord(mid, True)]
-    dataset = ChoiceDataset(scheme=scheme, records=records)
+    rows = [
+        (0, 0, levels, 999.0, levels, 899.0),
+        (0, 1, UP, 799.0, BASE, 1199.0),
+        (0, 2, {**BASE, "storage": "256GB"}, 899.0, BASE, 799.0),  # no constant column
+    ]
+    dataset = survey(scheme, rows, chose_a=[True, False, True])
     design = build_design(dataset)
     dollars = design.x[0] * design.standardization.scale
     assert dollars[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
@@ -36,12 +28,11 @@ def test_shared_levels_difference_out(scheme):
 
 
 def _raw_differences(dataset):
-    """encode(profile_a) - encode(profile_b) per record, in dollars and dummies."""
+    """encode_profile(A) - encode_profile(B) per row, in dollars and dummies."""
     return np.array(
         [
-            encode_profile(dataset.scheme, r.task.profile_a)
-            - encode_profile(dataset.scheme, r.task.profile_b)
-            for r in dataset.records
+            encode_profile(dataset.scheme, a) - encode_profile(dataset.scheme, b)
+            for a, b in (profiles(dataset, i) for i in range(len(dataset)))
         ]
     )
 
@@ -52,6 +43,8 @@ def test_standardized_columns_have_unit_sd_and_no_centering(small_dataset):
     design = build_design(small_dataset)
     raw = _raw_differences(small_dataset)
     scale = design.standardization.scale
+    # the table's difference rows are the named profiles' codes, bit for bit
+    assert np.array_equal(small_dataset.differences(), raw)
     assert np.all(np.abs(design.x.std(axis=0) - 1.0) < 1e-10)
     assert np.array_equal(scale, raw.std(axis=0))
     assert np.array_equal(design.x, raw / scale)
@@ -64,12 +57,12 @@ def test_price_difference_scales_linearly(scheme):
     # the rows differ by exactly 100/scale in the price column.
     mid = {"storage": "256GB", "camera": "Pro", "frame": "Titanium"}
     low = {"storage": "256GB", "camera": "Standard", "frame": "Titanium"}
-    records = [
-        ChoiceRecord(_task(0, 0, mid, 899.0, BASE, 799.0), True),
-        ChoiceRecord(_task(0, 1, UP, 999.0, BASE, 799.0), False),
-        ChoiceRecord(_task(0, 2, BASE, 799.0, low, 1099.0), True),
+    rows = [
+        (0, 0, mid, 899.0, BASE, 799.0),
+        (0, 1, UP, 999.0, BASE, 799.0),
+        (0, 2, BASE, 799.0, low, 1099.0),
     ]
-    dataset = ChoiceDataset(scheme=scheme, records=records)
+    dataset = survey(scheme, rows, chose_a=[True, False, True])
     design = build_design(dataset)
     raw = _raw_differences(dataset)[:, design.price_index]
     assert raw[1] - raw[0] == 100.0
@@ -81,15 +74,12 @@ def test_price_difference_scales_linearly(scheme):
 def _constant_columns_dataset(scheme):
     # storage and camera never differ between the sides, so their
     # difference columns are constant zero.
-    records = [
-        ChoiceRecord(
-            _task(0, i, {"storage": "128GB", "camera": "Standard", "frame": "Titanium"}, p,
-                  {"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}, 799.0),
-            True,
-        )
+    rows = [
+        (0, i, {"storage": "128GB", "camera": "Standard", "frame": "Titanium"}, p,
+         {"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}, 799.0)
         for i, p in enumerate([799.0, 899.0, 999.0])
     ]
-    return ChoiceDataset(scheme=scheme, records=records)
+    return survey(scheme, rows, chose_a=[True] * 3)
 
 
 def test_constant_column_is_a_data_error(scheme):
@@ -98,20 +88,26 @@ def test_constant_column_is_a_data_error(scheme):
 
 
 def test_empty_dataset_rejected(scheme):
-    dataset = ChoiceDataset(scheme=scheme, records=[])
+    dataset = survey(scheme, [], chose_a=[])
     with pytest.raises(ContractError):
+        build_design(dataset)
+
+
+def test_unanswered_tasks_rejected(scheme):
+    dataset = survey(scheme, [(0, 0, UP, 799.0, BASE, 1199.0), (0, 1, BASE, 799.0, UP, 1199.0)])
+    with pytest.raises(ContractError, match="no choices"):
         build_design(dataset)
 
 
 def test_respondent_blocks_and_choices(scheme):
     mid = {"storage": "256GB", "camera": "Standard", "frame": "Aluminum"}
     pro = {"storage": "256GB", "camera": "Pro", "frame": "Aluminum"}
-    records = [
-        ChoiceRecord(_task(7, 0, UP, 799.0, BASE, 1199.0), True),
-        ChoiceRecord(_task(7, 1, mid, 899.0, UP, 999.0), False),
-        ChoiceRecord(_task(9, 0, pro, 899.0, BASE, 999.0), True),
+    rows = [
+        (7, 0, UP, 799.0, BASE, 1199.0),
+        (7, 1, mid, 899.0, UP, 999.0),
+        (9, 0, pro, 899.0, BASE, 999.0),
     ]
-    dataset = ChoiceDataset(scheme=scheme, records=records)
+    dataset = survey(scheme, rows, chose_a=[True, False, True])
     design = build_design(dataset)
     assert design.respondent_ids == (7, 9)
     assert design.respondent_index.tolist() == [0, 0, 1]
@@ -129,11 +125,8 @@ def test_respondent_blocks_and_choices(scheme):
     ids=["unknown-attribute", "missing-attribute", "unknown-level"],
 )
 def test_bad_profile_in_a_library_built_dataset_fails_the_design(scheme, levels, named):
-    # ChoiceDataset checks structure only; the profile check is in encoding.
-    records = [
-        ChoiceRecord(_task(0, 0, UP, 999.0, BASE, 799.0), True),
-        ChoiceRecord(_task(0, 1, BASE, 899.0, levels, 799.0), False),
-    ]
-    dataset = ChoiceDataset(scheme=scheme, records=records)
+    # a profile's level names are coded through the scheme where it enters
+    # the table, so a bad one never reaches the design
+    rows = [(0, 0, UP, 999.0, BASE, 799.0), (0, 1, BASE, 899.0, levels, 799.0)]
     with pytest.raises(CodingError, match=named):
-        build_design(dataset)
+        build_design(survey(scheme, rows, chose_a=[True, False]))

@@ -14,8 +14,8 @@ from conjoint_wtp.domain import (
     encode_profile,
 )
 from conjoint_wtp.errors import CodingError, ContractError, SignSafetyError
-from conjoint_wtp.simulate import ChoiceTask, simulate_choices
-from tests.helpers import wtp
+from conjoint_wtp.simulate import simulate_choices
+from tests.helpers import survey, wtp
 
 
 def decode_features(scheme, values):
@@ -159,9 +159,9 @@ class TestChoiceProbability:
         b = baseline_profile(scheme, price=799.0)
         assert (encode_profile(scheme, a) - encode_profile(scheme, b)) @ beta == 0.0
         n = 10_000
-        tasks = [ChoiceTask(0, i, a, b) for i in range(n)]
+        tasks = survey(scheme, [(0, i, a.levels, a.price, b.levels, b.price) for i in range(n)])
         dataset = simulate_choices(scheme, beta[None, :], tasks, seed=5)
-        rate = np.mean([r.chose_a for r in dataset.records])
+        rate = np.mean(dataset.chose_a)
         assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / n)
 
 

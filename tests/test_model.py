@@ -3,6 +3,7 @@ non-centered/centered identity, and the padded one-pass kernel against a
 per-row reference on balanced and ragged panels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,8 @@ from conjoint_wtp.errors import ContractError
 from conjoint_wtp.infer import HierarchicalLogitModel, ModelConfig, build_design
 from conjoint_wtp.infer.design import Design, Standardization
 from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_scheme, smartphone_truth
-from conjoint_wtp.simulate import (
-    ChoiceDataset,
-    generate_tasks,
-    sample_respondents,
-    simulate_choices,
-)
+from conjoint_wtp.simulate import generate_tasks, sample_respondents, simulate_choices
+from tests.helpers import take
 from tests.references import FlatLogitModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -41,12 +38,8 @@ def tiny_design(n_respondents=5, tasks=8, seed=7):
 def ragged_design():
     """tiny_design's survey with tasks dropped so the counts are unequal."""
     dataset = tiny_dataset()  # respondent ids 0..4, in order
-    records = [
-        record
-        for record in dataset.records
-        if record.task.task_id < RAGGED_TASKS[record.task.respondent_id]
-    ]
-    return build_design(ChoiceDataset(scheme=dataset.scheme, records=records))
+    kept = dataset.task_id < np.array(RAGGED_TASKS)[dataset.respondent_id]
+    return build_design(take(dataset, kept))
 
 
 def reference_log_likelihood(design, beta):
@@ -165,19 +158,16 @@ class TestLikelihoodFactorization:
         tasks = generate_tasks(scheme, 4, 5, DEFAULT_PRICE_GRID, seed=3)
         dataset = simulate_choices(scheme, respondents, tasks, seed=3)
 
-        from conjoint_wtp.simulate import ChoiceDataset, ChoiceRecord, ChoiceTask
-
-        doubled_records = []
-        for record in dataset.records:
-            doubled_records.append(record)
-            task = record.task
-            doubled_records.append(
-                ChoiceRecord(
-                    ChoiceTask(task.respondent_id, task.task_id + 1000, task.profile_a, task.profile_b),
-                    record.chose_a,
-                )
-            )
-        doubled = ChoiceDataset(scheme=scheme, records=doubled_records)
+        # each row followed by its copy under task id + 1000
+        twice = np.repeat(np.arange(len(dataset)), 2)
+        doubled = replace(
+            dataset,
+            respondent_id=dataset.respondent_id[twice],
+            task_id=np.column_stack([dataset.task_id, dataset.task_id + 1000]).ravel(),
+            levels=dataset.levels[twice],
+            prices=dataset.prices[twice],
+            chose_a=dataset.chose_a[twice],
+        )
 
         design_one = build_design(dataset)
         design_two = build_design(doubled)

@@ -19,8 +19,6 @@ from conjoint_wtp.posterior import (
     wtp_draws,
 )
 from conjoint_wtp.simulate import (
-    ChoiceDataset,
-    ChoiceRecord,
     GroundTruth,
     generate_tasks,
     sample_respondents,
@@ -233,18 +231,7 @@ def _survey(scheme, truth, n_respondents, tasks, seed):
 
 def _in_cents(dataset):
     """The same survey and choices with every profile price in cents."""
-
-    def cents(profile):
-        return replace(profile, price=profile.price * 100.0)
-
-    records = [
-        ChoiceRecord(
-            replace(r.task, profile_a=cents(r.task.profile_a), profile_b=cents(r.task.profile_b)),
-            r.chose_a,
-        )
-        for r in dataset.records
-    ]
-    return ChoiceDataset(scheme=dataset.scheme, records=records)
+    return replace(dataset, prices=dataset.prices * 100.0)
 
 
 def _agree_within_two_joint_se(a, ess_a, b, ess_b):

@@ -3,25 +3,24 @@
 import hashlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conjoint_wtp import cli
-from conjoint_wtp.domain import AttributeScheme, ProductProfile, encode_profile
-from conjoint_wtp.errors import ContractError, DesignError
+from conjoint_wtp.domain import AttributeScheme, encode_profile
+from conjoint_wtp.errors import ContractError, DesignError, RowError
 from conjoint_wtp.infer import build_design
 from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_truth
 from conjoint_wtp.simulate import (
     ChoiceDataset,
-    ChoiceRecord,
-    ChoiceTask,
     GroundTruth,
     generate_tasks,
     sample_respondents,
     simulate_choices,
 )
-from tests.helpers import DEMO_CONFIG, wtp
+from tests.helpers import DEMO_CONFIG, profiles, survey, take, wtp
 from tests.logit_mle import fit_logit_mle
 
 
@@ -115,22 +114,24 @@ class TestGenerateTasks:
     def test_default_study_scale_produces_6000_tasks(self, scheme):
         tasks = generate_tasks(scheme, 300, 20, DEFAULT_PRICE_GRID, seed=3)
         assert len(tasks) == 6000
+        assert tasks.chose_a is None  # drawn, not yet answered
 
     def test_profiles_always_differ(self, scheme):
         tasks = generate_tasks(scheme, 50, 20, DEFAULT_PRICE_GRID, seed=3)
-        assert all(t.profile_a != t.profile_b for t in tasks)
+        assert all(a != b for a, b in (profiles(tasks, i) for i in range(len(tasks))))
 
     def test_level_balance_under_uniform_sampling(self, scheme):
         tasks = generate_tasks(scheme, 300, 20, DEFAULT_PRICE_GRID, seed=3)
-        profiles = [t.profile_a for t in tasks] + [t.profile_b for t in tasks]
-        n = len(profiles)
+        both = [profiles(tasks, i) for i in range(len(tasks))]
+        named = [a for a, _ in both] + [b for _, b in both]
+        n = len(named)
         for attr in scheme.attributes:
             expected = 1.0 / len(attr.levels)
             threshold = expected - 5 * math.sqrt(expected * (1 - expected) / n)
             for level in attr.levels:
                 if level == attr.baseline:
                     continue
-                freq = sum(p.levels[attr.name] == level for p in profiles) / n
+                freq = sum(p.levels[attr.name] == level for p in named) / n
                 assert freq >= threshold
                 assert freq >= 0.20
 
@@ -151,64 +152,77 @@ class TestGenerateTasks:
             generate_tasks(scheme, 1, 1, [999.0], seed=0)
 
 
+UP = {"storage": "512GB", "camera": "Pro", "frame": "Titanium"}
+BASE = {"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}
+
+
 def _single_task(scheme, respondent_id=0, task_id=0):
-    a = ProductProfile(levels={"storage": "512GB", "camera": "Pro", "frame": "Titanium"}, price=799.0)
-    b = ProductProfile(levels={"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}, price=1199.0)
-    return ChoiceTask(respondent_id=respondent_id, task_id=task_id, profile_a=a, profile_b=b)
+    """A one-row table: A has every upgrade at $799, B none at $1,199."""
+    return survey(scheme, [(respondent_id, task_id, UP, 799.0, BASE, 1199.0)])
+
+
+def _same_table(a, b):
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("respondent_id", "task_id", "levels", "prices", "chose_a")
+    )
 
 
 class TestSimulateChoices:
     def test_identical_profiles_rejected_at_task_construction(self, scheme):
-        a = ProductProfile(levels={"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}, price=799.0)
-        with pytest.raises(ContractError):
-            ChoiceTask(respondent_id=0, task_id=0, profile_a=a, profile_b=a)
+        with pytest.raises(ContractError, match="task 0 for respondent 0 has identical profiles"):
+            survey(scheme, [(0, 0, BASE, 799.0, BASE, 799.0)])
 
     def test_missing_respondent_params(self, scheme):
         with pytest.raises(ContractError, match="no respondent params for respondent 0"):
-            simulate_choices(scheme, np.empty((0, scheme.n_features)), [_single_task(scheme)], seed=0)
+            simulate_choices(scheme, np.empty((0, scheme.n_features)), _single_task(scheme), seed=0)
 
     def test_negative_respondent_id_has_no_params(self, scheme):
         # a negative id must not index the coefficient rows from the end
         betas = np.zeros((2, scheme.n_features))
         with pytest.raises(ContractError, match="no respondent params for respondent -1"):
-            simulate_choices(scheme, betas, [_single_task(scheme, respondent_id=-1)], seed=0)
+            simulate_choices(scheme, betas, _single_task(scheme, respondent_id=-1), seed=0)
 
     @pytest.mark.parametrize("shape", [(4,), (1, 4), (1, 6), (1, 1, 5)])
     def test_betas_must_be_respondents_by_features(self, scheme, shape):
         with pytest.raises(ContractError, match="betas must be"):
-            simulate_choices(scheme, np.zeros(shape), [_single_task(scheme)], seed=0)
+            simulate_choices(scheme, np.zeros(shape), _single_task(scheme), seed=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_betas_must_be_finite(self, scheme, bad):
         betas = np.zeros((1, scheme.n_features))
         betas[0, 0] = bad
         with pytest.raises(ContractError, match="betas must be finite"):
-            simulate_choices(scheme, betas, [_single_task(scheme)], seed=0)
+            simulate_choices(scheme, betas, _single_task(scheme), seed=0)
+
+    def test_tasks_must_share_the_scheme(self, scheme):
+        other = AttributeScheme(attributes=scheme.attributes[:2], price_attribute="price")
+        betas = np.zeros((1, other.n_features))
+        with pytest.raises(ContractError, match="another attribute scheme"):
+            simulate_choices(other, betas, _single_task(scheme), seed=0)
 
     def test_indifferent_respondent_chooses_half(self, scheme):
         tasks = generate_tasks(scheme, 1, 10_000, DEFAULT_PRICE_GRID, seed=17)
         dataset = simulate_choices(scheme, np.zeros((1, scheme.n_features)), tasks, seed=17)
-        rate = np.mean([r.chose_a for r in dataset.records])
+        rate = np.mean(dataset.chose_a)
         assert abs(rate - 0.5) < 0.015
 
     def test_dominant_profile_always_preferred_in_probability(self, scheme, truth):
         respondents = sample_respondents(scheme, truth, 20, seed=23)
-        task = _single_task(scheme)
-        x = encode_profile(scheme, task.profile_a) - encode_profile(scheme, task.profile_b)
+        a, b = profiles(_single_task(scheme), 0)
+        x = encode_profile(scheme, a) - encode_profile(scheme, b)
         for beta in respondents:
             assert 1.0 / (1.0 + math.exp(-(x @ beta))) > 0.5
 
     def test_empirical_frequency_matches_analytic_probability(self, scheme, truth):
         respondent = sample_respondents(scheme, truth, 1, seed=31)
         n = 20_000
-        template = _single_task(scheme)
-        tasks = [
-            ChoiceTask(0, i, template.profile_a, template.profile_b) for i in range(n)
-        ]
-        x = encode_profile(scheme, template.profile_a) - encode_profile(scheme, template.profile_b)
+        tasks = survey(scheme, [(0, i, UP, 799.0, BASE, 1199.0) for i in range(n)])
+        a, b = profiles(tasks, 0)
+        x = encode_profile(scheme, a) - encode_profile(scheme, b)
         p = 1.0 / (1.0 + math.exp(-(x @ respondent[0])))
         dataset = simulate_choices(scheme, respondent, tasks, seed=31)
-        freq = np.mean([r.chose_a for r in dataset.records])
+        freq = np.mean(dataset.chose_a)
         assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_extreme_utility_differences_choose_the_dominant_profile(self, scheme):
@@ -216,21 +230,20 @@ class TestSimulateChoices:
         # past where exp overflows: p must be exactly 0 or 1, with no warning
         betas = np.zeros((2, scheme.n_features))
         betas[:, scheme.price_index] = -2.5
-        task = _single_task(scheme)  # A: every upgrade at $799; B: none at $1,199
-        pair = (task.profile_a, task.profile_b)
-        tasks = [
-            ChoiceTask(rid, tid, *(pair if tid % 2 == 0 else pair[::-1]))
-            for rid in range(2)
-            for tid in range(200)
-        ]
-        for t in tasks:
-            x = encode_profile(scheme, t.profile_a) - encode_profile(scheme, t.profile_b)
+        pair = (UP, 799.0, BASE, 1199.0)  # A: every upgrade at $799; B: none at $1,199
+        swapped = (BASE, 1199.0, UP, 799.0)
+        tasks = survey(
+            scheme,
+            [(rid, tid, *(pair if tid % 2 == 0 else swapped)) for rid in range(2) for tid in range(200)],
+        )
+        for i in range(len(tasks)):
+            a, b = profiles(tasks, i)
+            x = encode_profile(scheme, a) - encode_profile(scheme, b)
             assert abs(x @ betas[0]) >= 800
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dataset = simulate_choices(scheme, betas, tasks, seed=3)
-        for record in dataset.records:
-            assert record.chose_a == (record.task.profile_a.price == 799.0)
+        assert np.array_equal(dataset.chose_a, dataset.prices[:, 0] == 799.0)
 
     def test_bit_identical_given_seed(self, scheme, truth):
         def run():
@@ -239,7 +252,7 @@ class TestSimulateChoices:
             return simulate_choices(scheme, respondents, tasks, seed=77)
 
         first, second = run(), run()
-        assert first.records == second.records
+        assert _same_table(first, second)
 
     def test_respondent_streams_are_independent_of_cohort(self, scheme, truth):
         respondents = sample_respondents(scheme, truth, 10, seed=5)
@@ -249,11 +262,11 @@ class TestSimulateChoices:
         alone = simulate_choices(
             scheme,
             respondents[: target + 1],
-            [t for t in tasks if t.respondent_id == target],
+            take(tasks, tasks.respondent_id == target),
             seed=5,
         )
-        expected = [r for r in full.records if r.task.respondent_id == target]
-        assert alone.records == expected
+        expected = take(full, full.respondent_id == target)
+        assert _same_table(alone, expected)
 
 
 def test_shipped_config_survey_is_byte_stable(tmp_path):
@@ -269,18 +282,34 @@ def test_shipped_config_survey_is_byte_stable(tmp_path):
 
 class TestDatasetInvariants:
     def test_records_must_be_grouped_by_respondent(self, scheme):
-        t0 = _single_task(scheme, respondent_id=0, task_id=0)
-        t1 = _single_task(scheme, respondent_id=1, task_id=0)
-        t2 = _single_task(scheme, respondent_id=0, task_id=1)
-        records = [ChoiceRecord(t, True) for t in (t0, t1, t2)]
-        with pytest.raises(ContractError, match="contiguous"):
-            ChoiceDataset(scheme=scheme, records=records)
+        rows = [(rid, tid, UP, 799.0, BASE, 1199.0) for rid, tid in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))]
+        with pytest.raises(ContractError, match="records for respondent 0 are not contiguous"):
+            survey(scheme, rows, chose_a=[True] * 5)
 
     def test_task_ids_unique_within_respondent(self, scheme):
-        t0 = _single_task(scheme, task_id=4)
-        t1 = _single_task(scheme, task_id=4)
-        with pytest.raises(ContractError, match="duplicate"):
-            ChoiceDataset(scheme=scheme, records=[ChoiceRecord(t0, True), ChoiceRecord(t1, False)])
+        rows = [(0, tid, UP, 799.0, BASE, 1199.0) for tid in (4, 2, 4, 2)]
+        with pytest.raises(ContractError, match="duplicate task_id 4 for respondent 0"):
+            survey(scheme, rows, chose_a=[True, False, True, False])
+
+    def test_a_bad_row_is_named(self, scheme):
+        table = survey(scheme, [(0, tid, UP, 799.0, BASE, 1199.0) for tid in range(4)])
+        levels = table.levels.copy()
+        levels[2, 1, 1] = 2  # camera has two levels
+        prices = table.prices.copy()
+        prices[3, 0] = math.inf
+        cases = [
+            (dict(levels=levels), 2, "level 2 is out of range for attribute 'camera'"),
+            (dict(prices=prices), 3, "price must be finite and positive, got inf"),
+        ]
+        for change, row, message in cases:
+            with pytest.raises(RowError) as err:
+                replace(table, **change)
+            assert (err.value.row, err.value.message) == (row, message)
+
+    def test_column_shapes_are_checked(self, scheme):
+        table = _single_task(scheme)
+        with pytest.raises(ContractError, match=r"prices has shape \(1, 3\), expected \(1, 2\)"):
+            ChoiceDataset(scheme, table.respondent_id, table.task_id, table.levels, np.ones((1, 3)))
 
 
 class TestRecoveryPremise:
