@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import from_dict, to_dict
 from .domain import AttributeScheme
-from .errors import ContractError, DataError, RowError
+from .errors import ConfigError, ContractError, DataError, RowError
 from .infer.design import Standardization
 from .infer.diagnostics import Diagnostics
 from .infer.fit import PosteriorDraws
@@ -251,7 +251,7 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
             config = from_dict(ModelConfig, header["config"], "posterior.config", ModelConfig(seed=seed))
         except KeyError as e:
             raise DataError(f"{path}: header has no field {e}") from None
-        except (TypeError, ValueError, ContractError) as e:
+        except (TypeError, ValueError, ContractError, ConfigError) as e:
             raise DataError(f"{path}: bad header: {e}") from None
         f_dim = len(columns)
         r_dim = len(respondent_ids)

@@ -1,11 +1,18 @@
-"""Design-matrix construction for the choice model.
+"""The respondent x task panel the choice model fits.
 
 Each row of the survey table becomes one row of difference regressors,
 encode(profile A) - encode(profile B) (`ChoiceDataset.differences`),
-divided by each column's population SD. That is the one scale the model is
-fitted on, and this module alone chooses it. Standardizing is a change of
-units only: the columns are never centered. The scaling is kept alongside
-the matrix because unscaling is mandatory before any dollar-valued output.
+divided by each column's population SD over the real rows. That is the one
+scale the model is fitted on, and this module alone chooses it.
+Standardizing is a change of units only: the columns are never centered.
+The scaling is kept alongside the panel because unscaling is mandatory
+before any dollar-valued output.
+
+The rows are laid out once as a padded (respondents, T_max, features)
+array: respondent r's tasks fill the first slots of row r, in table order.
+Each pad slot of a ragged panel has x = 0 and sign = 0, so its signed logit
+is 0: it adds exactly -log 2 to the likelihood, which the model cancels
+with a constant, and 0 to the score.
 """
 
 from __future__ import annotations
@@ -44,26 +51,23 @@ class Standardization:
 
 @dataclass(frozen=True)
 class Design:
-    """Difference regressors grouped by respondent, each column divided by
-    its population SD. `standardization.scale` records those SDs.
+    """The panel the model fits. `x` (respondents, T_max, features) holds
+    respondent r's standardized difference rows in the first slots of row r;
+    `sign` (respondents, T_max) is +1 where A was chosen, -1 where B was, and
+    0 in a pad slot, whose x is 0. Row r is respondent `respondent_ids[r]`,
+    and `standardization.scale` records the column SDs.
     """
 
     columns: tuple[str, ...]
     price_column: str
     x: np.ndarray
-    choices: np.ndarray
-    respondent_index: np.ndarray
+    sign: np.ndarray
     respondent_ids: tuple[int, ...]
-    row_starts: np.ndarray
     standardization: Standardization
 
     @property
-    def n_rows(self) -> int:
-        return self.x.shape[0]
-
-    @property
     def n_features(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[2]
 
     @property
     def n_respondents(self) -> int:
@@ -75,33 +79,34 @@ class Design:
 
 
 def build_design(dataset: ChoiceDataset) -> Design:
-    """Build the standardized difference-regressor matrix and choice vector.
+    """Lay out the answered survey table as the standardized panel.
 
-    Rows keep the dataset's row order, which groups them by respondent;
-    `row_starts` marks each respondent's first row, from which the model
-    builds its padded (respondent, task, feature) layout once. A constant
-    column has no SD to divide by and is a DataError.
+    Respondents keep the table's order, and so do each respondent's tasks.
+    A constant column has no SD to divide by and is a DataError.
     """
-    if len(dataset) == 0:
-        raise ContractError("dataset has no records")
     if dataset.chose_a is None:
         raise ContractError("dataset has no choices")
     columns = dataset.scheme.feature_columns
-    x = dataset.differences()
-    scale = x.std(axis=0)
+    rows = dataset.differences()
+    scale = rows.std(axis=0)
     constant = [c for c, s in zip(columns, scale) if s < _MIN_SCALE]
     if constant:
         raise DataError(f"constant difference column(s): {constant}")
-    x /= scale
+    rows /= scale
 
-    row_starts = dataset.row_starts
+    starts = dataset.row_starts
+    counts = np.diff(np.r_[starts, len(dataset)])
+    respondent = np.repeat(np.arange(len(starts)), counts)
+    slot = np.arange(len(dataset)) - starts[respondent]
+    x = np.zeros((len(starts), counts.max(), len(columns)))
+    sign = np.zeros(x.shape[:2])
+    x[respondent, slot] = rows
+    sign[respondent, slot] = np.where(dataset.chose_a, 1.0, -1.0)
     return Design(
         columns=columns,
         price_column=dataset.scheme.price_attribute,
         x=x,
-        choices=dataset.chose_a.astype(np.int8),
-        respondent_index=np.repeat(np.arange(len(row_starts)), np.diff(np.r_[row_starts, len(dataset)])),
-        respondent_ids=tuple(dataset.respondent_id[row_starts].tolist()),
-        row_starts=row_starts,
+        sign=sign,
+        respondent_ids=tuple(dataset.respondent_id[starts].tolist()),
         standardization=Standardization(columns=columns, mean=np.zeros(len(columns)), scale=scale),
     )

@@ -17,10 +17,9 @@ is recomputed exactly in numpy, as log expit(s) = -logaddexp(0, -s) and the
 score sgn / (1 + exp(s)), whose overflow for s above about 709 gives an
 exact 0.
 
-The hierarchical model lays the rows out as a padded (R, T_max, F) array,
-built once: respondent r's tasks fill the first slots of row r. Each pad
-slot of a ragged panel has x = 0 and sgn = 0, so s = 0: it adds exactly
--log 2 to the sum, which a precomputed constant cancels, and 0 to the score.
+The pass runs over the design's padded panel (`design.py`): each of its pad
+slots adds exactly -log 2 to the sum, which a precomputed constant cancels,
+and 0 to the score.
 """
 
 from __future__ import annotations
@@ -96,21 +95,6 @@ def _loglik_and_score(s: np.ndarray, sgn: np.ndarray):
     return loglik, e
 
 
-def _padded_layout(design: Design):
-    """(R, T_max, F) rows and (R, T_max) signs; pad slots are 0 in both."""
-    r, f, n = design.n_respondents, design.n_features, design.n_rows
-    sgn = 2.0 * design.choices - 1.0
-    counts = np.diff(np.r_[design.row_starts, n])
-    t_max = int(counts.max()) if n else 0
-    resp = design.respondent_index
-    slot = np.arange(n) - design.row_starts[resp]
-    x3 = np.zeros((r, t_max, f))
-    sgn3 = np.zeros((r, t_max))
-    x3[resp, slot] = design.x
-    sgn3[resp, slot] = sgn
-    return x3, sgn3
-
-
 class HierarchicalLogitModel:
     """Non-centered hierarchical logit over choice differences.
 
@@ -122,8 +106,7 @@ class HierarchicalLogitModel:
         self.config = config
         self.n_features = design.n_features
         self.n_respondents = design.n_respondents
-        self.x3, self.sgn3 = _padded_layout(design)
-        self._pad_const = (self.sgn3.size - design.n_rows) * math.log(2.0)
+        self._pad_const = int((design.sign == 0).sum()) * math.log(2.0)
         price = np.arange(self.n_features) == design.price_index
         mu_price, mu_feature = config.prior_mu_price, config.prior_mu_feature
         self.prior_mean = np.where(price, mu_price.mean, mu_feature.mean)
@@ -160,10 +143,11 @@ class HierarchicalLogitModel:
             if not np.all(np.isfinite(sigma)):
                 return -np.inf, np.zeros_like(theta)
             beta = mu + sigma * z
-            s = (self.x3 @ beta[:, :, None])[:, :, 0]
-            s *= self.sgn3
-            loglik, score = _loglik_and_score(s, self.sgn3)
-        grad_beta = (score[:, None, :] @ self.x3)[:, 0, :]
+            x, sgn = self.design.x, self.design.sign
+            s = (x @ beta[:, :, None])[:, :, 0]
+            s *= sgn
+            loglik, score = _loglik_and_score(s, sgn)
+        grad_beta = (score[:, None, :] @ x)[:, 0, :]
 
         mu_resid = (mu - self.prior_mean) / self.prior_sd
         sigma2_tau2 = sigma**2 / self._tau2

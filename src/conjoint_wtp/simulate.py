@@ -73,8 +73,8 @@ class ChoiceDataset:
     inference. `levels` (n, 2, attributes) holds the level indices of
     profiles A and B, `prices` (n, 2) their dollar prices and `chose_a` (n)
     the answers, or None before anyone answers. The constructor checks
-    every row once; a fault in one row is a RowError naming it.
-    `row_starts` marks each respondent's first row.
+    every row once; a fault in one row is a RowError naming it, and a table
+    with no rows is refused. `row_starts` marks each respondent's first row.
     """
 
     scheme: AttributeScheme
@@ -87,6 +87,8 @@ class ChoiceDataset:
     def __post_init__(self) -> None:
         rid, tid, levels, prices = self.respondent_id, self.task_id, self.levels, self.prices
         n, attrs = len(rid), self.scheme.attributes
+        if n == 0:
+            raise ContractError("the survey table has no rows")
         shapes = {"respondent_id": (n,), "task_id": (n,), "levels": (n, 2, len(attrs)),
                   "prices": (n, 2), "chose_a": (n,)}
         for name, shape in shapes.items():
@@ -105,7 +107,7 @@ class ChoiceDataset:
         if same.any():
             i = np.argmax(same)
             raise RowError(i, f"task {tid[i]} for respondent {rid[i]} has identical profiles")
-        self.row_starts = np.flatnonzero(np.r_[True, rid[1:] != rid[:-1]][:n])  # [] if n == 0
+        self.row_starts = np.flatnonzero(np.r_[True, rid[1:] != rid[:-1]])
         if (run := _first_repeat(rid[self.row_starts])) is not None:
             raise ContractError(f"records for respondent {rid[self.row_starts[run]]} are not contiguous")
         if (i := _first_repeat(np.column_stack([rid, tid]))) is not None:

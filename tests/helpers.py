@@ -15,11 +15,15 @@ import numpy as np
 from conjoint_wtp.config import load_run_config
 from conjoint_wtp.domain import WTP_PRICE_EPS, ProductProfile
 from conjoint_wtp.errors import ContractError, SignSafetyError
+from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_scheme, smartphone_truth
 from conjoint_wtp.revenue import BundleScenario
-from conjoint_wtp.simulate import ChoiceDataset
+from conjoint_wtp.simulate import ChoiceDataset, generate_tasks, sample_respondents, simulate_choices
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartphone.json"
 DEMO_SEED = 20250808
+
+# Tasks kept per respondent of tiny_dataset() in ragged_dataset().
+RAGGED_TASKS = (8, 1, 5, 3, 6)
 
 
 def demo_scenario() -> BundleScenario:
@@ -53,6 +57,20 @@ def survey(scheme, rows, chose_a=None) -> ChoiceDataset:
         prices=np.array([[r[3], r[5]] for r in rows], dtype=float).reshape(len(rows), 2),
         chose_a=None if chose_a is None else np.array(chose_a, dtype=bool),
     )
+
+
+def tiny_dataset(n_respondents=5, tasks=8, seed=7) -> ChoiceDataset:
+    """A small answered smartphone survey; respondent ids 0..n-1, in order."""
+    scheme = smartphone_scheme()
+    respondents = sample_respondents(scheme, smartphone_truth(), n_respondents, seed=seed)
+    tasks_table = generate_tasks(scheme, n_respondents, tasks, DEFAULT_PRICE_GRID, seed=seed)
+    return simulate_choices(scheme, respondents, tasks_table, seed=seed)
+
+
+def ragged_dataset() -> ChoiceDataset:
+    """tiny_dataset() with tasks dropped so respondent r answers RAGGED_TASKS[r]."""
+    dataset = tiny_dataset()
+    return take(dataset, dataset.task_id < np.array(RAGGED_TASKS)[dataset.respondent_id])
 
 
 def take(dataset: ChoiceDataset, rows) -> ChoiceDataset:

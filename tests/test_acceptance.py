@@ -131,7 +131,8 @@ class TestCriterion3QuadratureOracle:
 
         prior_mean = np.array([0.0, -1.0])
         prior_sd = np.array([2.0, 1.0])
-        model = FlatLogitModel(design.x, design.choices, prior_mean, prior_sd)
+        x = dataset.differences() / design.standardization.scale
+        model = FlatLogitModel(x, dataset.chose_a, prior_mean, prior_sd)
 
         # independent oracle: dense grid integration over +-5 prior SDs
         axes = [
@@ -140,8 +141,8 @@ class TestCriterion3QuadratureOracle:
         ]
         g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
         thetas = np.column_stack([g0.ravel(), g1.ravel()])
-        sgn = 2.0 * design.choices.astype(float) - 1.0
-        eta = thetas @ design.x.T
+        sgn = np.where(dataset.chose_a, 1.0, -1.0)
+        eta = thetas @ x.T
         loglik = -np.logaddexp(0.0, -sgn[None, :] * eta).sum(axis=1)
         logprior = (-0.5 * ((thetas - prior_mean) / prior_sd) ** 2).sum(axis=1)
         logpost = loglik + logprior
@@ -224,10 +225,11 @@ class TestCriterion6Shrinkage:
                 ratio = -beta[keep, j] / price[keep]
                 posterior_means[feature].append(ratio.mean())
 
+        x = demo_dataset.differences() / scale
         ml_estimates = {f: [] for f in features}
-        for pos, rid in enumerate(design.respondent_ids):
-            rows = design.respondent_index == pos
-            beta = fit_logit_mle(design.x[rows], design.choices[rows]) / scale
+        for rid in design.respondent_ids:
+            rows = demo_dataset.respondent_id == rid
+            beta = fit_logit_mle(x[rows], demo_dataset.chose_a[rows]) / scale
             for j, feature in enumerate(features):
                 ml_estimates[feature].append(-beta[j] / beta[design.price_index])
 

@@ -9,7 +9,8 @@ import time
 import pytest
 
 from conjoint_wtp import cli
-from conjoint_wtp.dataio import read_posterior_jsonl, write_json, write_posterior_jsonl
+from conjoint_wtp.config import load_run_config
+from conjoint_wtp.dataio import choices_header, read_posterior_jsonl, write_json, write_posterior_jsonl
 from conjoint_wtp.errors import FitError
 
 BASE_CONFIG = {
@@ -131,6 +132,15 @@ class TestFit:
         code = cli.main(["fit", "--config", str(config), "--out", str(out)])
         assert code == 2
         assert "header" in capsys.readouterr().err
+
+    def test_header_only_csv_exits_2_naming_the_file(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        data = tmp_path / "header_only.csv"
+        scheme = load_run_config(config).scheme
+        data.write_text(",".join(choices_header(scheme)) + "\n", encoding="utf-8")
+        code = cli.main(["fit", "--config", str(config), "--out", str(tmp_path / "run"), "--data", str(data)])
+        assert code == 2
+        assert f"{data}: the survey table has no rows" in capsys.readouterr().err
 
     def test_sampler_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path)

@@ -268,8 +268,19 @@ def _one_scale(header):
         (_one_scale, "standardization scale"),
         (lambda header: {**header, "price_column": "cost"}, "price_column 'cost'"),
         (lambda header: [header], "header is not a JSON object"),
+        (
+            lambda header: {**header, "config": {**header["config"], "bogus": 1}},
+            r"posterior\.jsonl: bad header: unknown key\(s\) in posterior\.config: bogus",
+        ),
+        (
+            lambda header: {**header, "config": {**header["config"], "chains": "two"}},
+            r"posterior\.jsonl: bad header: posterior\.config\.chains",
+        ),
     ],
-    ids=["no-columns", "no-standardization", "short-scale", "foreign-price-column", "not-an-object"],
+    ids=[
+        "no-columns", "no-standardization", "short-scale", "foreign-price-column", "not-an-object",
+        "unknown-config-key", "non-integer-chains",
+    ],
 )
 def test_posterior_header_problems_name_the_field(tmp_path, tiny_draws, mutate, message):
     path = tmp_path / "posterior.jsonl"

@@ -1,4 +1,5 @@
-"""Difference-regressor matrix construction and standardization."""
+"""The fitted panel: difference rows, their standardization, and the
+respondent x task layout with its pad slots."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conjoint_wtp.domain import encode_profile
 from conjoint_wtp.errors import CodingError, ContractError, DataError
 from conjoint_wtp.infer import build_design
-from tests.helpers import profiles, survey
+from tests.helpers import RAGGED_TASKS, profiles, ragged_dataset, survey, tiny_dataset
 
 
 BASE = {"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}
@@ -22,7 +23,7 @@ def test_shared_levels_difference_out(scheme):
     ]
     dataset = survey(scheme, rows, chose_a=[True, False, True])
     design = build_design(dataset)
-    dollars = design.x[0] * design.standardization.scale
+    dollars = design.x[0, 0] * design.standardization.scale
     assert dollars[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert dollars[4] == pytest.approx(100.0, rel=1e-12)
 
@@ -45,9 +46,10 @@ def test_standardized_columns_have_unit_sd_and_no_centering(small_dataset):
     scale = design.standardization.scale
     # the table's difference rows are the named profiles' codes, bit for bit
     assert np.array_equal(small_dataset.differences(), raw)
-    assert np.all(np.abs(design.x.std(axis=0) - 1.0) < 1e-10)
+    rows = design.x[design.sign != 0]  # the panel's real slots, in table order
+    assert np.all(np.abs(rows.std(axis=0) - 1.0) < 1e-10)
     assert np.array_equal(scale, raw.std(axis=0))
-    assert np.array_equal(design.x, raw / scale)
+    assert np.array_equal(rows, raw / scale)
     assert np.abs(raw.mean(axis=0)).max() > 0.1  # there was a mean to subtract
     assert not design.standardization.mean.any()
 
@@ -67,7 +69,7 @@ def test_price_difference_scales_linearly(scheme):
     raw = _raw_differences(dataset)[:, design.price_index]
     assert raw[1] - raw[0] == 100.0
     scale = design.standardization.scale[design.price_index]
-    delta = design.x[1, design.price_index] - design.x[0, design.price_index]
+    delta = design.x[0, 1, design.price_index] - design.x[0, 0, design.price_index]
     assert delta * scale == pytest.approx(100.0, rel=1e-12)
 
 
@@ -88,9 +90,9 @@ def test_constant_column_is_a_data_error(scheme):
 
 
 def test_empty_dataset_rejected(scheme):
-    dataset = survey(scheme, [], chose_a=[])
-    with pytest.raises(ContractError):
-        build_design(dataset)
+    # refused where the table is built, so no design is ever empty
+    with pytest.raises(ContractError, match="the survey table has no rows"):
+        survey(scheme, [], chose_a=[])
 
 
 def test_unanswered_tasks_rejected(scheme):
@@ -110,9 +112,34 @@ def test_respondent_blocks_and_choices(scheme):
     dataset = survey(scheme, rows, chose_a=[True, False, True])
     design = build_design(dataset)
     assert design.respondent_ids == (7, 9)
-    assert design.respondent_index.tolist() == [0, 0, 1]
-    assert design.row_starts.tolist() == [0, 2]
-    assert design.choices.tolist() == [1, 0, 1]
+    assert design.sign.tolist() == [[1.0, -1.0], [1.0, 0.0]]
+    rows = _raw_differences(dataset) / design.standardization.scale
+    assert np.array_equal(design.x[0], rows[:2])
+    assert np.array_equal(design.x[1], [rows[2], np.zeros(design.n_features)])
+
+
+def test_ragged_layout_pads_with_zeros():
+    dataset = ragged_dataset()
+    design = build_design(dataset)
+    real = design.sign != 0
+    assert design.x.shape == (5, max(RAGGED_TASKS), design.n_features)
+    assert real.sum(axis=1).tolist() == list(RAGGED_TASKS)
+    # each respondent's tasks fill the first slots of its row
+    assert np.array_equal(real, np.arange(max(RAGGED_TASKS)) < np.array(RAGGED_TASKS)[:, None])
+    assert not design.x[~real].any()
+    # the column SDs are taken over the real rows, not the pads
+    assert np.array_equal(design.standardization.scale, dataset.differences().std(axis=0))
+    assert np.array_equal(design.x[real], dataset.differences() / design.standardization.scale)
+    assert np.array_equal(design.sign[real], np.where(dataset.chose_a, 1.0, -1.0))
+
+
+def test_balanced_panel_has_no_pad():
+    dataset = tiny_dataset()
+    design = build_design(dataset)
+    assert design.x.shape == (5, 8, design.n_features)
+    assert np.all(design.sign != 0)
+    rows = dataset.differences() / design.standardization.scale
+    assert np.array_equal(design.x.reshape(-1, design.n_features), rows)
 
 
 @pytest.mark.parametrize(

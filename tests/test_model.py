@@ -1,6 +1,7 @@
 """Log-posterior correctness: gradients, likelihood factorization, the
 non-centered/centered identity, and the padded one-pass kernel against a
-per-row reference on balanced and ragged panels."""
+per-row reference on balanced and ragged panels. The reference reads the
+survey table's rows, not the panel under test."""
 
 import math
 from dataclasses import replace
@@ -12,23 +13,12 @@ from scipy.special import log_expit
 from conjoint_wtp.errors import ContractError
 from conjoint_wtp.infer import HierarchicalLogitModel, ModelConfig, build_design
 from conjoint_wtp.infer.design import Design, Standardization
-from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_scheme, smartphone_truth
+from conjoint_wtp.presets import DEFAULT_PRICE_GRID
 from conjoint_wtp.simulate import generate_tasks, sample_respondents, simulate_choices
-from tests.helpers import take
+from tests.helpers import ragged_dataset, tiny_dataset
 from tests.references import FlatLogitModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-# Tasks kept per respondent of tiny_dataset() in the ragged design.
-RAGGED_TASKS = (8, 1, 5, 3, 6)
-
-
-def tiny_dataset(n_respondents=5, tasks=8, seed=7):
-    scheme = smartphone_scheme()
-    truth = smartphone_truth()
-    respondents = sample_respondents(scheme, truth, n_respondents, seed=seed)
-    tasks_list = generate_tasks(scheme, n_respondents, tasks, DEFAULT_PRICE_GRID, seed=seed)
-    return simulate_choices(scheme, respondents, tasks_list, seed=seed)
 
 
 def tiny_design(n_respondents=5, tasks=8, seed=7):
@@ -36,17 +26,17 @@ def tiny_design(n_respondents=5, tasks=8, seed=7):
 
 
 def ragged_design():
-    """tiny_design's survey with tasks dropped so the counts are unequal."""
-    dataset = tiny_dataset()  # respondent ids 0..4, in order
-    kept = dataset.task_id < np.array(RAGGED_TASKS)[dataset.respondent_id]
-    return build_design(take(dataset, kept))
+    return build_design(ragged_dataset())
 
 
-def reference_log_likelihood(design, beta):
+def reference_log_likelihood(dataset, design, beta):
     """Per-row Bernoulli log-likelihood at explicit per-respondent
-    coefficients (centered form), gathered row by row."""
-    eta = np.einsum("nf,nf->n", design.x, beta[design.respondent_index])
-    sgn = 2.0 * design.choices - 1.0
+    coefficients (centered form), row by row over the survey table on the
+    design's scale; beta's rows follow design.respondent_ids."""
+    x = dataset.differences() / design.standardization.scale
+    position = {rid: r for r, rid in enumerate(design.respondent_ids)}
+    eta = np.einsum("nf,nf->n", x, beta[[position[rid] for rid in dataset.respondent_id]])
+    sgn = np.where(dataset.chose_a, 1.0, -1.0)
     return float(-np.logaddexp(0.0, -sgn * eta).sum())
 
 
@@ -78,16 +68,15 @@ def finite_difference_gradient(f, theta, h=1e-5):
     return grad
 
 
-def empty_design(columns=("camera:Pro", "price")):
+def empty_design(respondents=0, t_max=0, columns=("camera:Pro", "price")):
+    """A panel with no answered task: every slot of every respondent is a pad."""
     f = len(columns)
     return Design(
         columns=tuple(columns),
         price_column="price",
-        x=np.zeros((0, f)),
-        choices=np.zeros(0, dtype=np.int8),
-        respondent_index=np.zeros(0, dtype=np.int64),
-        respondent_ids=(),
-        row_starts=np.zeros(0, dtype=np.int64),
+        x=np.zeros((respondents, t_max, f)),
+        sign=np.zeros((respondents, t_max)),
+        respondent_ids=tuple(range(respondents)),
         standardization=Standardization(columns=tuple(columns), mean=np.zeros(f), scale=np.ones(f)),
     )
 
@@ -112,9 +101,11 @@ class TestGradient:
         assert_gradient_matches_finite_differences(model, seed=12)
 
     def test_flat_gradient_matches_finite_differences(self):
-        design = tiny_design()
+        dataset = tiny_dataset()
+        design = build_design(dataset)
+        x = dataset.differences() / design.standardization.scale
         model = FlatLogitModel(
-            design.x, design.choices, np.zeros(design.n_features), np.full(design.n_features, 2.0)
+            x, dataset.chose_a, np.zeros(design.n_features), np.full(design.n_features, 2.0)
         )
         assert_gradient_matches_finite_differences(model, seed=13)
 
@@ -142,6 +133,22 @@ class TestZeroRecords:
         )
         logp, _ = model.log_posterior(theta)
         assert logp == pytest.approx(expected, rel=1e-12)
+
+    def test_all_pad_panel_equals_log_prior(self):
+        # each pad slot's -log 2 is cancelled exactly, so respondents with no
+        # answered task leave the prior over mu, sigma and z
+        model = HierarchicalLogitModel(empty_design(respondents=3, t_max=4), ModelConfig(seed=1))
+        theta = np.random.default_rng(5).normal(0.0, 0.5, model.dim)
+        logp, grad = model.log_posterior(theta)
+        assert logp == pytest.approx(log_prior(model, theta), rel=1e-12)
+        mu, log_sigma, z = model.unpack(theta)
+        sigma = np.exp(log_sigma)
+        expected = np.concatenate([
+            -(mu - model.prior_mean) / model.prior_sd**2,
+            1.0 - sigma**2 / model.config.prior_sigma_sd**2,
+            -z.reshape(-1),
+        ])
+        assert np.allclose(grad, expected, rtol=1e-12, atol=0.0)
 
     def test_flat_equals_log_prior(self):
         model = FlatLogitModel(np.zeros((0, 3)), np.zeros(0), np.zeros(3), np.ones(3))
@@ -178,7 +185,7 @@ class TestLikelihoodFactorization:
         rng = np.random.default_rng(8)
         theta = rng.normal(0.0, 0.5, model_one.dim)
         mu, log_sigma, z = model_one.unpack(theta)
-        single = reference_log_likelihood(design_one, mu + np.exp(log_sigma) * z)
+        single = reference_log_likelihood(dataset, design_one, mu + np.exp(log_sigma) * z)
         logp_one, _ = model_one.log_posterior(theta)
         logp_two, _ = model_two.log_posterior(theta)
         assert logp_two - logp_one == pytest.approx(single, rel=1e-12)
@@ -186,7 +193,8 @@ class TestLikelihoodFactorization:
 
 class TestNonCenteredIdentity:
     def test_matches_centered_density_with_jacobian(self):
-        design = tiny_design(n_respondents=3, tasks=6)
+        dataset = tiny_dataset(n_respondents=3, tasks=6)
+        design = build_design(dataset)
         config = ModelConfig(seed=1)
         model = HierarchicalLogitModel(design, config)
         rng = np.random.default_rng(21)
@@ -196,7 +204,7 @@ class TestNonCenteredIdentity:
         beta = mu + sigma * z
         r = model.n_respondents
 
-        loglik = reference_log_likelihood(design, beta)
+        loglik = reference_log_likelihood(dataset, design, beta)
         centered_z = (
             -0.5 * (((beta - mu) / sigma) ** 2).sum()
             - r * np.log(sigma).sum()
@@ -237,35 +245,30 @@ class TestInitialMetric:
 
 
 class TestPaddedKernel:
-    def test_ragged_layout_pads_with_zeros(self):
-        design = ragged_design()
-        model = HierarchicalLogitModel(design, ModelConfig(seed=1))
-        assert design.n_rows == sum(RAGGED_TASKS)
-        assert model.x3.shape == (5, 8, design.n_features)
-        assert (model.sgn3 != 0).sum(axis=1).tolist() == list(RAGGED_TASKS)
-        assert not model.x3[model.sgn3 == 0].any()
-
-    @pytest.mark.parametrize("make_design", [tiny_design, ragged_design], ids=["balanced", "ragged"])
-    def test_matches_per_row_reference(self, make_design):
-        design = make_design()
+    @pytest.mark.parametrize("make_dataset", [tiny_dataset, ragged_dataset], ids=["balanced", "ragged"])
+    def test_matches_per_row_reference(self, make_dataset):
+        dataset = make_dataset()
+        design = build_design(dataset)
         model = HierarchicalLogitModel(design, ModelConfig(seed=1))
         rng = np.random.default_rng(31)
         for _ in range(3):
             theta = rng.normal(0.0, 1.0, model.dim)
             mu, log_sigma, z = model.unpack(theta)
-            loglik = reference_log_likelihood(design, mu + np.exp(log_sigma) * z)
+            loglik = reference_log_likelihood(dataset, design, mu + np.exp(log_sigma) * z)
             logp, _ = model.log_posterior(theta)
             assert logp - log_prior(model, theta) == pytest.approx(loglik, rel=1e-12)
 
     def test_far_tail_stays_finite_and_exact(self):
-        design = tiny_design()
+        dataset = tiny_dataset()
+        design = build_design(dataset)
         model = HierarchicalLogitModel(design, ModelConfig(seed=1))
+        x = dataset.differences() / design.standardization.scale
         f = design.n_features
         mu = np.zeros(f)
-        mu[0] = 800.0 / np.abs(design.x[:, 0]).max()
+        mu[0] = 800.0 / np.abs(x[:, 0]).max()
         theta = np.concatenate([mu, np.full(f, -30.0), np.zeros(model.n_respondents * f)])
-        eta = design.x @ mu
-        s = (2.0 * design.choices - 1.0) * eta
+        eta = x @ mu
+        s = np.where(dataset.chose_a, 1.0, -1.0) * eta
         # rows where exp(-s) overflows, so the exact fall-back must run
         assert s.min() < -710.0
         assert np.abs(eta).max() == pytest.approx(800.0)

@@ -2,18 +2,20 @@
 statistical correctness against analytic targets."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conjoint_wtp.errors import ConfigError
-from conjoint_wtp.infer import run_nuts
+from conjoint_wtp.infer import HierarchicalLogitModel, ModelConfig, build_design, run_nuts
 from conjoint_wtp.infer.nuts import (
     _adaptation_windows,
     _find_reasonable_step_size,
     _Hamiltonian,
     resolve_workers,
 )
+from tests.helpers import ragged_dataset
 
 
 class StandardNormalTarget:
@@ -136,6 +138,19 @@ class TestDeterminism:
         for a, b in zip(serial.stats, parallel.stats):
             assert np.array_equal(a.divergent, b.divergent)
             assert a.step_size == b.step_size
+
+    def test_serial_and_parallel_fits_agree_on_a_ragged_panel(self, monkeypatch):
+        # the workers unpickle the model and its panel; every bit must survive
+        model = HierarchicalLogitModel(build_design(ragged_dataset()), ModelConfig(seed=1))
+        kwargs = dict(chains=2, warmup=30, draws=20, target_accept=0.8, max_treedepth=10, seed=9)
+        monkeypatch.setenv("CONJOINT_WTP_THREADS", "1")
+        serial = run_nuts(model, **kwargs)
+        monkeypatch.setenv("CONJOINT_WTP_THREADS", "2")
+        parallel = run_nuts(model, **kwargs)
+        assert np.array_equal(serial.draws, parallel.draws)
+        for a, b in zip(serial.stats, parallel.stats):
+            for field in fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
     def test_workers_env_cap(self, monkeypatch):
         monkeypatch.setenv("CONJOINT_WTP_THREADS", "1")

@@ -324,8 +324,8 @@ class TestRecoveryPremise:
         tasks = generate_tasks(scheme, 300, 200, DEFAULT_PRICE_GRID, seed=101)
         dataset = simulate_choices(scheme, respondents, tasks, seed=101)
         design = build_design(dataset)
-        beta = fit_logit_mle(design.x, design.choices)
         scale = design.standardization.scale
+        beta = fit_logit_mle(dataset.differences() / scale, dataset.chose_a)
         raw = beta / scale
         price = raw[design.price_index]
         for j, column in enumerate(scheme.dummy_columns):
