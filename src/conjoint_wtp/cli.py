@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .config import RunConfig, load_run_config, to_dict
 from .dataio import (
-    diagnostics_to_dict,
     read_choices_csv,
+    read_diagnostics_json,
     read_ground_truth_json,
     read_json_object,
     read_posterior_jsonl,
@@ -33,9 +33,9 @@ from .dataio import (
     write_wtp_draws_csv,
     write_wtp_summary_csv,
 )
-from .errors import ConfigError, ConjointError, DataError
+from .errors import ConfigError, ConjointError
 from .infer import build_design, sample
-from .infer.diagnostics import POPULATION_PREFIXES
+from .infer.diagnostics import POPULATION_PREFIXES, Diagnostics
 from .posterior import MIN_HDI_SAMPLES, recovery_report, summarize_wtp, wtp_draws
 from .revenue import revenue_curve
 from .simulate import generate_tasks, sample_respondents, simulate_choices
@@ -234,6 +234,9 @@ def cmd_pipeline(args) -> int:
     n = config.model.chains * config.model.draws_per_chain
     if "fit" in stages and n < MIN_HDI_SAMPLES:  # else the wtp stage would refuse the fit
         raise ConfigError(f"config.model: chains x draws_per_chain is {n}, an HDI needs {MIN_HDI_SAMPLES}")
+    diagnostics_path = state.out / "diagnostics.json"
+    if "fit" not in stages and diagnostics_path.exists():  # read before any stage writes
+        state.diagnostics = read_diagnostics_json(diagnostics_path)
     timings: dict[str, float] = {}
     for name in stages:
         if name == "revenue" and config.scenario is None:
@@ -251,7 +254,7 @@ def cmd_pipeline(args) -> int:
         "seed": config.seed,
         "config": to_dict(config),
         "stages_run": list(timings),
-        "quality": _quality_section(state),
+        "quality": _quality_section(state.diagnostics),
         "wtp": [dataclasses.asdict(s) for s in state.summaries or []],
         "recovery": dataclasses.asdict(state.recovery) if state.recovery is not None else None,
         "revenue": _revenue_to_dict(state.curve) if state.curve is not None else None,
@@ -263,46 +266,16 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
-# The diagnostics.json fields the quality section reads: a check of each
-# value and what the check asks for.
-_QUALITY_FIELDS = {
-    "r_hat": (
-        lambda v: type(v) is dict and all(x is None or _is_number(x) for x in v.values()),
-        "an object mapping parameter names to numbers or null",
-    ),
-    "divergence_count": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-    "divergence_rate": (_is_number, "a number"),
-    "mean_accept_prob": (
-        lambda v: type(v) is list and all(x is None or _is_number(x) for x in v),
-        "a list of numbers or null",
-    ),
-    "warnings": (lambda v: type(v) is list and all(type(x) is str for x in v), "a list of strings"),
-}
-
-
-def _quality_section(state: RunState) -> dict | None:
-    """Sampler health from this command's fit, else from <out>/diagnostics.json."""
-    path = state.out / "diagnostics.json"
-    if state.diagnostics is not None:
-        d = diagnostics_to_dict(state.diagnostics)
-    elif path.exists():
-        d = read_json_object(path)
-    else:
+def _quality_section(diagnostics: Diagnostics | None) -> dict | None:
+    """Sampler health from this command's fit, or from the diagnostics.json a resumed pipeline read."""
+    if diagnostics is None:
         return None
-    for key, (check, wanted) in _QUALITY_FIELDS.items():
-        if not check(d.get(key)):
-            raise DataError(f"{path}: {key} must be {wanted}")
-    population = {k: v for k, v in d["r_hat"].items() if k.startswith(POPULATION_PREFIXES)}
-    finite = [v for v in population.values() if v is not None]
+    d = to_dict(diagnostics)
     return {
         "divergence_count": d["divergence_count"],
         "divergence_rate": d["divergence_rate"],
-        "max_population_r_hat": max(finite) if finite else None,
-        "population_r_hat": population,
+        "max_population_r_hat": to_dict(diagnostics.max_r_hat(POPULATION_PREFIXES)),
+        "population_r_hat": {k: v for k, v in d["r_hat"].items() if k.startswith(POPULATION_PREFIXES)},
         "mean_accept_prob": d["mean_accept_prob"],
         "warnings": d["warnings"],
     }

@@ -1,18 +1,22 @@
 """Run configuration: a single JSON document driving every pipeline stage.
 
 Each section of the document is a frozen dataclass, and one reader and one
-writer serve them all. The reader walks a dataclass's fields and type hints:
-each field is one JSON key of the declared type, a field with a default may
-be left out (a partly given prior takes the rest from the default prior),
-null leaves out an optional section, and an unknown key is an error. Range
-checks live in each dataclass, so every value is checked once, and every
-message names the field's dotted path. One top-level seed feeds all stages;
-per-unit RNG substreams are derived from it internally.
+writer serve them all, and the other JSON files built from such dataclasses:
+the ground truth and the sampler's diagnostics. The reader walks a
+dataclass's fields and type hints: each field is one JSON key of the
+declared type, a field with a default may be left out (a partly given prior
+takes the rest from the default prior), null leaves out an optional section,
+and an unknown key is an error. In a list or object of floats, null stands
+for a value that is not finite. Range checks live in each dataclass, so
+every value is checked once, and every message names the field's dotted
+path. One top-level seed feeds all stages; per-unit RNG substreams are
+derived from it internally.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import types
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -89,7 +93,8 @@ def from_dict(cls, data: Any, path: str, base=None):
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be a JSON object")
     keys = _keys(cls)
-    unknown = sorted(set(data) - {f.name for f in keys})
+    names = {f.name for f in keys}
+    unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigError(f"unknown key(s) in {path}: {', '.join(unknown)}")
     hints = get_type_hints(cls)
@@ -105,7 +110,9 @@ def from_dict(cls, data: Any, path: str, base=None):
     try:
         return cls(**values) if base is None else replace(base, **values)
     except ContractError as e:
-        raise ConfigError(f"{path}: {e}") from None
+        # a check whose message opens with a field's name is reported at that field's path
+        sep = "." if str(e).split(" ", 1)[0] in names else ": "
+        raise ConfigError(f"{path}{sep}{e}") from None
 
 
 def _value(tp, value: Any, path: str, default=None):
@@ -119,21 +126,30 @@ def _value(tp, value: Any, path: str, default=None):
     if origin is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list")
-        return tuple(_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_item(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if origin is Mapping:
         if not isinstance(value, dict):
             raise ConfigError(f"{path} must be a JSON object")
-        return {k: _value(args[1], v, f"{path}.{k}") for k, v in value.items()}
+        return {k: _item(args[1], v, f"{path}.{k}") for k, v in value.items()}
     accepted = (int, float) if tp is float else tp
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path} must be {_SCALARS[tp]}, got {value!r}")
-    return float(value) if tp is float else value
+    try:
+        return float(value) if tp is float else value
+    except OverflowError:  # an integer literal past the largest float
+        raise ConfigError(f"{path} must be a number, got an integer too large for a float") from None
+
+
+def _item(tp, value: Any, path: str):
+    """One element of a list or object: null, which `to_dict` writes for a
+    non-finite float, reads back as NaN where a float is expected."""
+    return math.nan if value is None and tp is float else _value(tp, value, path)
 
 
 def to_dict(obj):
     """A config dataclass as its JSON object: keys in field order, None
-    fields left out. It walks the reader's keys, so what it writes reads
-    back to an equal config."""
+    fields left out, a non-finite float as null. It walks the reader's keys,
+    so what it writes reads back to an equal config."""
     if is_dataclass(obj):
         return {
             f.name: to_dict(value)
@@ -144,6 +160,8 @@ def to_dict(obj):
         return {k: to_dict(v) for k, v in obj.items()}
     if isinstance(obj, tuple):
         return [to_dict(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 

@@ -180,11 +180,9 @@ def read_json_object(path: str | Path) -> dict:
 def read_ground_truth_json(path: str | Path) -> GroundTruth:
     """Accepts either a provenance file or a bare ground-truth document."""
     data = read_json_object(path)
-    if "ground_truth" in data:
-        data = data["ground_truth"]
     try:
-        return from_dict(GroundTruth, data, str(path))
-    except Exception as e:
+        return from_dict(GroundTruth, data.get("ground_truth", data), "ground_truth")
+    except ConfigError as e:
         raise DataError(f"{path}: {e}") from None
 
 
@@ -293,29 +291,16 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
     )
 
 
-def diagnostics_to_dict(diag: Diagnostics) -> dict:
-    return {
-        "r_hat": {k: _json_float(v) for k, v in diag.r_hat.items()},
-        "effective_sample_size": {
-            k: _json_float(v) for k, v in diag.effective_sample_size.items()
-        },
-        "divergence_count": diag.divergence_count,
-        "divergence_rate": diag.divergence_rate,
-        "mean_accept_prob": [_json_float(v) for v in diag.mean_accept_prob],
-        "step_size": list(diag.step_size),
-        "grad_evals_warmup": list(diag.grad_evals_warmup),
-        "grad_evals_sampling": list(diag.grad_evals_sampling),
-        "warnings": list(diag.warnings),
-    }
-
-
-def _json_float(value: float):
-    value = float(value)
-    return value if np.isfinite(value) else None
-
-
 def write_diagnostics_json(path: str | Path, diag: Diagnostics) -> None:
-    write_json(path, diagnostics_to_dict(diag))
+    write_json(path, to_dict(diag))
+
+
+def read_diagnostics_json(path: str | Path) -> Diagnostics:
+    """Read a diagnostics file; any bad field is a DataError naming the path and the field."""
+    try:
+        return from_dict(Diagnostics, read_json_object(path), "diagnostics")
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def write_wtp_summary_csv(

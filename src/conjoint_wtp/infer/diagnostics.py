@@ -16,11 +16,12 @@ These are counts, not timings, so repeat runs write the same file.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ContractError
 from .nuts import ChainStats
 
 RHAT_WARN_THRESHOLD = 1.05
@@ -33,12 +34,13 @@ POPULATION_PREFIXES = ("mu[", "sigma[")
 _BLOCK_BYTES = 1 << 17
 
 
-@dataclass
+@dataclass(frozen=True)
 class Diagnostics:
-    """Per-parameter convergence metrics plus sampler health counters."""
+    """Per-parameter convergence metrics plus sampler health counters;
+    `diagnostics.json` is this dataclass as the config walker writes it."""
 
-    r_hat: dict[str, float]
-    effective_sample_size: dict[str, float]
+    r_hat: Mapping[str, float]
+    effective_sample_size: Mapping[str, float]
     divergence_count: int
     divergence_rate: float
     # one entry per chain
@@ -46,7 +48,11 @@ class Diagnostics:
     step_size: tuple[float, ...]
     grad_evals_warmup: tuple[int, ...]
     grad_evals_sampling: tuple[int, ...]
-    warnings: list[str] = field(default_factory=list)
+    warnings: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if self.divergence_count < 0:
+            raise ContractError(f"divergence_count must be >= 0, got {self.divergence_count}")
 
     def max_r_hat(self, prefix: str | tuple[str, ...] = "") -> float:
         """Largest finite R-hat among the names starting with `prefix` (one or several)."""
@@ -139,11 +145,11 @@ def diagnose(draws: np.ndarray, names: list[str], stats: Sequence[ChainStats]) -
             stop = start + block
             r_hat[start:stop], ess[start:stop] = _rhat_ess(draws[:, :, start:stop], ndtri)
     r_hat_by_name = dict(zip(names, r_hat.tolist()))
-    warnings = [
+    warnings = tuple(
         f"r_hat[{name}] = {value:.4f} exceeds {RHAT_WARN_THRESHOLD}"
         for name, value in r_hat_by_name.items()
         if name.startswith(POPULATION_PREFIXES) and math.isfinite(value) and value > RHAT_WARN_THRESHOLD
-    ]
+    )
     divergent = np.concatenate([c.divergent for c in stats])
     n_div = int(divergent.sum())
     return Diagnostics(

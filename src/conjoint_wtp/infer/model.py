@@ -41,8 +41,10 @@ class NormalPrior:
     sd: float
 
     def __post_init__(self) -> None:
-        if not (self.sd > 0):
-            raise ContractError(f"prior sd must be positive, got {self.sd}")
+        if not math.isfinite(self.mean):
+            raise ContractError(f"mean must be finite, got {self.mean}")
+        if not 0 < self.sd < math.inf:
+            raise ContractError(f"sd must be finite and positive, got {self.sd}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,8 @@ class ModelConfig:
             raise ContractError(f"warmup_per_chain must be >= 0, got {self.warmup_per_chain}")
         if not (0.0 < self.target_accept < 1.0):
             raise ContractError(f"target_accept must be in (0, 1), got {self.target_accept}")
-        if not (self.prior_sigma_sd > 0):
-            raise ContractError(f"prior_sigma_sd must be positive, got {self.prior_sigma_sd}")
+        if not 0 < self.prior_sigma_sd < math.inf:
+            raise ContractError(f"prior_sigma_sd must be finite and positive, got {self.prior_sigma_sd}")
         if self.max_treedepth < 1:
             raise ContractError(f"max_treedepth must be >= 1, got {self.max_treedepth}")
         if self.seed < 0:

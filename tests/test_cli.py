@@ -3,6 +3,7 @@ config-echo reproducibility guarantee."""
 
 import copy
 import json
+import math
 import shutil
 import time
 
@@ -375,6 +376,18 @@ def _one_chain_of_50_draws(c):
     c["model"].update(chains=1, draws_per_chain=50)
 
 
+def _nan_feature_prior_mean(c):
+    c["model"]["prior_mu_feature"] = {"mean": math.nan}
+
+
+def _infinite_price_prior_sd(c):
+    c["model"]["prior_mu_price"] = {"sd": math.inf}
+
+
+def _infinite_sigma_prior_sd(c):
+    c["model"]["prior_sigma_sd"] = math.inf
+
+
 class TestConfigCheckedBeforeAnyStage:
     @pytest.mark.parametrize(
         "mutate, start, message",
@@ -383,8 +396,12 @@ class TestConfigCheckedBeforeAnyStage:
             (_truth_names_a_foreign_column, "fit",
              "config.ground_truth: ground truth WTP columns: missing [], unknown ['camera:Ultra']"),
             (_one_chain_of_50_draws, "fit", "config.model: chains x draws_per_chain is 50, an HDI needs 100"),
+            (_nan_feature_prior_mean, "simulate", "config.model.prior_mu_feature.mean must be finite, got nan"),
+            (_infinite_price_prior_sd, "simulate",
+             "config.model.prior_mu_price.sd must be finite and positive, got inf"),
+            (_infinite_sigma_prior_sd, "simulate", "config.model.prior_sigma_sd must be finite and positive, got inf"),
         ],
-        ids=["scenario-level", "truth-column", "hdi-draws"],
+        ids=["scenario-level", "truth-column", "hdi-draws", "prior-mean-nan", "prior-sd-inf", "sigma-prior-inf"],
     )
     def test_pipeline_exits_2_naming_the_field_and_writes_nothing(
         self, fitted_run, tmp_path, capsys, mutate, start, message
@@ -543,6 +560,24 @@ def test_demo_config_matches_presets():
     assert config.simulation.tasks_per_respondent == 20
 
 
+# (field, value, the message after "<path>: ") for a diagnostics.json with
+# that one field changed; a value of None leaves the key out.
+MALFORMED_DIAGNOSTICS = [
+    ("divergence_count", "lots", "diagnostics.divergence_count must be an integer, got 'lots'"),
+    ("divergence_count", -1, "diagnostics.divergence_count must be >= 0, got -1"),
+    ("divergence_count", True, "diagnostics.divergence_count must be an integer, got True"),
+    ("divergence_rate", "high", "diagnostics.divergence_rate must be a number, got 'high'"),
+    ("mean_accept_prob", [0.9, "x"], "diagnostics.mean_accept_prob[1] must be a number, got 'x'"),
+    ("warnings", 7, "diagnostics.warnings must be a list"),
+    ("warnings", ["ok", 7], "diagnostics.warnings[1] must be a string, got 7"),
+    ("step_size", "x", "diagnostics.step_size must be a list"),
+    ("grad_evals_warmup", [1.5], "diagnostics.grad_evals_warmup[0] must be an integer, got 1.5"),
+    ("effective_sample_size", [], "diagnostics.effective_sample_size must be a JSON object"),
+    ("bogus", 1, "unknown key(s) in diagnostics: bogus"),
+    ("grad_evals_sampling", None, "missing required field diagnostics.grad_evals_sampling"),
+]
+
+
 class TestMalformedInputs:
     """Unreadable config, data, posterior, truth, diagnostics and report files
     exit 2 naming the problem."""
@@ -608,32 +643,24 @@ class TestMalformedInputs:
         else:
             assert f"{path}: line 6: every parameter must be finite" in err
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("divergence_count", "lots"),
-            ("divergence_count", -1),
-            ("divergence_count", True),
-            ("divergence_rate", "high"),
-            ("mean_accept_prob", [0.9, "x"]),
-            ("warnings", 7),
-            ("warnings", ["ok", 7]),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", [case[:2] for case in MALFORMED_DIAGNOSTICS])
     def test_malformed_diagnostics_field_exits_2(self, fitted_run, tmp_path, capsys, field, value):
         # the quality section of a resumed pipeline reads these from disk
+        message = next(m for f, v, m in MALFORMED_DIAGNOSTICS if (f, v) == (field, value))
         config, run_dir = fitted_run
         out = tmp_path / "o"
         out.mkdir()
         shutil.copy(run_dir / "posterior.jsonl", out)
         diagnostics = json.loads((run_dir / "diagnostics.json").read_text(encoding="utf-8"))
         diagnostics[field] = value
+        if value is None:
+            del diagnostics[field]
         bad = out / "diagnostics.json"
         write_json(bad, diagnostics)
         argv = ["pipeline", "--config", str(config), "--out", str(out), "--from", "revenue"]
         assert cli.main(argv) == 2
-        assert f"{bad}: {field} must be" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert f"error: {bad}: {message}\n" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["diagnostics.json", "posterior.jsonl"]
 
     @pytest.mark.parametrize("case", ["config", "data", "posterior", "diagnostics"])
     def test_unreadable_input_exits_2_naming_the_file(self, fitted_run, tmp_path, capsys, case):

@@ -115,7 +115,10 @@ SECTIONS = [
         "simulation", "price_grid", ("tasks_per_respondent", 2.5),
         ("n_respondents", 0, "n_respondents"), ("price_grid", [0.0, 899.0], "price_grid"),
     ),
-    ("model", None, ("chains", "4"), ("chains", 0, "chains"), ("draws_per_chain", 3, "draws_per_chain")),
+    (
+        "model", None, ("chains", "4"), ("chains", 0, "chains"), ("draws_per_chain", 3, "draws_per_chain"),
+        ("target_accept", 10**400, "target_accept"),  # an integer past the largest float
+    ),
     ("model.prior_mu_price", None, ("mean", "x"), ("sd", 0.0, "sd")),
     ("model.prior_mu_feature", None, ("sd", [1]), ("sd", -2.0, "sd")),
     (

@@ -4,6 +4,7 @@ summary emissions."""
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from conjoint_wtp.dataio import (
     _atomic_write,
     choices_header,
     read_choices_csv,
+    read_diagnostics_json,
     read_ground_truth_json,
     read_posterior_jsonl,
     write_choices_csv,
+    write_diagnostics_json,
     write_json,
     write_posterior_jsonl,
     write_provenance_json,
@@ -167,10 +170,14 @@ def test_failed_streamed_write_leaves_nothing(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def tiny_draws(small_design_module):
+def tiny_fit(small_design_module):
     config = ModelConfig(chains=2, draws_per_chain=60, warmup_per_chain=80, seed=9)
-    draws, _ = sample(small_design_module, config)
-    return draws
+    return sample(small_design_module, config)
+
+
+@pytest.fixture(scope="module")
+def tiny_draws(tiny_fit):
+    return tiny_fit[0]
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +316,38 @@ def test_ground_truth_reader_rejects_bad_json(tmp_path):
     path.write_text('{"true_wtp": ', encoding="utf-8")
     with pytest.raises(DataError, match="truth.json"):
         read_ground_truth_json(path)
+
+
+def test_ground_truth_reader_names_the_file_and_the_field_once(tmp_path, truth):
+    path = tmp_path / "provenance.json"
+    write_provenance_json(path, truth, seed=7, n_respondents=3, tasks_per_respondent=2, price_grid=[799.0])
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["ground_truth"]["bogus"] = 1
+    write_json(path, doc)
+    with pytest.raises(DataError) as raised:
+        read_ground_truth_json(path)
+    assert str(raised.value) == f"{path}: unknown key(s) in ground_truth: bogus"
+
+
+def test_diagnostics_round_trip_is_byte_identical(tmp_path, tiny_fit):
+    # a NaN R-hat or acceptance is written as null and read back as NaN
+    diag = tiny_fit[1]
+    first = next(iter(diag.r_hat))
+    diag = dataclasses.replace(
+        diag,
+        r_hat={**diag.r_hat, first: math.nan},
+        mean_accept_prob=(math.nan, *diag.mean_accept_prob[1:]),
+    )
+    path, again = tmp_path / "diagnostics.json", tmp_path / "again.json"
+    write_diagnostics_json(path, diag)
+    loaded = read_diagnostics_json(path)
+    write_diagnostics_json(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    assert list(raw) == [f.name for f in dataclasses.fields(diag)]
+    assert raw["r_hat"][first] is None and raw["mean_accept_prob"][0] is None
+    assert math.isnan(loaded.r_hat[first]) and math.isnan(loaded.mean_accept_prob[0])
+    assert loaded.step_size == diag.step_size and loaded.warnings == diag.warnings
 
 
 def test_ground_truth_readers(tmp_path, truth):
