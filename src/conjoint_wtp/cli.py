@@ -33,9 +33,10 @@ from .dataio import (
     write_wtp_draws_csv,
     write_wtp_summary_csv,
 )
-from .errors import ConfigError, ConjointError
+from .errors import ConfigError, ConjointError, DataError
 from .infer import build_design, sample
 from .infer.diagnostics import POPULATION_PREFIXES, Diagnostics
+from .infer.model import parameter_names
 from .posterior import MIN_HDI_SAMPLES, recovery_report, summarize_wtp, wtp_draws
 from .revenue import revenue_curve
 from .simulate import generate_tasks, sample_respondents, simulate_choices
@@ -237,6 +238,7 @@ def cmd_pipeline(args) -> int:
     diagnostics_path = state.out / "diagnostics.json"
     if "fit" not in stages and diagnostics_path.exists():  # read before any stage writes
         state.diagnostics = read_diagnostics_json(diagnostics_path)
+        _check_one_fit(state, diagnostics_path)
     timings: dict[str, float] = {}
     for name in stages:
         if name == "revenue" and config.scenario is None:
@@ -264,6 +266,20 @@ def cmd_pipeline(args) -> int:
     write_json(state.out / "report.json", report)
     print(f"report written to {state.out / 'report.json'}")
     return 0
+
+
+def _check_one_fit(state: RunState, diagnostics_path: Path) -> None:
+    """A resumed pipeline's diagnostics.json must describe the fit of the posterior it reads."""
+    draws, diagnostics = state.posterior(), state.diagnostics
+    chains = draws.config.chains
+    if list(diagnostics.r_hat) != parameter_names(draws.columns, draws.respondent_ids):
+        fault = "its r_hat names other parameters than the posterior's"
+    elif any(len(values) != chains for values in diagnostics.per_chain()):
+        fault = f"its per-chain fields do not have the posterior's config.chains = {chains} entries"
+    else:
+        return
+    posterior_path = state._input("posterior", "posterior.jsonl")
+    raise DataError(f"{diagnostics_path} is not from the fit in {posterior_path}: {fault}")
 
 
 def _quality_section(diagnostics: Diagnostics | None) -> dict | None:

@@ -17,6 +17,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -186,26 +187,52 @@ def read_ground_truth_json(path: str | Path) -> GroundTruth:
         raise DataError(f"{path}: {e}") from None
 
 
+@dataclass(frozen=True)
+class ColumnScaling:
+    """The header's `standardization` block: `Standardization` without its columns."""
+
+    mean: tuple[float, ...]
+    scale: tuple[float, ...]
+
+
+@dataclass(frozen=True, kw_only=True)
+class PosteriorHeader:
+    """The first line of a posterior file, as the config walker writes and
+    reads it. As in the run config, the model's seed is the header's seed."""
+
+    format: str = POSTERIOR_FORMAT
+    version: int = POSTERIOR_VERSION
+    columns: tuple[str, ...]
+    price_column: str
+    respondent_ids: tuple[int, ...]
+    standardization: ColumnScaling
+    config: ModelConfig
+    seed: int
+    param_layout: str = "mu, sigma, z (respondent-major)"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "config", replace(self.config, seed=self.seed))
+        if self.price_column not in self.columns:
+            raise ContractError(f"price_column {self.price_column!r} is not one of the columns")
+        if len(set(self.respondent_ids)) < len(self.respondent_ids):
+            raise ContractError("respondent_ids must not repeat an id")
+
+
 def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
-    header = {
-        "format": POSTERIOR_FORMAT,
-        "version": POSTERIOR_VERSION,
-        "columns": list(draws.columns),
-        "price_column": draws.price_column,
-        "respondent_ids": list(draws.respondent_ids),
-        "standardization": {
-            "mean": draws.standardization.mean.tolist(),
-            "scale": draws.standardization.scale.tolist(),
-        },
-        "config": to_dict(draws.config),
-        "seed": draws.seed,
-        "param_layout": "mu, sigma, z (respondent-major)",
-    }
+    std = draws.standardization
+    header = PosteriorHeader(
+        columns=draws.columns,
+        price_column=draws.price_column,
+        respondent_ids=draws.respondent_ids,
+        standardization=ColumnScaling(tuple(std.mean.tolist()), tuple(std.scale.tolist())),
+        config=draws.config,
+        seed=draws.seed,
+    )
     n = draws.n_draws
     flat_z = draws.z.reshape(n, -1)
 
     def write(f: TextIO) -> None:
-        f.write(json.dumps(header, separators=(",", ":")) + "\n")
+        f.write(json.dumps(to_dict(header), separators=(",", ":")) + "\n")
         for i in range(n):
             params = np.concatenate([draws.mu[i], draws.sigma[i], flat_z[i]])
             line = {
@@ -220,51 +247,54 @@ def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
 
 
 def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
-    """Read a posterior file; a bad header or draw line, including a
-    parameter that is not finite, is a DataError naming the path and line."""
+    """Read a posterior file; a bad header field, or a draw line out of its
+    place or with a parameter that is not finite, is a DataError naming the
+    path and the field or line. Draw line i holds "draw": i and "chain":
+    i // config.draws_per_chain, and there are config.chains x
+    config.draws_per_chain of them."""
     with _open_utf8(path) as f:
         header_line = f.readline()
         if not header_line:
             raise DataError(f"{path}: empty file")
         try:
-            header = json.loads(header_line)
+            raw = json.loads(header_line)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: bad header: {e}") from None
-        if not isinstance(header, dict):
+        if not isinstance(raw, dict):
             raise DataError(f"{path}: header is not a JSON object")
-        if header.get("format") != POSTERIOR_FORMAT or header.get("version") != POSTERIOR_VERSION:
+        if raw.get("format") != POSTERIOR_FORMAT or raw.get("version") != POSTERIOR_VERSION:
             raise DataError(f"{path}: not a {POSTERIOR_FORMAT} v{POSTERIOR_VERSION} file")
         try:
-            columns = tuple(header["columns"])
-            respondent_ids = tuple(int(r) for r in header["respondent_ids"])
-            std = header["standardization"]
-            standardization = Standardization(
-                columns=columns,
-                mean=np.asarray(std["mean"], dtype=float),
-                scale=np.asarray(std["scale"], dtype=float),
-            )
-            price_column, seed = header["price_column"], int(header["seed"])
-            if price_column not in columns:
-                raise DataError(f"{path}: header price_column {price_column!r} is not one of the columns")
-            config = from_dict(ModelConfig, header["config"], "posterior.config", ModelConfig(seed=seed))
-        except KeyError as e:
-            raise DataError(f"{path}: header has no field {e}") from None
-        except (TypeError, ValueError, ContractError, ConfigError) as e:
+            header = from_dict(PosteriorHeader, raw, "posterior")
+            scaling = header.standardization
+            standardization = Standardization(header.columns, np.array(scaling.mean), np.array(scaling.scale))
+        except (ConfigError, ContractError) as e:
             raise DataError(f"{path}: bad header: {e}") from None
-        f_dim = len(columns)
-        r_dim = len(respondent_ids)
+        f_dim = len(header.columns)
+        r_dim = len(header.respondent_ids)
         expected = f_dim * (2 + r_dim)
-        mu_rows, sigma_rows, z_rows, chains, divergent = [], [], [], [], []
+        per_chain = header.config.draws_per_chain
+        n = header.config.chains * per_chain
+        mu_rows, sigma_rows, z_rows, divergent = [], [], [], []
         for line_no, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
                 params = np.asarray(obj["params"], dtype=float)
-                chains.append(int(obj["chain"]))
-                divergent.append(bool(obj["divergent"]))
+                chain, draw, div = obj["chain"], obj["draw"], obj["divergent"]
             except Exception as e:
                 raise DataError(f"{path}: line {line_no}: {e}") from None
+            i = len(divergent)
+            if i == n:
+                raise DataError(
+                    f"{path}: line {line_no}: more draws than the header's chains x draws_per_chain, {n}"
+                )
+            for key, value, place in (("chain", chain, i // per_chain), ("draw", draw, i)):
+                if type(value) is not int or value != place:
+                    raise DataError(f"{path}: line {line_no}: {key} must be {place}, got {value!r}")
+            if type(div) is not bool:
+                raise DataError(f"{path}: line {line_no}: divergent must be true or false, got {div!r}")
             if params.shape != (expected,):
                 raise DataError(
                     f"{path}: line {line_no}: {params.size} parameters, expected {expected}"
@@ -274,20 +304,21 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
             mu_rows.append(params[:f_dim])
             sigma_rows.append(params[f_dim : 2 * f_dim])
             z_rows.append(params[2 * f_dim :])
-    if not mu_rows:
-        raise DataError(f"{path}: no draws")
+            divergent.append(div)
+    if len(divergent) != n:
+        raise DataError(f"{path}: {len(divergent)} draws, the header's chains x draws_per_chain is {n}")
     return PosteriorDraws(
-        columns=columns,
-        price_column=price_column,
-        respondent_ids=respondent_ids,
+        columns=header.columns,
+        price_column=header.price_column,
+        respondent_ids=header.respondent_ids,
         mu=np.vstack(mu_rows),
         sigma=np.vstack(sigma_rows),
-        z=np.vstack(z_rows).reshape(len(mu_rows), r_dim, f_dim),
+        z=np.vstack(z_rows).reshape(n, r_dim, f_dim),
         standardization=standardization,
-        chain_index=np.asarray(chains, dtype=int),
-        divergent=np.asarray(divergent, dtype=bool),
-        config=config,
-        seed=seed,
+        chain_index=np.repeat(np.arange(header.config.chains), per_chain),
+        divergent=np.array(divergent, dtype=bool),
+        config=header.config,
+        seed=header.seed,
     )
 
 

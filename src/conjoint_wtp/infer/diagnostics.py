@@ -54,6 +54,10 @@ class Diagnostics:
         if self.divergence_count < 0:
             raise ContractError(f"divergence_count must be >= 0, got {self.divergence_count}")
 
+    def per_chain(self) -> tuple[tuple, ...]:
+        """The fields that hold one entry per chain."""
+        return (self.mean_accept_prob, self.step_size, self.grad_evals_warmup, self.grad_evals_sampling)
+
     def max_r_hat(self, prefix: str | tuple[str, ...] = "") -> float:
         """Largest finite R-hat among the names starting with `prefix` (one or several)."""
         values = [v for k, v in self.r_hat.items() if k.startswith(prefix) and math.isfinite(v)]

@@ -83,6 +83,14 @@ class ModelConfig:
             raise ContractError(f"seed must be non-negative, got {self.seed}")
 
 
+def parameter_names(columns, respondent_ids) -> list[str]:
+    """The names of the parameter vector's entries, in its order."""
+    names = [f"mu[{c}]" for c in columns] + [f"sigma[{c}]" for c in columns]
+    for rid in respondent_ids:
+        names.extend(f"z[{rid},{c}]" for c in columns)
+    return names
+
+
 def _loglik_and_score(s: np.ndarray, sgn: np.ndarray):
     """Sum of log expit(s) over the signed logits s = sgn * eta, and the
     score d/d eta = sgn * (1 - expit(s)), shaped like s. Callers run it
@@ -132,11 +140,7 @@ class HierarchicalLogitModel:
         return mu, log_sigma, z
 
     def parameter_names(self) -> list[str]:
-        cols = self.design.columns
-        names = [f"mu[{c}]" for c in cols] + [f"sigma[{c}]" for c in cols]
-        for rid in self.design.respondent_ids:
-            names.extend(f"z[{rid},{c}]" for c in cols)
-        return names
+        return parameter_names(self.design.columns, self.design.respondent_ids)
 
     def log_posterior(self, theta: np.ndarray):
         mu, log_sigma, z = self.unpack(theta)

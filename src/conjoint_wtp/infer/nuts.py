@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -424,6 +423,8 @@ def run_nuts(
     ]
     n_workers = resolve_workers(chains)
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: only a pool loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_run_chain, jobs))
     else:

@@ -247,6 +247,21 @@ def fitted_run(tmp_path_factory):
     return config, out
 
 
+@pytest.fixture(scope="module")
+def foreign_fits(fitted_run, tmp_path_factory):
+    """Output directories of two fits other than fitted_run's: one of a
+    survey with fewer respondents, one of its own survey on one chain."""
+    config, run_dir = fitted_run
+    tmp = tmp_path_factory.mktemp("foreign")
+    other = write_config(tmp, lambda c: c["simulation"].update(n_respondents=12), name="other.json")
+    fits = {"other-survey": tmp / "survey", "other-chain-count": tmp / "chains"}
+    assert cli.main(["simulate", "--config", str(other), "--out", str(fits["other-survey"])]) == 0
+    assert cli.main(["fit", "--config", str(other), "--out", str(fits["other-survey"])]) == 0
+    argv = ["fit", "--config", str(config), "--out", str(fits["other-chain-count"]), "--chains", "1"]
+    assert cli.main([*argv, "--data", str(run_dir / "choices.csv")]) == 0
+    return fits
+
+
 class TestWtp:
     def test_without_truth_skips_recovery(self, fitted_run, tmp_path):
         _, run_dir = fitted_run
@@ -531,13 +546,14 @@ def test_console_entry_point_runs():
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # the CLI starts on numpy alone: only `diagnose` imports scipy (for
-    # ndtri), so no other command pays for loading it
+    # ndtri), and only a pooled `run_nuts` imports multiprocessing, so no
+    # other command pays for loading them
     import subprocess
     import sys
 
     probe = (
         "import sys, conjoint_wtp.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -578,9 +594,54 @@ MALFORMED_DIAGNOSTICS = [
 ]
 
 
+# (id, change to the header object and the draw rows, the message after
+# "<path>: ") for posterior files the reader once read without an error.
+LAX_POSTERIORS = [
+    ("divergent-string", lambda h, rows: rows[0].update(divergent="false"),
+     "line 2: divergent must be true or false, got 'false'"),
+    ("fractional-respondent-id", lambda h, rows: h.update(respondent_ids=[0.9, *range(1, 25)]),
+     "bad header: posterior.respondent_ids[0] must be an integer, got 0.9"),
+    ("repeated-respondent-id", lambda h, rows: h.update(respondent_ids=[0, 0, *range(2, 25)]),
+     "bad header: posterior.respondent_ids must not repeat an id"),
+    ("string-seed", lambda h, rows: h.update(seed="7"), "bad header: posterior.seed must be an integer, got '7'"),
+    ("fractional-seed", lambda h, rows: h.update(seed=7.9), "bad header: posterior.seed must be an integer, got 7.9"),
+    ("fractional-chain", lambda h, rows: rows[0].update(chain=0.7), "line 2: chain must be 0, got 0.7"),
+    ("negative-chain", lambda h, rows: rows[0].update(chain=-3), "line 2: chain must be 0, got -3"),
+    ("chain-past-the-last", lambda h, rows: rows[-1].update(chain=9), "line 241: chain must be 1, got 9"),
+    ("draw-out-of-place", lambda h, rows: rows[4].update(draw=3), "line 6: draw must be 4, got 3"),
+    ("string-scales", lambda h, rows: h["standardization"].update(scale=["1.0"] * len(h["columns"])),
+     "bad header: posterior.standardization.scale[0] must be a number, got '1.0'"),
+    ("more-chains-than-draws", lambda h, rows: h["config"].update(chains=7),
+     "240 draws, the header's chains x draws_per_chain is 840"),
+    ("last-draw-missing", lambda h, rows: rows.pop(),
+     "239 draws, the header's chains x draws_per_chain is 240"),
+    ("draw-past-the-last", lambda h, rows: rows.append({**rows[-1], "draw": 240}),
+     "line 242: more draws than the header's chains x draws_per_chain, 240"),
+]
+
+
 class TestMalformedInputs:
     """Unreadable config, data, posterior, truth, diagnostics and report files
     exit 2 naming the problem."""
+
+    @pytest.mark.parametrize("command", ["wtp", "revenue"])
+    @pytest.mark.parametrize("case", [case[0] for case in LAX_POSTERIORS])
+    def test_lax_posterior_exits_2_naming_the_field_or_line(self, fitted_run, tmp_path, capsys, command, case):
+        # the fitted run's posterior: 2 chains x 120 draws over respondents 0..24
+        mutate, message = next(c[1:] for c in LAX_POSTERIORS if c[0] == case)
+        config, run_dir = fitted_run
+        lines = (run_dir / "posterior.jsonl").read_text(encoding="utf-8").splitlines()
+        header, rows = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+        mutate(header, rows)
+        path = tmp_path / "posterior.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = [command, "--posterior", str(path), "--out", str(out)]
+        if command == "revenue":
+            argv += ["--config", str(config)]
+        assert cli.main(argv) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_posterior_header_missing_field_exits_2(self, fitted_run, tmp_path, capsys):
         _, run_dir = fitted_run
@@ -591,7 +652,7 @@ class TestMalformedInputs:
         path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
         code = cli.main(["wtp", "--posterior", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "standardization" in capsys.readouterr().err
+        assert f"{path}: bad header: missing required field posterior.standardization" in capsys.readouterr().err
 
     def test_truth_file_that_is_not_json_exits_2(self, fitted_run, tmp_path, capsys):
         _, run_dir = fitted_run
@@ -661,6 +722,24 @@ class TestMalformedInputs:
         assert cli.main(argv) == 2
         assert f"error: {bad}: {message}\n" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["diagnostics.json", "posterior.jsonl"]
+
+    @pytest.mark.parametrize("fit", ["other-survey", "other-chain-count"])
+    def test_resume_refuses_diagnostics_from_another_fit(self, fitted_run, foreign_fits, tmp_path, capsys, fit):
+        config, run_dir = fitted_run
+        out = tmp_path / "o"
+        out.mkdir()
+        shutil.copy(run_dir / "posterior.jsonl", out)
+        shutil.copy(foreign_fits[fit] / "diagnostics.json", out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        argv = ["pipeline", "--config", str(config), "--out", str(out), "--from", "wtp"]
+        assert cli.main(argv) == 2
+        fault = {
+            "other-survey": "its r_hat names other parameters than the posterior's",
+            "other-chain-count": "its per-chain fields do not have the posterior's config.chains = 2 entries",
+        }[fit]
+        err = capsys.readouterr().err
+        assert f"error: {out / 'diagnostics.json'} is not from the fit in {out / 'posterior.jsonl'}: {fault}\n" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("case", ["config", "data", "posterior", "diagnostics"])
     def test_unreadable_input_exits_2_naming_the_file(self, fitted_run, tmp_path, capsys, case):

@@ -235,6 +235,19 @@ def test_streamed_posterior_matches_joined_text(tmp_path, tiny_draws):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
+@pytest.mark.parametrize("ids", ["in-order", "sparse"])
+def test_posterior_read_writes_back_the_same_bytes(tmp_path, tiny_draws, ids):
+    # the header's key order and every draw line survive a read and a write
+    draws = tiny_draws
+    if ids == "sparse":  # as `fit --data` allows
+        sparse = tuple(1000 + 3 * i for i in range(len(draws.respondent_ids)))
+        draws = dataclasses.replace(draws, respondent_ids=sparse)
+    path, again = tmp_path / "posterior.jsonl", tmp_path / "again.jsonl"
+    write_posterior_jsonl(path, draws)
+    write_posterior_jsonl(again, read_posterior_jsonl(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_posterior_jsonl_rejects_foreign_files(tmp_path):
     path = tmp_path / "posterior.jsonl"
     path.write_text('{"format": "something-else", "version": 9}\n', encoding="utf-8")
@@ -270,10 +283,13 @@ def _one_scale(header):
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (_drop("columns"), "columns"),
-        (_drop("standardization"), "standardization"),
+        (_drop("columns"), r"bad header: missing required field posterior\.columns$"),
+        (_drop("standardization"), r"bad header: missing required field posterior\.standardization$"),
         (_one_scale, "standardization scale"),
-        (lambda header: {**header, "price_column": "cost"}, "price_column 'cost'"),
+        (
+            lambda header: {**header, "price_column": "cost"},
+            r"bad header: posterior\.price_column 'cost' is not one of the columns",
+        ),
         (lambda header: [header], "header is not a JSON object"),
         (
             lambda header: {**header, "config": {**header["config"], "bogus": 1}},
