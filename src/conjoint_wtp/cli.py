@@ -276,6 +276,10 @@ def _check_one_fit(state: RunState, diagnostics_path: Path) -> None:
         fault = "its r_hat names other parameters than the posterior's"
     elif any(len(values) != chains for values in diagnostics.per_chain()):
         fault = f"its per-chain fields do not have the posterior's config.chains = {chains} entries"
+    elif diagnostics.seed != draws.seed:
+        fault = f"its seed {diagnostics.seed} is not the posterior's {draws.seed}"
+    elif diagnostics.config != draws.config:
+        fault = "its model config is not the posterior header's"
     else:
         return
     posterior_path = state._input("posterior", "posterior.jsonl")

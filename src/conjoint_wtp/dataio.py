@@ -29,7 +29,7 @@ from .errors import ConfigError, ContractError, DataError, RowError
 from .infer.design import Standardization
 from .infer.diagnostics import Diagnostics
 from .infer.fit import PosteriorDraws
-from .infer.model import ModelConfig
+from .infer.model import ModelConfig, split_parameters
 from .posterior import WtpDraws, WtpSummary
 from .revenue import RevenueCurve
 from .simulate import ChoiceDataset, GroundTruth
@@ -275,7 +275,11 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
         expected = f_dim * (2 + r_dim)
         per_chain = header.config.draws_per_chain
         n = header.config.chains * per_chain
-        mu_rows, sigma_rows, z_rows, divergent = [], [], [], []
+        try:
+            block = np.empty((n, expected))
+        except (MemoryError, ValueError):
+            raise DataError(f"{path}: the header's chains x draws_per_chain, {n}, is too many draws") from None
+        divergent = []
         for line_no, line in enumerate(f, start=2):
             if not line.strip():
                 continue
@@ -301,19 +305,18 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
                 )
             if not np.isfinite(params).all():
                 raise DataError(f"{path}: line {line_no}: every parameter must be finite")
-            mu_rows.append(params[:f_dim])
-            sigma_rows.append(params[f_dim : 2 * f_dim])
-            z_rows.append(params[2 * f_dim :])
+            block[i] = params
             divergent.append(div)
     if len(divergent) != n:
         raise DataError(f"{path}: {len(divergent)} draws, the header's chains x draws_per_chain is {n}")
+    mu, sigma, z = split_parameters(block, f_dim, r_dim)
     return PosteriorDraws(
         columns=header.columns,
         price_column=header.price_column,
         respondent_ids=header.respondent_ids,
-        mu=np.vstack(mu_rows),
-        sigma=np.vstack(sigma_rows),
-        z=np.vstack(z_rows).reshape(n, r_dim, f_dim),
+        mu=mu,
+        sigma=sigma,
+        z=z,
         standardization=standardization,
         chain_index=np.repeat(np.arange(header.config.chains), per_chain),
         divergent=np.array(divergent, dtype=bool),

@@ -8,11 +8,15 @@ Standardizing is a change of units only: the columns are never centered.
 The scaling is kept alongside the panel because unscaling is mandatory
 before any dollar-valued output.
 
+Each row is stored signed, chosen minus rejected: sign * (A - B) / scale,
+sign +1 where A was chosen and -1 where B was, so its logit is the chosen
+option's. The SD is of the A - B rows, fixed before any choice is drawn.
+
 The rows are laid out once as a padded (respondents, T_max, features)
 array: respondent r's tasks fill the first slots of row r, in table order.
-Each pad slot of a ragged panel has x = 0 and sign = 0, so its signed logit
-is 0: it adds exactly -log 2 to the likelihood, which the model cancels
-with a constant, and 0 to the score.
+Each pad slot of a ragged panel is a zero row, so its logit is 0: it adds
+exactly -log 2 to the likelihood, which the model cancels with a constant,
+and 0 to the score.
 """
 
 from __future__ import annotations
@@ -52,16 +56,16 @@ class Standardization:
 @dataclass(frozen=True)
 class Design:
     """The panel the model fits. `x` (respondents, T_max, features) holds
-    respondent r's standardized difference rows in the first slots of row r;
-    `sign` (respondents, T_max) is +1 where A was chosen, -1 where B was, and
-    0 in a pad slot, whose x is 0. Row r is respondent `respondent_ids[r]`,
+    respondent r's signed, standardized difference rows (chosen minus
+    rejected) in the first slots of row r, and zero rows in its pad slots;
+    `n_rows` counts the real slots. Row r is respondent `respondent_ids[r]`,
     and `standardization.scale` records the column SDs.
     """
 
     columns: tuple[str, ...]
     price_column: str
     x: np.ndarray
-    sign: np.ndarray
+    n_rows: int
     respondent_ids: tuple[int, ...]
     standardization: Standardization
 
@@ -93,20 +97,19 @@ def build_design(dataset: ChoiceDataset) -> Design:
     if constant:
         raise DataError(f"constant difference column(s): {constant}")
     rows /= scale
+    rows[~dataset.chose_a] *= -1.0  # chosen minus rejected
 
     starts = dataset.row_starts
     counts = np.diff(np.r_[starts, len(dataset)])
     respondent = np.repeat(np.arange(len(starts)), counts)
     slot = np.arange(len(dataset)) - starts[respondent]
     x = np.zeros((len(starts), counts.max(), len(columns)))
-    sign = np.zeros(x.shape[:2])
     x[respondent, slot] = rows
-    sign[respondent, slot] = np.where(dataset.chose_a, 1.0, -1.0)
     return Design(
         columns=columns,
         price_column=dataset.scheme.price_attribute,
         x=x,
-        sign=sign,
+        n_rows=len(dataset),
         respondent_ids=tuple(dataset.respondent_id[starts].tolist()),
         standardization=Standardization(columns=columns, mean=np.zeros(len(columns)), scale=scale),
     )

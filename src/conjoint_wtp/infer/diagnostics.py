@@ -10,18 +10,20 @@ long the chains are. Both are deterministic functions of the draws.
 
 Beside them it carries each chain's sampler statistics: mean acceptance,
 adapted step size, and gradient evaluations in warmup and in sampling.
-These are counts, not timings, so repeat runs write the same file.
+These are counts, not timings, so repeat runs write the same file. It also
+records the fit's model config and seed, as the posterior header does.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ContractError
+from .model import ModelConfig
 from .nuts import ChainStats
 
 RHAT_WARN_THRESHOLD = 1.05
@@ -49,8 +51,12 @@ class Diagnostics:
     grad_evals_warmup: tuple[int, ...]
     grad_evals_sampling: tuple[int, ...]
     warnings: tuple[str, ...]
+    # the fit's, as in the posterior header: the config's seed is `seed`
+    config: ModelConfig
+    seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "config", replace(self.config, seed=self.seed))
         if self.divergence_count < 0:
             raise ContractError(f"divergence_count must be >= 0, got {self.divergence_count}")
 
@@ -134,9 +140,11 @@ def _rhat_ess(draws: np.ndarray, ndtri) -> tuple[np.ndarray, np.ndarray]:
     return r_hat, ess
 
 
-def diagnose(draws: np.ndarray, names: list[str], stats: Sequence[ChainStats]) -> Diagnostics:
+def diagnose(
+    draws: np.ndarray, names: list[str], stats: Sequence[ChainStats], config: ModelConfig
+) -> Diagnostics:
     """Compute R-hat/ESS for every named parameter of (chains, draws, dim),
-    and collect each chain's sampler statistics."""
+    and collect each chain's sampler statistics; `config` is the fit's."""
     from scipy.special import ndtri  # imported here so only `diagnose` pays for scipy
 
     draws = np.asarray(draws, dtype=float)
@@ -166,4 +174,6 @@ def diagnose(draws: np.ndarray, names: list[str], stats: Sequence[ChainStats]) -
         grad_evals_warmup=tuple(c.grad_evals_warmup for c in stats),
         grad_evals_sampling=tuple(c.grad_evals_sampling for c in stats),
         warnings=warnings,
+        config=config,
+        seed=config.seed,
     )

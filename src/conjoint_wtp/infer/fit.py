@@ -10,7 +10,7 @@ from ..errors import ContractError, FitError
 from .design import Design, Standardization
 from .diagnostics import Diagnostics, diagnose
 from .model import HierarchicalLogitModel, ModelConfig
-from .nuts import SampleResult, run_nuts
+from .nuts import run_nuts
 
 # Hard gate: a sampler run with more than this fraction of divergent
 # transitions is not trustworthy and fails loudly.
@@ -58,17 +58,6 @@ class PosteriorDraws:
             raise ContractError(f"unknown feature column {feature!r}") from None
 
 
-def split_draws(model: HierarchicalLogitModel, result: SampleResult):
-    """Unpack raw sampler output into mu / sigma / z arrays."""
-    f = model.n_features
-    r = model.n_respondents
-    flat = result.flat()
-    mu = flat[:, :f]
-    sigma = np.exp(flat[:, f : 2 * f])
-    z = flat[:, 2 * f :].reshape(flat.shape[0], r, f)
-    return mu, sigma, z
-
-
 def sample(design: Design, config: ModelConfig) -> tuple[PosteriorDraws, Diagnostics]:
     """Fit the hierarchical logit to a built design via NUTS.
 
@@ -94,15 +83,15 @@ def sample(design: Design, config: ModelConfig) -> tuple[PosteriorDraws, Diagnos
             f"{rate:.1%} of post-warmup transitions diverged (limit {MAX_DIVERGENCE_RATE:.0%}); "
             "consider raising target_accept or reparameterizing"
         )
-    diagnostics = diagnose(result.draws, model.parameter_names(), result.stats)
-    mu, sigma, z = split_draws(model, result)
+    diagnostics = diagnose(result.draws, model.parameter_names(), result.stats, config)
+    mu, log_sigma, z = model.unpack(result.flat())
     chain_index = np.repeat(np.arange(config.chains), config.draws_per_chain)
     draws = PosteriorDraws(
         columns=design.columns,
         price_column=design.price_column,
         respondent_ids=design.respondent_ids,
         mu=mu,
-        sigma=sigma,
+        sigma=np.exp(log_sigma),
         z=z,
         standardization=design.standardization,
         chain_index=chain_index,

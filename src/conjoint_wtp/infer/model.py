@@ -9,17 +9,17 @@ scale with the Jacobian folded into the density.
 It exposes log_posterior(theta) -> (value, gradient) with an exact analytic
 gradient; the sampler treats a non-finite value as an off-support point.
 
-The likelihood is one pass over signed logits s = sgn * eta, sgn = +-1 for
-a chosen/rejected option A. With e = exp(-s), expit(s) = 1 / (1 + e), so
-the single exp gives both log expit(s) = -log(1 + e) and the score
-d/d eta = sgn * e / (1 + e). When e overflows (s below about -709) the sum
-is recomputed exactly in numpy, as log expit(s) = -logaddexp(0, -s) and the
-score sgn / (1 + exp(s)), whose overflow for s above about 709 gives an
-exact 0.
+The likelihood is one pass over the logits s = x . beta of the chosen
+options: the design stores each row signed, chosen minus rejected. With
+e = exp(-s), expit(s) = 1 / (1 + e), so the single exp gives both
+log expit(s) = -log(1 + e) and the score d/ds = e / (1 + e). When e
+overflows (s below about -709) the sum is recomputed exactly in numpy, as
+log expit(s) = -logaddexp(0, -s) and the score 1 / (1 + exp(s)), whose
+overflow for s above about 709 gives an exact 0.
 
 The pass runs over the design's padded panel (`design.py`): each of its pad
 slots adds exactly -log 2 to the sum, which a precomputed constant cancels,
-and 0 to the score.
+and 0 to the gradient.
 """
 
 from __future__ import annotations
@@ -91,17 +91,25 @@ def parameter_names(columns, respondent_ids) -> list[str]:
     return names
 
 
-def _loglik_and_score(s: np.ndarray, sgn: np.ndarray):
-    """Sum of log expit(s) over the signed logits s = sgn * eta, and the
-    score d/d eta = sgn * (1 - expit(s)), shaped like s. Callers run it
-    under np.errstate(over="ignore"): an exp that overflows is expected."""
+def split_parameters(theta: np.ndarray, n_features: int, n_respondents: int):
+    """The one slicing of the parameter layout [mu, sigma or log-sigma, z]:
+    views over the last axis of one vector or a (draws, dim) batch, with z
+    respondent-major, shaped (..., respondents, features)."""
+    f = n_features
+    z = theta[..., 2 * f :].reshape(*theta.shape[:-1], n_respondents, f)
+    return theta[..., :f], theta[..., f : 2 * f], z
+
+
+def _loglik_and_score(s: np.ndarray):
+    """Sum of log expit(s) over the chosen options' logits s, and the score
+    d/ds = 1 - expit(s), shaped like s. Callers run it under
+    np.errstate(over="ignore"): an exp that overflows is expected."""
     e = np.exp(-s)
     d = e + 1.0
     loglik = -float(np.log(d).sum())
     if not math.isfinite(loglik):
-        return -float(np.logaddexp(0.0, -s).sum()), sgn / (1.0 + np.exp(s))
+        return -float(np.logaddexp(0.0, -s).sum()), 1.0 / (1.0 + np.exp(s))
     e /= d
-    e *= sgn
     return loglik, e
 
 
@@ -116,7 +124,7 @@ class HierarchicalLogitModel:
         self.config = config
         self.n_features = design.n_features
         self.n_respondents = design.n_respondents
-        self._pad_const = int((design.sign == 0).sum()) * math.log(2.0)
+        self._pad_const = (math.prod(design.x.shape[:2]) - design.n_rows) * math.log(2.0)
         price = np.arange(self.n_features) == design.price_index
         mu_price, mu_feature = config.prior_mu_price, config.prior_mu_feature
         self.prior_mean = np.where(price, mu_price.mean, mu_feature.mean)
@@ -133,26 +141,27 @@ class HierarchicalLogitModel:
         return self.n_features * (2 + self.n_respondents)
 
     def unpack(self, theta: np.ndarray):
-        f, r = self.n_features, self.n_respondents
-        mu = theta[:f]
-        log_sigma = theta[f : 2 * f]
-        z = theta[2 * f :].reshape(r, f)
-        return mu, log_sigma, z
+        """mu, log_sigma and z of one parameter vector or a (draws, dim) batch."""
+        return split_parameters(theta, self.n_features, self.n_respondents)
 
     def parameter_names(self) -> list[str]:
         return parameter_names(self.design.columns, self.design.respondent_ids)
 
     def log_posterior(self, theta: np.ndarray):
+        # An extreme theta can overflow anywhere below, to inf or, as inf * 0,
+        # to NaN. It is off-support: the result is -inf, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            logp, grad = self._log_density(theta)
+        if not (math.isfinite(logp) and np.all(np.isfinite(grad))):
+            return -np.inf, np.zeros_like(theta)
+        return logp, grad
+
+    def _log_density(self, theta: np.ndarray):
         mu, log_sigma, z = self.unpack(theta)
-        with np.errstate(over="ignore"):
-            sigma = np.exp(log_sigma)
-            if not np.all(np.isfinite(sigma)):
-                return -np.inf, np.zeros_like(theta)
-            beta = mu + sigma * z
-            x, sgn = self.design.x, self.design.sign
-            s = (x @ beta[:, :, None])[:, :, 0]
-            s *= sgn
-            loglik, score = _loglik_and_score(s, sgn)
+        sigma = np.exp(log_sigma)
+        beta = mu + sigma * z
+        x = self.design.x
+        loglik, score = _loglik_and_score((x @ beta[:, :, None])[:, :, 0])
         grad_beta = (score[:, None, :] @ x)[:, 0, :]
 
         mu_resid = (mu - self.prior_mean) / self.prior_sd
@@ -168,16 +177,10 @@ class HierarchicalLogitModel:
             + self._z_const
             - 0.5 * (z**2).sum()
         )
-        if not np.isfinite(logp):
-            return -np.inf, np.zeros_like(theta)
-
         grad_mu = grad_beta.sum(axis=0) - mu_resid / self.prior_sd
         grad_log_sigma = (grad_beta * z).sum(axis=0) * sigma - sigma2_tau2 + 1.0
         grad_z = grad_beta * sigma - z
-        grad = np.concatenate([grad_mu, grad_log_sigma, grad_z.reshape(-1)])
-        if not np.all(np.isfinite(grad)):
-            return -np.inf, np.zeros_like(theta)
-        return float(logp), grad
+        return float(logp), np.concatenate([grad_mu, grad_log_sigma, grad_z.reshape(-1)])
 
     def initial_position(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, self.dim)

@@ -334,7 +334,14 @@ def _adaptation_windows(warmup: int) -> list[int]:
 
 
 def _run_chain(args):
-    model, warmup, draws, target_accept, max_depth, seed, chain_idx = args
+    """One chain's draws and statistics. A leapfrog step that blows up can
+    overflow the energy to inf, which marks the transition divergent; that
+    overflow is expected, so numpy does not warn of it."""
+    with np.errstate(over="ignore"):
+        return _chain(*args)
+
+
+def _chain(model, warmup, draws, target_accept, max_depth, seed, chain_idx):
     rng = substream(seed, CHAIN_STREAM, chain_idx)
     dim = model.dim
     grad_evals = 0

@@ -28,7 +28,8 @@ INDIVIDUAL_FLAG_LIMIT = 0.005
 
 
 class FlatLogitModel:
-    """Pooled logit: one shared coefficient vector with normal priors."""
+    """Pooled logit: one shared coefficient vector with normal priors. Like
+    the design, it keeps each row signed, chosen minus rejected."""
 
     def __init__(
         self,
@@ -37,13 +38,11 @@ class FlatLogitModel:
         prior_mean: np.ndarray,
         prior_sd: np.ndarray,
     ):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(choices, dtype=float)
-        if self.x.ndim != 2 or self.x.shape[0] != self.y.shape[0]:
-            raise ContractError(
-                f"design {self.x.shape} and choices {self.y.shape} do not line up"
-            )
-        self.sgn = 2.0 * self.y - 1.0
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(choices, dtype=float)
+        if x.ndim != 2 or x.shape[0] != y.shape[0]:
+            raise ContractError(f"design {x.shape} and choices {y.shape} do not line up")
+        self.x = (2.0 * y - 1.0)[:, None] * x
         self.prior_mean = np.asarray(prior_mean, dtype=float)
         self.prior_sd = np.asarray(prior_sd, dtype=float)
         if self.prior_mean.shape != (self.x.shape[1],) or self.prior_sd.shape != (self.x.shape[1],):
@@ -61,7 +60,7 @@ class FlatLogitModel:
         logp = self._const - 0.5 * (resid**2).sum()
         grad = -resid / self.prior_sd
         with np.errstate(over="ignore"):
-            loglik, score = _loglik_and_score(self.sgn * (self.x @ theta), self.sgn)
+            loglik, score = _loglik_and_score(self.x @ theta)
         logp += loglik
         grad = grad + self.x.T @ score
         if not np.isfinite(logp):

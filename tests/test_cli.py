@@ -249,16 +249,22 @@ def fitted_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def foreign_fits(fitted_run, tmp_path_factory):
-    """Output directories of two fits other than fitted_run's: one of a
-    survey with fewer respondents, one of its own survey on one chain."""
+    """Output directories of fits other than fitted_run's: one of a survey
+    with fewer respondents, and three of its own survey: on one chain, at
+    another seed with more draws, and at its seed with more draws."""
     config, run_dir = fitted_run
     tmp = tmp_path_factory.mktemp("foreign")
     other = write_config(tmp, lambda c: c["simulation"].update(n_respondents=12), name="other.json")
-    fits = {"other-survey": tmp / "survey", "other-chain-count": tmp / "chains"}
+    fits = {name: tmp / name for name in ("other-survey", "other-chain-count", "other-seed", "other-draws")}
     assert cli.main(["simulate", "--config", str(other), "--out", str(fits["other-survey"])]) == 0
     assert cli.main(["fit", "--config", str(other), "--out", str(fits["other-survey"])]) == 0
-    argv = ["fit", "--config", str(config), "--out", str(fits["other-chain-count"]), "--chains", "1"]
-    assert cli.main([*argv, "--data", str(run_dir / "choices.csv")]) == 0
+    for name, flags in (
+        ("other-chain-count", ["--chains", "1"]),
+        ("other-seed", ["--seed", "7", "--draws", "150"]),
+        ("other-draws", ["--draws", "150"]),
+    ):
+        argv = ["fit", "--config", str(config), "--out", str(fits[name]), *flags]
+        assert cli.main([*argv, "--data", str(run_dir / "choices.csv")]) == 0
     return fits
 
 
@@ -591,6 +597,10 @@ MALFORMED_DIAGNOSTICS = [
     ("effective_sample_size", [], "diagnostics.effective_sample_size must be a JSON object"),
     ("bogus", 1, "unknown key(s) in diagnostics: bogus"),
     ("grad_evals_sampling", None, "missing required field diagnostics.grad_evals_sampling"),
+    # a diagnostics.json written before it recorded its fit's config and seed
+    ("config", None, "missing required field diagnostics.config"),
+    ("seed", None, "missing required field diagnostics.seed"),
+    ("seed", "7", "diagnostics.seed must be an integer, got '7'"),
 ]
 
 
@@ -723,7 +733,7 @@ class TestMalformedInputs:
         assert f"error: {bad}: {message}\n" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["diagnostics.json", "posterior.jsonl"]
 
-    @pytest.mark.parametrize("fit", ["other-survey", "other-chain-count"])
+    @pytest.mark.parametrize("fit", ["other-survey", "other-chain-count", "other-seed", "other-draws"])
     def test_resume_refuses_diagnostics_from_another_fit(self, fitted_run, foreign_fits, tmp_path, capsys, fit):
         config, run_dir = fitted_run
         out = tmp_path / "o"
@@ -736,6 +746,8 @@ class TestMalformedInputs:
         fault = {
             "other-survey": "its r_hat names other parameters than the posterior's",
             "other-chain-count": "its per-chain fields do not have the posterior's config.chains = 2 entries",
+            "other-seed": "its seed 7 is not the posterior's 424242",
+            "other-draws": "its model config is not the posterior header's",
         }[fit]
         err = capsys.readouterr().err
         assert f"error: {out / 'diagnostics.json'} is not from the fit in {out / 'posterior.jsonl'}: {fault}\n" in err

@@ -299,10 +299,20 @@ def _one_scale(header):
             lambda header: {**header, "config": {**header["config"], "chains": "two"}},
             r"posterior\.jsonl: bad header: posterior\.config\.chains",
         ),
+        # the draws are read into one block the header sizes: more than
+        # memory can hold, or than an array can index, is refused up front
+        (
+            lambda header: {**header, "config": {**header["config"], "chains": 10**12}},
+            r"posterior\.jsonl: the header's chains x draws_per_chain, 60000000000000, is too many draws$",
+        ),
+        (
+            lambda header: {**header, "config": {**header["config"], "chains": 10**30}},
+            r"posterior\.jsonl: the header's chains x draws_per_chain, 6\d{31}, is too many draws$",
+        ),
     ],
     ids=[
         "no-columns", "no-standardization", "short-scale", "foreign-price-column", "not-an-object",
-        "unknown-config-key", "non-integer-chains",
+        "unknown-config-key", "non-integer-chains", "chains-past-memory", "chains-past-indexing",
     ],
 )
 def test_posterior_header_problems_name_the_field(tmp_path, tiny_draws, mutate, message):

@@ -38,6 +38,11 @@ def _raw_differences(dataset):
     )
 
 
+def _signed(dataset, rows):
+    """Each row as chosen minus rejected: negated where B was chosen."""
+    return np.where(dataset.chose_a, 1.0, -1.0)[:, None] * rows
+
+
 def test_standardized_columns_have_unit_sd_and_no_centering(small_dataset):
     # standardizing divides each column by its SD and subtracts nothing:
     # a logit without intercept must not get a per-respondent offset
@@ -46,10 +51,12 @@ def test_standardized_columns_have_unit_sd_and_no_centering(small_dataset):
     scale = design.standardization.scale
     # the table's difference rows are the named profiles' codes, bit for bit
     assert np.array_equal(small_dataset.differences(), raw)
-    rows = design.x[design.sign != 0]  # the panel's real slots, in table order
-    assert np.all(np.abs(rows.std(axis=0) - 1.0) < 1e-10)
+    rows = design.x.reshape(-1, design.n_features)  # a balanced panel: table order, no pads
+    assert design.n_rows == len(small_dataset) == len(rows)
+    # the SD is of the A - B rows, taken before the sign
+    assert np.all(np.abs(_signed(small_dataset, rows).std(axis=0) - 1.0) < 1e-10)
     assert np.array_equal(scale, raw.std(axis=0))
-    assert np.array_equal(rows, raw / scale)
+    assert np.array_equal(rows, _signed(small_dataset, raw / scale))
     assert np.abs(raw.mean(axis=0)).max() > 0.1  # there was a mean to subtract
     assert not design.standardization.mean.any()
 
@@ -69,7 +76,8 @@ def test_price_difference_scales_linearly(scheme):
     raw = _raw_differences(dataset)[:, design.price_index]
     assert raw[1] - raw[0] == 100.0
     scale = design.standardization.scale[design.price_index]
-    delta = design.x[0, 1, design.price_index] - design.x[0, 0, design.price_index]
+    # B was chosen in the second row, so its signed row is B - A
+    delta = -design.x[0, 1, design.price_index] - design.x[0, 0, design.price_index]
     assert delta * scale == pytest.approx(100.0, rel=1e-12)
 
 
@@ -112,34 +120,37 @@ def test_respondent_blocks_and_choices(scheme):
     dataset = survey(scheme, rows, chose_a=[True, False, True])
     design = build_design(dataset)
     assert design.respondent_ids == (7, 9)
-    assert design.sign.tolist() == [[1.0, -1.0], [1.0, 0.0]]
+    assert design.n_rows == 3
     rows = _raw_differences(dataset) / design.standardization.scale
-    assert np.array_equal(design.x[0], rows[:2])
+    # A chosen, B chosen, A chosen; respondent 9's second slot is a pad
+    assert np.array_equal(design.x[0], [rows[0], -rows[1]])
     assert np.array_equal(design.x[1], [rows[2], np.zeros(design.n_features)])
 
 
 def test_ragged_layout_pads_with_zeros():
     dataset = ragged_dataset()
     design = build_design(dataset)
-    real = design.sign != 0
-    assert design.x.shape == (5, max(RAGGED_TASKS), design.n_features)
-    assert real.sum(axis=1).tolist() == list(RAGGED_TASKS)
     # each respondent's tasks fill the first slots of its row
-    assert np.array_equal(real, np.arange(max(RAGGED_TASKS)) < np.array(RAGGED_TASKS)[:, None])
+    real = np.arange(max(RAGGED_TASKS)) < np.array(RAGGED_TASKS)[:, None]
+    assert design.x.shape == (5, max(RAGGED_TASKS), design.n_features)
+    assert design.n_rows == sum(RAGGED_TASKS) == len(dataset)
     assert not design.x[~real].any()
-    # the column SDs are taken over the real rows, not the pads
+    assert np.all(design.x[real].any(axis=1))  # no real row is a zero row
+    # the column SDs are taken over the real A - B rows, not the pads
     assert np.array_equal(design.standardization.scale, dataset.differences().std(axis=0))
-    assert np.array_equal(design.x[real], dataset.differences() / design.standardization.scale)
-    assert np.array_equal(design.sign[real], np.where(dataset.chose_a, 1.0, -1.0))
+    rows = dataset.differences() / design.standardization.scale
+    assert np.array_equal(design.x[real], _signed(dataset, rows))
+    assert not dataset.chose_a.all() and dataset.chose_a.any()  # both signs occur
 
 
 def test_balanced_panel_has_no_pad():
     dataset = tiny_dataset()
     design = build_design(dataset)
     assert design.x.shape == (5, 8, design.n_features)
-    assert np.all(design.sign != 0)
+    assert design.n_rows == 5 * 8
     rows = dataset.differences() / design.standardization.scale
-    assert np.array_equal(design.x.reshape(-1, design.n_features), rows)
+    assert np.array_equal(design.x.reshape(-1, design.n_features), _signed(dataset, rows))
+    assert not dataset.chose_a.all() and dataset.chose_a.any()  # both signs occur
 
 
 @pytest.mark.parametrize(

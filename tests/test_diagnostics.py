@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conjoint_wtp.infer import diagnose
+from conjoint_wtp.infer import ModelConfig, diagnose
 from conjoint_wtp.infer.diagnostics import _average_ranks, _block_size
 from conjoint_wtp.infer.nuts import ChainStats
 from tests.references import ess_bulk, split_rhat
@@ -31,7 +31,7 @@ def chain_stats(n_draws, accept=0.9, divergent=0, leapfrogs=7, step_size=0.25, w
 def diagnose_all(draws):
     """diagnose on (chains, n, dim) draws: R-hat and ESS arrays in column order."""
     names = [f"p[{j}]" for j in range(draws.shape[2])]
-    diag = diagnose(draws, names, [chain_stats(draws.shape[1])] * draws.shape[0])
+    diag = diagnose(draws, names, [chain_stats(draws.shape[1])] * draws.shape[0], ModelConfig())
     return np.array(list(diag.r_hat.values())), np.array(list(diag.effective_sample_size.values()))
 
 
@@ -102,6 +102,7 @@ def test_diagnose_names_and_warnings():
         draws,
         names=["mu[price]", "sigma[price]"],
         stats=[chain_stats(400, accept=0.9), chain_stats(400, accept=0.88)],
+        config=ModelConfig(),
     )
     assert set(diag.r_hat) == {"mu[price]", "sigma[price]"}
     assert diag.r_hat["mu[price]"] < 1.05
@@ -117,13 +118,14 @@ def test_diagnose_reports_each_chains_sampler_statistics():
         chain_stats(40, accept=0.8, divergent=2, leapfrogs=15, step_size=0.3, warmup_evals=900),
         chain_stats(40, accept=0.9, divergent=0, leapfrogs=7, step_size=0.5, warmup_evals=700),
     ]
-    diag = diagnose(draws, ["mu[price]"], stats)
+    diag = diagnose(draws, ["mu[price]"], stats, ModelConfig(seed=3))
     assert diag.divergence_count == 2
     assert diag.divergence_rate == 2 / 80
     assert diag.mean_accept_prob == (0.8, 0.9)
     assert diag.step_size == (0.3, 0.5)
     assert diag.grad_evals_warmup == (900, 700)
     assert diag.grad_evals_sampling == (600, 280)
+    assert (diag.config, diag.seed) == (ModelConfig(seed=3), 3)
 
 
 def _tie_patterns(rng, size):

@@ -75,7 +75,7 @@ def empty_design(respondents=0, t_max=0, columns=("camera:Pro", "price")):
         columns=tuple(columns),
         price_column="price",
         x=np.zeros((respondents, t_max, f)),
-        sign=np.zeros((respondents, t_max)),
+        n_rows=0,
         respondent_ids=tuple(range(respondents)),
         standardization=Standardization(columns=tuple(columns), mean=np.zeros(f), scale=np.ones(f)),
     )
@@ -280,6 +280,23 @@ class TestPaddedKernel:
         fd = finite_difference_gradient(model.log_posterior, theta)
         rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(grad))
         assert rel.max() < 1e-5
+
+
+    @pytest.mark.parametrize(
+        "block, value",
+        [("log_sigma", 709.5), ("log_sigma", 400.0), ("z", 1e200)],
+        ids=["beta-overflows-to-nan", "sigma-squared-overflows", "z-squared-overflows"],
+    )
+    def test_extreme_theta_is_off_support_without_a_warning(self, block, value):
+        # the test session turns a RuntimeWarning into an error
+        model = HierarchicalLogitModel(tiny_design(), ModelConfig(seed=1))
+        theta = np.zeros(model.dim)
+        mu, log_sigma, z = model.unpack(theta)
+        z[:] = 2.0
+        {"log_sigma": log_sigma, "z": z}[block][0] = value
+        logp, grad = model.log_posterior(theta)
+        assert logp == -math.inf
+        assert not grad.any()
 
 
 class TestValidation:

@@ -51,6 +51,26 @@ class WalledTarget:
         return np.ones(self.dim)
 
 
+class NarrowTarget:
+    """A normal of SD 1e-150: a leapfrog step of any size the search tries
+    leaves a momentum near 1e290, whose energy overflows to inf."""
+
+    dim = 1
+
+    def log_posterior(self, theta):
+        x = float(theta[0])
+        logp = -0.5e300 * x * x
+        if not math.isfinite(logp):
+            return -np.inf, np.zeros(1)
+        return logp, np.array([-1e300 * x])
+
+    def initial_position(self, rng):
+        return rng.uniform(-1.0, 1.0, 1)
+
+    def initial_inv_mass(self):
+        return np.ones(1)
+
+
 class TestLeapfrog:
     def test_forward_then_momentum_flip_returns_to_start(self):
         rng = np.random.default_rng(0)
@@ -201,6 +221,13 @@ class TestStatisticalCorrectness:
         # with no warmup the step stays at the coarse initial guess, so the
         # wall is hit and flagged rather than crashing
         assert result.stats[0].divergent.any()
+        assert np.all(np.isfinite(result.draws))
+
+    def test_energy_overflow_is_a_divergence_without_a_warning(self):
+        # the test session turns a RuntimeWarning into an error
+        result = run_nuts(NarrowTarget(), chains=1, warmup=5, draws=5,
+                          target_accept=0.8, max_treedepth=6, seed=13)
+        assert result.stats[0].divergent.all()
         assert np.all(np.isfinite(result.draws))
 
     def test_initial_metric_on_the_posterior_scale_shortens_warmup(self):
