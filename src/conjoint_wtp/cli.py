@@ -74,6 +74,7 @@ class RunState:
             raise ConfigError("no output directory: set config.output_dir or pass --out")
         self.out = Path(output_dir)  # every writer makes it when it first writes
         self.written: list[str] = []
+        self.timings: dict[str, float] = {}  # seconds, by stage and by step within a stage
         self.dataset = self.draws = self.diagnostics = None
         self.summaries = self.recovery = self.curve = None
 
@@ -128,8 +129,12 @@ def _stage_simulate(state: RunState) -> None:
 
 def _stage_fit(state: RunState) -> None:
     design = build_design(state.choices())
-    draws, diagnostics = sample(design, state.config.model)
+    steps: dict[str, float] = {}
+    draws, diagnostics = sample(design, state.config.model, steps)
+    t0 = time.perf_counter()
     write_posterior_jsonl(state.path("posterior.jsonl"), draws)
+    steps["posterior_write"] = time.perf_counter() - t0
+    state.timings.update({f"fit.{step}": seconds for step, seconds in steps.items()})
     write_diagnostics_json(state.path("diagnostics.json"), diagnostics)
     state.draws, state.diagnostics = draws, diagnostics
     max_rhat = diagnostics.max_r_hat(POPULATION_PREFIXES)
@@ -239,13 +244,14 @@ def cmd_pipeline(args) -> int:
     if "fit" not in stages and diagnostics_path.exists():  # read before any stage writes
         state.diagnostics = read_diagnostics_json(diagnostics_path)
         _check_one_fit(state, diagnostics_path)
-    timings: dict[str, float] = {}
+    stages_run = []
     for name in stages:
         if name == "revenue" and config.scenario is None:
             continue  # the config names no bundle to price
         t0 = time.perf_counter()
         STAGES[name].run(state)
-        timings[name] = time.perf_counter() - t0
+        state.timings[name] = time.perf_counter() - t0
+        stages_run.append(name)
 
     files = {}
     for stage in STAGES.values():
@@ -255,13 +261,13 @@ def cmd_pipeline(args) -> int:
     report = {
         "seed": config.seed,
         "config": to_dict(config),
-        "stages_run": list(timings),
+        "stages_run": stages_run,
         "quality": _quality_section(state.diagnostics),
         "wtp": [dataclasses.asdict(s) for s in state.summaries or []],
         "recovery": dataclasses.asdict(state.recovery) if state.recovery is not None else None,
         "revenue": _revenue_to_dict(state.curve) if state.curve is not None else None,
         "files": files,
-        "timings": {k: round(v, 3) for k, v in timings.items()},
+        "timings": {k: round(v, 3) for k, v in state.timings.items()},
     }
     write_json(state.out / "report.json", report)
     print(f"report written to {state.out / 'report.json'}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +59,20 @@ class PosteriorDraws:
             raise ContractError(f"unknown feature column {feature!r}") from None
 
 
-def sample(design: Design, config: ModelConfig) -> tuple[PosteriorDraws, Diagnostics]:
+def sample(
+    design: Design, config: ModelConfig, timings: dict[str, float] | None = None
+) -> tuple[PosteriorDraws, Diagnostics]:
     """Fit the hierarchical logit to a built design via NUTS.
 
     Runs config.chains independent chains (in parallel up to
     CONJOINT_WTP_THREADS; results are identical either way), gates on the
     divergence rate, and attaches convergence diagnostics. R-hat above 1.05
     on a population parameter is reported as a warning, not an error.
+    Given `timings`, it stores there the seconds spent sampling and in the
+    diagnostics, under "sampling" and "diagnostics".
     """
     model = HierarchicalLogitModel(design, config)
+    t0 = time.perf_counter()
     result = run_nuts(
         model,
         chains=config.chains,
@@ -76,6 +82,7 @@ def sample(design: Design, config: ModelConfig) -> tuple[PosteriorDraws, Diagnos
         max_treedepth=config.max_treedepth,
         seed=config.seed,
     )
+    sampling_s = time.perf_counter() - t0
     divergent = np.concatenate([s.divergent for s in result.stats])
     rate = float(divergent.mean())
     if rate > MAX_DIVERGENCE_RATE:
@@ -83,7 +90,10 @@ def sample(design: Design, config: ModelConfig) -> tuple[PosteriorDraws, Diagnos
             f"{rate:.1%} of post-warmup transitions diverged (limit {MAX_DIVERGENCE_RATE:.0%}); "
             "consider raising target_accept or reparameterizing"
         )
+    t0 = time.perf_counter()
     diagnostics = diagnose(result.draws, model.parameter_names(), result.stats, config)
+    if timings is not None:
+        timings.update(sampling=sampling_s, diagnostics=time.perf_counter() - t0)
     mu, log_sigma, z = model.unpack(result.flat())
     chain_index = np.repeat(np.arange(config.chains), config.draws_per_chain)
     draws = PosteriorDraws(

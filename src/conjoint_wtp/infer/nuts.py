@@ -7,13 +7,16 @@ selected multinomially by density within each new subtree and merged into
 the running proposal with the biased-progressive rule, which prefers states
 far from the start.
 
-Warmup starts from the model's initial diagonal metric, which puts each
-coordinate roughly on its posterior scale, and follows the windowed
-schedule: an initial step-size-only buffer, expanding windows that
+Warmup starts from the model's initial diagonal metric and follows the
+windowed schedule: an initial step-size-only buffer, expanding windows that
 re-estimate the diagonal metric from the warmup draws (step size
 re-initialized and dual averaging restarted at every window close), and a
 final step-size-only buffer. Post-warmup, the step size is frozen at the
-dual-averaged value.
+dual-averaged value. For the hierarchical logit the initial metric is 1/R on
+the population means (about their posterior variance), 1 on the offsets and
+0.1 on the log SDs. The last is not the log SDs' posterior scale, which
+spans 0.03-1.5 on the demo survey: it is the start measured to cut the
+initial buffer from about 70 leapfrog steps an iteration to 37-49.
 
 Chains are independent given (seed, chain index), so serial and parallel
 execution produce bit-identical results.

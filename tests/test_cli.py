@@ -449,7 +449,12 @@ class TestPipeline:
         assert report["stages_run"] == ["simulate", "fit", "wtp", "revenue"]
         for rel in report["files"].values():
             assert (out / rel).exists()
-        assert set(report["timings"]) == {"simulate", "fit", "wtp", "revenue"}
+        assert set(report["timings"]) == {
+            "simulate", "fit", "fit.sampling", "fit.diagnostics", "fit.posterior_write", "wtp", "revenue"
+        }
+        # the fit's steps are parts of its time; each figure is rounded to the millisecond
+        steps = ("sampling", "diagnostics", "posterior_write")
+        assert sum(report["timings"][f"fit.{s}"] for s in steps) <= report["timings"]["fit"] + 0.002
         assert report["quality"]["divergence_rate"] <= 0.05
 
     @pytest.mark.parametrize(

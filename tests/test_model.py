@@ -233,14 +233,14 @@ class TestInitialMetric:
     @pytest.mark.parametrize(
         "make_design", [lambda: tiny_design(n_respondents=7), ragged_design], ids=["balanced", "ragged"]
     )
-    def test_one_over_r_on_mu_and_one_elsewhere(self, make_design):
+    def test_one_over_r_on_mu_a_tenth_on_log_sigma_and_one_on_z(self, make_design):
         design = make_design()
         model = HierarchicalLogitModel(design, ModelConfig(seed=1))
         inv_mass = model.initial_inv_mass()
         assert inv_mass.shape == (model.dim,)
         mu, log_sigma, z = model.unpack(inv_mass)
         assert np.all(mu == 1.0 / design.n_respondents)
-        assert np.all(log_sigma == 1.0)
+        assert np.all(log_sigma == 0.1)
         assert np.all(z == 1.0)
 
 

@@ -254,6 +254,25 @@ class TestStatisticalCorrectness:
         # the sampling count is the draws' leapfrog steps
         assert scaled.grad_evals_sampling == scaled.n_leapfrog.sum()
 
+    def test_log_sigma_start_at_a_tenth_shortens_hierarchical_warmup(self, small_design):
+        class UnitLogSigma(HierarchicalLogitModel):
+            def initial_inv_mass(self):
+                inv_mass = super().initial_inv_mass()
+                inv_mass[self.n_features : 2 * self.n_features] = 1.0
+                return inv_mass
+
+        def warmup_grads(model_class):
+            model = model_class(small_design, ModelConfig(seed=1))
+            return [
+                run_nuts(model, chains=1, warmup=150, draws=1, target_accept=0.8,
+                         max_treedepth=10, seed=seed).stats[0].grad_evals_warmup
+                for seed in (1, 2, 3)
+            ]
+
+        # 40 x 10 survey: 3,956 + 3,994 + 3,820 = 11,770 gradients from the
+        # model's start, against 5,142 + 5,549 + 5,945 = 16,636 from log_sigma at 1
+        assert sum(warmup_grads(HierarchicalLogitModel)) < sum(warmup_grads(UnitLogSigma))
+
     def test_mass_matrix_adapts_to_scale(self):
         class ScaledNormal:
             dim = 4
