@@ -27,7 +27,6 @@ from .dataio import (
     write_choices_csv,
     write_diagnostics_json,
     write_json,
-    write_provenance_json,
     write_posterior_jsonl,
     write_revenue_csv,
     write_wtp_draws_csv,
@@ -116,14 +115,8 @@ def _stage_simulate(state: RunState) -> None:
     )
     state.dataset = simulate_choices(config.scheme, respondents, tasks, config.seed)
     write_choices_csv(state.path("choices.csv"), state.dataset)
-    write_provenance_json(
-        state.path("provenance.json"),
-        config.ground_truth,
-        config.seed,
-        sim.n_respondents,
-        sim.tasks_per_respondent,
-        sim.price_grid,
-    )
+    provenance = {"seed": config.seed, "ground_truth": to_dict(config.ground_truth), **to_dict(sim)}
+    write_json(state.path("provenance.json"), provenance)
     print(f"wrote {len(state.dataset)} choice records to {state.out / 'choices.csv'}")
 
 
@@ -159,7 +152,7 @@ def _stage_wtp(state: RunState) -> None:
     write_wtp_summary_csv(state.path("wtp_summary.csv"), state.summaries, truth)
     write_wtp_draws_csv(state.path("wtp_draws.csv"), per_feature)
     if state.recovery is not None:
-        write_json(state.path("recovery.json"), dataclasses.asdict(state.recovery))
+        write_json(state.path("recovery.json"), to_dict(state.recovery))
     else:  # an earlier run's report would sit beside summaries it does not describe
         (state.out / "recovery.json").unlink(missing_ok=True)
     for s in state.summaries:
@@ -208,27 +201,16 @@ STAGES = {
 PIPELINE_STAGES = tuple(STAGES)
 
 
-def _revenue_to_dict(curve) -> dict:
-    return {
-        "argmax_price": curve.argmax_price,
-        "argmax_hdi": [curve.argmax_hdi[0], curve.argmax_hdi[1]],
-        "prices": curve.prices.tolist(),
-        "mean_revenue": curve.mean.tolist(),
-        "hdi_low": curve.hdi_low.tolist(),
-        "hdi_high": curve.hdi_high.tolist(),
-        "hdi_mass": curve.hdi_mass,
-        "flagged_count": curve.flagged_count,
-    }
-
-
 def cmd_stage(args) -> int:
-    """Run one stage standalone; `revenue` also merges into an existing report.json."""
+    """Run one stage standalone; `revenue` also merges into an existing
+    report.json, which it reads before the stage writes anything."""
     state = RunState(args)
+    report_path = state.out / "report.json"
+    merge = args.command == "revenue"
+    report = read_json_object(report_path) if merge and report_path.exists() else {}
     STAGES[args.command].run(state)
-    if args.command == "revenue":
-        report_path = state.out / "report.json"
-        report = read_json_object(report_path) if report_path.exists() else {}
-        report["revenue"] = _revenue_to_dict(state.curve)
+    if merge:
+        report["revenue"] = to_dict(state.curve)
         write_json(report_path, report)
     return 0
 
@@ -260,16 +242,16 @@ def cmd_pipeline(args) -> int:
                 files[Path(name).stem] = name
     report = {
         "seed": config.seed,
-        "config": to_dict(config),
+        "config": config,
         "stages_run": stages_run,
         "quality": _quality_section(state.diagnostics),
-        "wtp": [dataclasses.asdict(s) for s in state.summaries or []],
-        "recovery": dataclasses.asdict(state.recovery) if state.recovery is not None else None,
-        "revenue": _revenue_to_dict(state.curve) if state.curve is not None else None,
+        "wtp": state.summaries or [],
+        "recovery": state.recovery,
+        "revenue": state.curve,
         "files": files,
         "timings": {k: round(v, 3) for k, v in state.timings.items()},
     }
-    write_json(state.out / "report.json", report)
+    write_json(state.out / "report.json", to_dict(report))
     print(f"report written to {state.out / 'report.json'}")
     return 0
 
@@ -293,17 +275,17 @@ def _check_one_fit(state: RunState, diagnostics_path: Path) -> None:
 
 
 def _quality_section(diagnostics: Diagnostics | None) -> dict | None:
-    """Sampler health from this command's fit, or from the diagnostics.json a resumed pipeline read."""
+    """Sampler health from this command's fit, or from the diagnostics.json a
+    resumed pipeline read; `to_dict` of the report writes a NaN in it as null."""
     if diagnostics is None:
         return None
-    d = to_dict(diagnostics)
     return {
-        "divergence_count": d["divergence_count"],
-        "divergence_rate": d["divergence_rate"],
-        "max_population_r_hat": to_dict(diagnostics.max_r_hat(POPULATION_PREFIXES)),
-        "population_r_hat": {k: v for k, v in d["r_hat"].items() if k.startswith(POPULATION_PREFIXES)},
-        "mean_accept_prob": d["mean_accept_prob"],
-        "warnings": d["warnings"],
+        "divergence_count": diagnostics.divergence_count,
+        "divergence_rate": diagnostics.divergence_rate,
+        "max_population_r_hat": diagnostics.max_r_hat(POPULATION_PREFIXES),
+        "population_r_hat": {k: v for k, v in diagnostics.r_hat.items() if k.startswith(POPULATION_PREFIXES)},
+        "mean_accept_prob": diagnostics.mean_accept_prob,
+        "warnings": diagnostics.warnings,
     }
 
 

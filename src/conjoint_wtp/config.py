@@ -1,9 +1,13 @@
 """Run configuration: a single JSON document driving every pipeline stage.
 
 Each section of the document is a frozen dataclass, and one reader and one
-writer serve them all, and the other JSON files built from such dataclasses:
-the ground truth and the sampler's diagnostics. The reader walks a
-dataclass's fields and type hints: each field is one JSON key of the
+writer serve them all, and every other JSON document built from
+dataclasses. The writer, `to_dict`, is the only JSON encoder of the
+library's dataclasses: it writes the run config (in `report.json`), the
+ground truth and simulation settings in `provenance.json`, the sampler's
+`diagnostics.json`, the posterior file's header, `recovery.json`, and the
+report's `wtp`, `recovery`, `revenue` and `quality` sections. The reader
+walks a dataclass's fields and type hints: each field is one JSON key of the
 declared type, a field with a default may be left out (a partly given prior
 takes the rest from the default prior), null leaves out an optional section,
 and an unknown key is an error. In a list or object of floats, null stands
@@ -23,10 +27,12 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .domain import AttributeScheme, check_price_grid
 from .errors import ConfigError, ConjointError, ContractError
 from .infer.model import ModelConfig
-from .revenue import BundleScenario
+from .revenue import BundleScenario, RevenueCurve
 from .simulate import GroundTruth, check_truth_columns
 
 
@@ -71,8 +77,9 @@ class RunConfig:
             raise ConfigError(f"config.{field}: {e}") from None
 
 
-# Fields that are not JSON keys: the model's seed is the document's seed.
-_NOT_KEYS = {(ModelConfig, "seed")}
+# Fields that are not JSON keys: the model's seed is the document's seed,
+# and the revenue curve's per-draw arrays stay out of the report.
+_NOT_KEYS = {(ModelConfig, "seed"), (RevenueCurve, "revenue"), (RevenueCurve, "purchase_prob")}
 _SCALARS = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -148,8 +155,9 @@ def _item(tp, value: Any, path: str):
 
 def to_dict(obj):
     """A config dataclass as its JSON object: keys in field order, None
-    fields left out, a non-finite float as null. It walks the reader's keys,
-    so what it writes reads back to an equal config."""
+    fields left out, a tuple, list or ndarray as a list, a non-finite float
+    as null. It walks the reader's keys, so what it writes reads back to an
+    equal config."""
     if is_dataclass(obj):
         return {
             f.name: to_dict(value)
@@ -158,7 +166,9 @@ def to_dict(obj):
         }
     if isinstance(obj, Mapping):
         return {k: to_dict(v) for k, v in obj.items()}
-    if isinstance(obj, tuple):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (tuple, list)):
         return [to_dict(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return None

@@ -146,26 +146,6 @@ def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset
         raise DataError(f"{path}: {e}") from None
 
 
-def write_provenance_json(
-    path: str | Path,
-    truth: GroundTruth,
-    seed: int,
-    n_respondents: int,
-    tasks_per_respondent: int,
-    price_grid: Iterable[float],
-) -> None:
-    write_json(
-        path,
-        {
-            "seed": seed,
-            "ground_truth": to_dict(truth),
-            "n_respondents": n_respondents,
-            "tasks_per_respondent": tasks_per_respondent,
-            "price_grid": [float(p) for p in price_grid],
-        },
-    )
-
-
 def read_json_object(path: str | Path) -> dict:
     """A file's JSON object; unreadable JSON or another JSON type is a DataError."""
     try:
@@ -178,13 +158,20 @@ def read_json_object(path: str | Path) -> dict:
     return data
 
 
-def read_ground_truth_json(path: str | Path) -> GroundTruth:
-    """Accepts either a provenance file or a bare ground-truth document."""
+def _read_fields(cls, path: str | Path, name: str, unwrap: bool = False):
+    """The dataclass `cls` as the config walker reads it from the JSON
+    object in `path`, or from that object's `name` member if `unwrap` and it
+    has one; a bad field is a DataError naming the path and the field."""
     data = read_json_object(path)
     try:
-        return from_dict(GroundTruth, data.get("ground_truth", data), "ground_truth")
+        return from_dict(cls, data.get(name, data) if unwrap else data, name)
     except ConfigError as e:
         raise DataError(f"{path}: {e}") from None
+
+
+def read_ground_truth_json(path: str | Path) -> GroundTruth:
+    """Accepts either a provenance file or a bare ground-truth document."""
+    return _read_fields(GroundTruth, path, "ground_truth", unwrap=True)
 
 
 @dataclass(frozen=True)
@@ -330,11 +317,7 @@ def write_diagnostics_json(path: str | Path, diag: Diagnostics) -> None:
 
 
 def read_diagnostics_json(path: str | Path) -> Diagnostics:
-    """Read a diagnostics file; any bad field is a DataError naming the path and the field."""
-    try:
-        return from_dict(Diagnostics, read_json_object(path), "diagnostics")
-    except ConfigError as e:
-        raise DataError(f"{path}: {e}") from None
+    return _read_fields(Diagnostics, path, "diagnostics")
 
 
 def write_wtp_summary_csv(
@@ -364,7 +347,7 @@ def write_wtp_draws_csv(path: str | Path, wtp_by_feature: list[WtpDraws]) -> Non
 
 def write_revenue_csv(path: str | Path, curve: RevenueCurve) -> None:
     rows = (
-        [_fmt(price), _fmt(curve.mean[j]), _fmt(curve.hdi_low[j]), _fmt(curve.hdi_high[j])]
+        [_fmt(price), _fmt(curve.mean_revenue[j]), _fmt(curve.hdi_low[j]), _fmt(curve.hdi_high[j])]
         for j, price in enumerate(curve.prices)
     )
     _write_csv(path, ["price", "mean_revenue", "hdi_low", "hdi_high"], rows)

@@ -59,6 +59,18 @@ class Diagnostics:
         object.__setattr__(self, "config", replace(self.config, seed=self.seed))
         if self.divergence_count < 0:
             raise ContractError(f"divergence_count must be >= 0, got {self.divergence_count}")
+        if not 0.0 <= self.divergence_rate <= 1.0:
+            raise ContractError(f"divergence_rate must be in [0, 1], got {self.divergence_rate}")
+        # per chain: an acceptance is NaN (null) when a chain took no draws
+        for name, ok, rule in (
+            ("mean_accept_prob", lambda a: math.isnan(a) or 0.0 <= a <= 1.0, "in [0, 1] or null"),
+            ("step_size", lambda h: 0.0 < h < math.inf, "finite and > 0"),
+            ("grad_evals_warmup", lambda n: n >= 0, ">= 0"),
+            ("grad_evals_sampling", lambda n: n >= 0, ">= 0"),
+        ):
+            bad = [v for v in getattr(self, name) if not ok(v)]
+            if bad:
+                raise ContractError(f"{name} entries must be {rule}, got {bad[0]}")
 
     def per_chain(self) -> tuple[tuple, ...]:
         """The fields that hold one entry per chain."""

@@ -73,7 +73,8 @@ class FeatureRecovery:
 @dataclass(frozen=True)
 class RecoveryReport:
     """Per-feature truth coverage; passes only if every HDI contains truth.
-    `dataclasses.asdict` of it is the recovery.json document."""
+    `config.to_dict` of it is the recovery.json document and the report's
+    `recovery` section."""
 
     overall_pass: bool
     features: tuple[FeatureRecovery, ...]

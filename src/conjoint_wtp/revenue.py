@@ -72,18 +72,20 @@ class BundleScenario:
 
 @dataclass
 class RevenueCurve:
-    """Expected per-consumer revenue draws across the price grid."""
+    """Expected per-consumer revenue draws across the price grid. `to_dict`
+    of it is the report's `revenue` section, keys in field order; the
+    per-draw arrays are not keys of it."""
 
-    prices: np.ndarray
-    revenue: np.ndarray  # (retained draws, prices)
-    purchase_prob: np.ndarray  # (retained draws, prices)
-    mean: np.ndarray
-    hdi_low: np.ndarray
-    hdi_high: np.ndarray
     argmax_price: float
     argmax_hdi: tuple[float, float]
+    prices: np.ndarray
+    mean_revenue: np.ndarray
+    hdi_low: np.ndarray
+    hdi_high: np.ndarray
     hdi_mass: float
     flagged_count: int
+    revenue: np.ndarray  # (retained draws, prices)
+    purchase_prob: np.ndarray  # (retained draws, prices)
 
 
 def _purchase_probabilities(
@@ -153,18 +155,16 @@ def revenue_curve(
     highs = np.empty(prices.size)
     for j in range(prices.size):
         lows[j], highs[j] = hdi(revenue[:, j])
-    argmax_price = float(prices[int(np.argmax(mean))])
     per_draw_argmax = prices[np.argmax(revenue, axis=1)]
-    argmax_hdi = hdi(per_draw_argmax)
     return RevenueCurve(
+        argmax_price=float(prices[int(np.argmax(mean))]),
+        argmax_hdi=hdi(per_draw_argmax),
         prices=prices,
-        revenue=revenue,
-        purchase_prob=probs,
-        mean=mean,
+        mean_revenue=mean,
         hdi_low=lows,
         hdi_high=highs,
-        argmax_price=argmax_price,
-        argmax_hdi=argmax_hdi,
         hdi_mass=HDI_MASS,
         flagged_count=flagged,
+        revenue=revenue,
+        purchase_prob=probs,
     )

@@ -72,6 +72,12 @@ def write_config(tmp_path, mutate=None, name="config.json"):
     return path
 
 
+# The report's revenue section, in order; the per-draw arrays are not in it.
+REVENUE_KEYS = [
+    "argmax_price", "argmax_hdi", "prices", "mean_revenue", "hdi_low", "hdi_high", "hdi_mass", "flagged_count"
+]
+
+
 def strip_timings(report_path):
     with open(report_path, encoding="utf-8") as f:
         report = json.load(f)
@@ -88,6 +94,16 @@ class TestSimulate:
         assert len(lines) == 25 * 10 + 1
         assert "250" in capsys.readouterr().out
         assert (out / "provenance.json").exists()
+
+    def test_provenance_keys_in_order(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "provenance.json", encoding="utf-8") as f:
+            provenance = json.load(f)
+        assert list(provenance) == ["seed", "ground_truth", "n_respondents", "tasks_per_respondent", "price_grid"]
+        assert provenance["seed"] == BASE_CONFIG["seed"]
+        assert provenance["price_grid"] == [float(p) for p in BASE_CONFIG["simulation"]["price_grid"]]
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
@@ -377,7 +393,7 @@ class TestRevenue:
         assert code == 0
         with open(out / "report.json", encoding="utf-8") as f:
             report = json.load(f)
-        assert "revenue" in report
+        assert list(report["revenue"]) == REVENUE_KEYS
         curve_lines = (out / "revenue_curve.csv").read_text(encoding="utf-8").splitlines()
         for line in curve_lines[1:]:
             price, mean, low, high = (float(v) for v in line.split(","))
@@ -456,6 +472,8 @@ class TestPipeline:
         steps = ("sampling", "diagnostics", "posterior_write")
         assert sum(report["timings"][f"fit.{s}"] for s in steps) <= report["timings"]["fit"] + 0.002
         assert report["quality"]["divergence_rate"] <= 0.05
+        assert list(report["revenue"]) == REVENUE_KEYS
+        assert not {"revenue", "purchase_prob"} & set(report["revenue"])
 
     @pytest.mark.parametrize(
         "stage, skipped",
@@ -594,6 +612,13 @@ MALFORMED_DIAGNOSTICS = [
     ("divergence_count", -1, "diagnostics.divergence_count must be >= 0, got -1"),
     ("divergence_count", True, "diagnostics.divergence_count must be an integer, got True"),
     ("divergence_rate", "high", "diagnostics.divergence_rate must be a number, got 'high'"),
+    ("divergence_rate", 7.0, "diagnostics.divergence_rate must be in [0, 1], got 7.0"),
+    ("mean_accept_prob", [-3, 42], "diagnostics.mean_accept_prob entries must be in [0, 1] or null, got -3.0"),
+    ("mean_accept_prob", [0.8, 42], "diagnostics.mean_accept_prob entries must be in [0, 1] or null, got 42.0"),
+    ("step_size", [-1, 0], "diagnostics.step_size entries must be finite and > 0, got -1.0"),
+    ("step_size", [0.1, 0], "diagnostics.step_size entries must be finite and > 0, got 0.0"),
+    ("grad_evals_warmup", [-5, -6], "diagnostics.grad_evals_warmup entries must be >= 0, got -5"),
+    ("grad_evals_sampling", [10, -1], "diagnostics.grad_evals_sampling entries must be >= 0, got -1"),
     ("mean_accept_prob", [0.9, "x"], "diagnostics.mean_accept_prob[1] must be a number, got 'x'"),
     ("warnings", 7, "diagnostics.warnings must be a list"),
     ("warnings", ["ok", 7], "diagnostics.warnings[1] must be a string, got 7"),
@@ -690,7 +715,11 @@ class TestMalformedInputs:
              "--out", str(out)]
         )
         assert code == 2
-        assert "report.json" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "report.json" in captured.err
+        # the report is read before the stage writes its curve or prints its price
+        assert "revenue-maximizing price" not in captured.out
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
         assert (out / "report.json").read_text(encoding="utf-8") == "[1, 2"
 
     @pytest.mark.parametrize("command", ["wtp", "revenue"])

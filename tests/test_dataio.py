@@ -21,7 +21,6 @@ from conjoint_wtp.dataio import (
     write_diagnostics_json,
     write_json,
     write_posterior_jsonl,
-    write_provenance_json,
     write_revenue_csv,
     write_wtp_draws_csv,
     write_wtp_summary_csv,
@@ -346,8 +345,7 @@ def test_ground_truth_reader_rejects_bad_json(tmp_path):
 
 def test_ground_truth_reader_names_the_file_and_the_field_once(tmp_path, truth):
     path = tmp_path / "provenance.json"
-    write_provenance_json(path, truth, seed=7, n_respondents=3, tasks_per_respondent=2, price_grid=[799.0])
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = {"seed": 7, "ground_truth": to_dict(truth)}
     doc["ground_truth"]["bogus"] = 1
     write_json(path, doc)
     with pytest.raises(DataError) as raised:
@@ -390,7 +388,7 @@ def test_ground_truth_readers(tmp_path, truth):
     assert read_ground_truth_json(bare).true_wtp == truth.true_wtp
 
     prov = tmp_path / "provenance.json"
-    write_provenance_json(prov, truth, seed=7, n_respondents=3, tasks_per_respondent=2, price_grid=[799.0])
+    write_json(prov, {"seed": 7, "ground_truth": to_dict(truth), "n_respondents": 3})
     loaded = read_ground_truth_json(prov)
     assert loaded.price_coef_mean == truth.price_coef_mean
 
