@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .config import RunConfig, load_run_config, to_dict
+from .config import RunConfig, from_dict, load_run_config, to_dict
 from .dataio import (
     read_choices_csv,
     read_diagnostics_json,
@@ -202,12 +202,14 @@ PIPELINE_STAGES = tuple(STAGES)
 
 
 def cmd_stage(args) -> int:
-    """Run one stage standalone; `revenue` also merges into an existing
-    report.json, which it reads before the stage writes anything."""
+    """Run one stage standalone; `revenue` also merges into its own run's
+    report.json, which it reads and checks before the stage writes."""
     state = RunState(args)
     report_path = state.out / "report.json"
     merge = args.command == "revenue"
     report = read_json_object(report_path) if merge and report_path.exists() else {}
+    if report.keys() & {"seed", "config"}:  # else standalone `revenue` alone wrote it
+        _check_own_report(state, report, report_path)
     STAGES[args.command].run(state)
     if merge:
         report["revenue"] = to_dict(state.curve)
@@ -272,6 +274,26 @@ def _check_one_fit(state: RunState, diagnostics_path: Path) -> None:
         return
     posterior_path = state._input("posterior", "posterior.jsonl")
     raise DataError(f"{diagnostics_path} is not from the fit in {posterior_path}: {fault}")
+
+
+def _check_own_report(state: RunState, report: dict, path: Path) -> None:
+    """The report must be this run's: its seed and config (but for output_dir
+    and model) equal this run's, and its seed and model the posterior's."""
+    try:
+        theirs = from_dict(RunConfig, report.get("config"), "config")
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
+    config, draws = state.config, state.posterior()
+    posterior = f"the posterior's in {state._input('posterior', 'posterior.jsonl')}"
+    names = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("model", "output_dir")]
+    for field, value, own, whose in [
+        ("seed", report.get("seed"), config.seed, "this run's"),
+        *((f"config.{n}", getattr(theirs, n), getattr(config, n), "this run's") for n in names),
+        ("seed", theirs.seed, draws.seed, posterior),
+        ("config.model", theirs.model, draws.config, posterior),
+    ]:
+        if value != own:
+            raise DataError(f"{path} is from another run: its {field} is not {whose}")
 
 
 def _quality_section(diagnostics: Diagnostics | None) -> dict | None:

@@ -33,7 +33,7 @@ from .domain import AttributeScheme, check_price_grid
 from .errors import ConfigError, ConjointError, ContractError
 from .infer.model import ModelConfig
 from .revenue import BundleScenario, RevenueCurve
-from .simulate import GroundTruth, check_truth_columns
+from .simulate import GroundTruth
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,13 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", replace(self.model, seed=self.seed))
-        field = "ground_truth"
+        field, truth = "ground_truth", self.ground_truth
         try:
-            if self.ground_truth is not None:
-                check_truth_columns(self.scheme, self.ground_truth)
+            columns = self.scheme.dummy_columns  # the truth gives a WTP for each, and for no other
+            if truth is not None and set(truth.true_wtp) != set(columns):
+                missing = [c for c in columns if c not in truth.true_wtp]
+                unknown = [c for c in truth.true_wtp if c not in columns]
+                raise ContractError(f"ground truth WTP columns: missing {missing}, unknown {unknown}")
             field = "scenario"
             if self.scenario is not None:
                 self.scenario.offsets(self.scheme)

@@ -94,8 +94,6 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -
 def write_choices_csv(path: str | Path, dataset: ChoiceDataset) -> None:
     """Write the choices CSV: each level index back to its name, column by
     column. The table checked every row when it was built."""
-    if dataset.chose_a is None:
-        raise ContractError("dataset has no choices")
     columns = [dataset.respondent_id.tolist(), dataset.task_id.tolist()]
     for side in (0, 1):
         for j, attr in enumerate(dataset.scheme.attributes):
@@ -201,6 +199,8 @@ class PosteriorHeader:
         object.__setattr__(self, "config", replace(self.config, seed=self.seed))
         if self.price_column not in self.columns:
             raise ContractError(f"price_column {self.price_column!r} is not one of the columns")
+        if not set(self.columns) - {self.price_column}:
+            raise ContractError(f"columns must hold a feature besides the price column {self.price_column!r}")
         if len(set(self.respondent_ids)) < len(self.respondent_ids):
             raise ContractError("respondent_ids must not repeat an id")
 
@@ -335,11 +335,6 @@ def write_wtp_summary_csv(
 
 
 def write_wtp_draws_csv(path: str | Path, wtp_by_feature: list[WtpDraws]) -> None:
-    if not wtp_by_feature:
-        raise DataError("no WTP draws to write")
-    n = {len(w.draws) for w in wtp_by_feature}
-    if len(n) != 1:
-        raise DataError("WTP draw vectors have mismatched lengths")
     stacked = np.column_stack([w.draws for w in wtp_by_feature])
     header = [w.feature for w in wtp_by_feature]
     _write_csv(path, header, ([_fmt(v) for v in row] for row in stacked))

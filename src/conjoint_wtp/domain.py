@@ -55,6 +55,8 @@ class AttributeScheme:
     price_attribute: str
 
     def __post_init__(self) -> None:
+        if not self.attributes:
+            raise ContractError("attributes must list at least one attribute")
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise ContractError("attribute names must be unique")

@@ -28,10 +28,6 @@ class RowError(ContractError):
         self.row, self.message = row, message
 
 
-class DesignError(ConjointError):
-    """The attribute scheme cannot support the requested task design."""
-
-
 class DataError(ConjointError):
     """Input data is structurally readable but unusable (bad schema, constant column)."""
 

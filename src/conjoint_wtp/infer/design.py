@@ -88,8 +88,6 @@ def build_design(dataset: ChoiceDataset) -> Design:
     Respondents keep the table's order, and so do each respondent's tasks.
     A constant column has no SD to divide by and is a DataError.
     """
-    if dataset.chose_a is None:
-        raise ContractError("dataset has no choices")
     columns = dataset.scheme.feature_columns
     rows = dataset.differences()
     scale = rows.std(axis=0)

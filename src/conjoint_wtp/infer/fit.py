@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError, FitError
+from ..errors import FitError
 from .design import Design, Standardization
 from .diagnostics import Diagnostics, diagnose
 from .model import HierarchicalLogitModel, ModelConfig
@@ -51,12 +51,6 @@ class PosteriorDraws:
     @property
     def price_index(self) -> int:
         return self.columns.index(self.price_column)
-
-    def feature_index(self, feature: str) -> int:
-        try:
-            return self.columns.index(feature)
-        except ValueError:
-            raise ContractError(f"unknown feature column {feature!r}") from None
 
 
 def sample(

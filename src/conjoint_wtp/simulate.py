@@ -7,7 +7,9 @@ coefficient array, draws randomized paired-profile tasks straight into the
 table as level indices, and simulates noisy choices through the logit
 model, one array operation per respondent. Everything is a pure function
 of (inputs, seed): each respondent consumes an independent RNG substream,
-so the output is invariant to execution order.
+so the output is invariant to execution order. The run config checks the
+scheme, truth, sizes and price grid once, so no function here checks them
+again, nor what `simulate_choices` takes from the other two.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import AttributeScheme, check_price_grid, encode, is_price
-from .errors import ContractError, DesignError, RowError
+from .domain import AttributeScheme, encode, is_price
+from .errors import ContractError, RowError
 from .rng import CHOICE_STREAM, RESPONDENT_STREAM, TASK_STREAM, substream
 
 # Respondent price coefficients are sampled truncated below this ceiling so
@@ -27,7 +29,6 @@ from .rng import CHOICE_STREAM, RESPONDENT_STREAM, TASK_STREAM, substream
 PRICE_COEF_CEILING = -1e-4
 
 _MAX_TRUNCATION_ATTEMPTS = 10_000
-_MAX_PAIR_ATTEMPTS = 1_000
 
 
 @dataclass(frozen=True)
@@ -86,15 +87,9 @@ class ChoiceDataset:
 
     def __post_init__(self) -> None:
         rid, tid, levels, prices = self.respondent_id, self.task_id, self.levels, self.prices
-        n, attrs = len(rid), self.scheme.attributes
-        if n == 0:
+        attrs = self.scheme.attributes
+        if len(rid) == 0:
             raise ContractError("the survey table has no rows")
-        shapes = {"respondent_id": (n,), "task_id": (n,), "levels": (n, 2, len(attrs)),
-                  "prices": (n, 2), "chose_a": (n,)}
-        for name, shape in shapes.items():
-            value = getattr(self, name)
-            if value is not None and np.shape(value) != shape:
-                raise ContractError(f"{name} has shape {np.shape(value)}, expected {shape}")
         bad = (levels < 0) | (levels >= [len(a.levels) for a in attrs])
         if bad.any():
             i, side, j = np.argwhere(bad)[0]
@@ -122,14 +117,6 @@ class ChoiceDataset:
         return x[:, 0] - x[:, 1]
 
 
-def check_truth_columns(scheme: AttributeScheme, truth: GroundTruth) -> None:
-    """The truth must give a WTP for exactly the scheme's dummy columns."""
-    missing = [c for c in scheme.dummy_columns if c not in truth.true_wtp]
-    unknown = [c for c in truth.true_wtp if c not in scheme.dummy_columns]
-    if missing or unknown:
-        raise ContractError(f"ground truth WTP columns: missing {missing}, unknown {unknown}")
-
-
 def sample_respondents(
     scheme: AttributeScheme, truth: GroundTruth, n: int, seed: int
 ) -> np.ndarray:
@@ -142,9 +129,6 @@ def sample_respondents(
     beta_f = -beta_price * wtp_f. Heterogeneity therefore lives in WTP
     space, and each respondent's implied WTP is exactly their drawn one.
     """
-    if n < 1:
-        raise ContractError(f"need at least one respondent, got n={n}")
-    check_truth_columns(scheme, truth)
     columns = scheme.dummy_columns
     wtp_mean = np.array([truth.true_wtp[c] for c in columns])
     wtp_sd = np.array([truth.wtp_sd[c] for c in columns])
@@ -175,36 +159,27 @@ def generate_tasks(
 ) -> ChoiceDataset:
     """Randomized paired-profile tasks, unanswered: levels uniform per
     attribute, price uniform over the grid, identical pairs rejected and
-    re-drawn. Per respondent stream, each profile takes one integer draw per
-    attribute and then one for its price, A before B."""
-    if n_respondents < 1 or tasks_per_respondent < 1:
-        raise ContractError(f"need >= 1 respondent and task, got {n_respondents} x {tasks_per_respondent}")
-    prices = [float(p) for p in price_grid]
-    check_price_grid(prices)
-
+    re-drawn (with an attribute of two or more levels, a re-draw repeats
+    with probability <= 1/2). Per respondent stream, each profile takes one
+    integer draw per attribute and then one for its price, A before B."""
     sizes = [len(attr.levels) for attr in scheme.attributes]
     pairs = []
     for rid in range(n_respondents):
         rng = substream(seed, TASK_STREAM, rid)
         for _ in range(tasks_per_respondent):
-            for _ in range(_MAX_PAIR_ATTEMPTS):
+            while True:
                 pair = [
-                    ([rng.integers(k) for k in sizes], prices[rng.integers(len(prices))])
+                    ([rng.integers(k) for k in sizes], price_grid[rng.integers(len(price_grid))])
                     for _ in range(2)
                 ]
                 if pair[0] != pair[1]:
                     break
-            else:
-                raise DesignError(
-                    "could not draw two distinct profiles; the scheme and price grid "
-                    "admit too few distinct products"
-                )
             pairs.append(pair)
     return ChoiceDataset(
         scheme=scheme,
         respondent_id=np.repeat(np.arange(n_respondents), tasks_per_respondent),
         task_id=np.tile(np.arange(tasks_per_respondent), n_respondents),
-        levels=np.array([[a[0], b[0]] for a, b in pairs], dtype=np.intp).reshape(-1, 2, len(sizes)),
+        levels=np.array([[a[0], b[0]] for a, b in pairs], dtype=np.intp),
         prices=np.array([[a[1], b[1]] for a, b in pairs]),
     )
 
@@ -222,18 +197,7 @@ def simulate_choices(
     tasks at once, then one uniform draw per task. A utility difference too
     large for exp gives p of exactly 0 or 1: the dominant profile wins.
     """
-    if tasks.scheme != scheme:
-        raise ContractError("the tasks were drawn for another attribute scheme")
-    betas = np.asarray(betas, dtype=float)
-    if betas.ndim != 2 or betas.shape[1] != scheme.n_features:
-        raise ContractError(f"betas must be (respondents, {scheme.n_features}), got {betas.shape}")
-    if not np.isfinite(betas).all():
-        raise ContractError("betas must be finite")
     rids = tasks.respondent_id
-    unknown = rids[(rids < 0) | (rids >= len(betas))]
-    if unknown.size:
-        raise ContractError(f"no respondent params for respondent {unknown[0]}")
-
     x = tasks.differences()
     chose_a = np.empty(len(tasks), dtype=bool)
     bounds = np.r_[tasks.row_starts, len(tasks)]

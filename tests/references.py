@@ -95,7 +95,7 @@ def individual_beta(draws: PosteriorDraws, respondent_id: int) -> np.ndarray:
 def individual_wtp(draws: PosteriorDraws, respondent_id: int, feature: str) -> IndividualWtpDraws:
     """WTP distribution for one respondent, from reconstructed individual
     coefficients. Sign-unsafe draws above 0.5% set a warning, not an error."""
-    j = draws.feature_index(feature)
+    j = draws.columns.index(feature)
     if j == draws.price_index:
         raise ContractError("WTP of the price column is not defined")
     beta = individual_beta(draws, respondent_id) / draws.standardization.scale

@@ -121,6 +121,19 @@ class TestSimulate:
         assert code == 2
         assert "n_respondents" in capsys.readouterr().err
 
+    def test_scheme_without_attributes_exits_2_naming_field(self, tmp_path, capsys):
+        # every profile would be the same product but for its price
+        def mutate(c):
+            c["scheme"]["attributes"] = []
+            c["ground_truth"].update(true_wtp={}, wtp_sd={})
+            del c["scenario"]
+
+        config = write_config(tmp_path, mutate)
+        out = tmp_path / "x"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert "error: config.scheme.attributes must list at least one attribute\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         def mutate(c):
             c["simulation"]["typo_field"] = 1
@@ -182,20 +195,30 @@ class TestFit:
         assert code == 2
         assert "draws_per_chain must be >= 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("price", ["inf", "1e309", "nan"])
-    def test_non_finite_price_exits_2_naming_the_row(self, tmp_path, capsys, price):
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("a_price", "inf", "row 4: price must be finite and positive"),
+            ("a_price", "1e309", "row 4: price must be finite and positive"),
+            ("a_price", "nan", "row 4: price must be finite and positive"),
+            ("chose_a", "", "row 4: chose_a must be 0 or 1, got ''"),  # a task no one answered
+            ("chose_a", "1,0", "row 4 has 12 fields, expected 11"),  # one field too many
+        ],
+        ids=["inf", "1e309", "nan", "unanswered", "extra-field"],
+    )
+    def test_bad_cell_exits_2_naming_the_row(self, tmp_path, capsys, column, value, message):
         config = write_config(tmp_path)
         out = tmp_path / "run"
         assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         lines = (out / "choices.csv").read_text(encoding="utf-8").splitlines()
         fields = lines[3].split(",")
-        fields[lines[0].split(",").index("a_price")] = price
+        fields[lines[0].split(",").index(column)] = value
         lines[3] = ",".join(fields)
-        data = tmp_path / "bad_price.csv"
+        data = tmp_path / "bad_cell.csv"
         data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = cli.main(["fit", "--config", str(config), "--out", str(tmp_path / "fit"), "--data", str(data)])
         assert code == 2
-        assert f"{data}: row 4: price must be finite and positive" in capsys.readouterr().err
+        assert f"{data}: {message}" in capsys.readouterr().err
 
     def test_non_integer_worker_setting_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path)
@@ -292,7 +315,9 @@ class TestWtp:
             ["wtp", "--posterior", str(run_dir / "posterior.jsonl"), "--out", str(out)]
         )
         assert code == 0
-        assert (out / "wtp_summary.csv").exists()
+        header, *rows = (out / "wtp_summary.csv").read_text(encoding="utf-8").splitlines()
+        mass = header.split(",").index("hdi_mass")
+        assert [row.split(",")[mass] for row in rows] == ["0.95"] * 4
         assert (out / "wtp_draws.csv").exists()
         assert not (out / "recovery.json").exists()
 
@@ -399,6 +424,44 @@ class TestRevenue:
             price, mean, low, high = (float(v) for v in line.split(","))
             assert 0.0 <= mean <= price
 
+    @pytest.mark.parametrize(
+        "case", ["own-run", "other-seed", "other-config", "other-seed-posterior", "other-draws-posterior"]
+    )
+    def test_revenue_merges_only_into_its_own_runs_report(self, fitted_run, foreign_fits, tmp_path, capsys, case):
+        # the fitted run's report and posterior, then standalone revenue at
+        # another seed, for another bundle, or over a foreign fit's posterior
+        # (foreign_fits: one at seed 7, one of 150 draws a chain)
+        config, run_dir = fitted_run
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("report.json", "posterior.jsonl"):
+            shutil.copy(run_dir / name, out)
+        posterior = out / "posterior.jsonl"
+        if case == "other-config":
+            config = write_config(tmp_path, lambda c: c["scenario"].update(upgrades={"camera": "Pro"}), "other.json")
+        argv = ["revenue", "--config", str(config), "--out", str(out)]
+        if case == "other-seed":
+            argv += ["--seed", "7"]
+        elif case.endswith("-posterior"):
+            posterior = foreign_fits[case.removesuffix("-posterior")] / "posterior.jsonl"
+            argv += ["--posterior", str(posterior)]
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code = cli.main(argv)
+        if case == "own-run":
+            assert code == 0
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            assert report["wtp"] and report["quality"] and list(report["revenue"]) == REVENUE_KEYS
+            return
+        assert code == 2
+        fault = {
+            "other-seed": "its seed is not this run's",
+            "other-config": "its config.scenario is not this run's",
+            "other-seed-posterior": f"its seed is not the posterior's in {posterior}",
+            "other-draws-posterior": f"its config.model is not the posterior's in {posterior}",
+        }[case]
+        assert f"error: {out / 'report.json'} is from another run: {fault}\n" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 def _scenario_typo(c):
     c["scenario"]["upgrades"] = {"camera": "pro"}
@@ -407,6 +470,19 @@ def _scenario_typo(c):
 def _truth_names_a_foreign_column(c):
     for key in ("true_wtp", "wtp_sd"):
         c["ground_truth"][key]["camera:Ultra"] = 300.0
+
+
+def _truth_lacks_a_column(c):
+    for key in ("true_wtp", "wtp_sd"):
+        del c["ground_truth"][key]["camera:Pro"]
+
+
+def _empty_price_grid(c):
+    c["simulation"]["price_grid"] = []
+
+
+def _non_finite_prices_in_grid(c):
+    c["simulation"]["price_grid"] = [math.inf, 899.0, math.nan]
 
 
 def _one_chain_of_50_draws(c):
@@ -432,13 +508,21 @@ class TestConfigCheckedBeforeAnyStage:
             (_scenario_typo, "simulate", "config.scenario: unknown level 'pro' for attribute 'camera'"),
             (_truth_names_a_foreign_column, "fit",
              "config.ground_truth: ground truth WTP columns: missing [], unknown ['camera:Ultra']"),
+            (_truth_lacks_a_column, "simulate",
+             "config.ground_truth: ground truth WTP columns: missing ['camera:Pro'], unknown []"),
+            (_empty_price_grid, "simulate", "config.simulation.price_grid must be non-empty"),
+            (_non_finite_prices_in_grid, "simulate",
+             "config.simulation.price_grid entries must be finite and positive, got [inf, nan]"),
             (_one_chain_of_50_draws, "fit", "config.model: chains x draws_per_chain is 50, an HDI needs 100"),
             (_nan_feature_prior_mean, "simulate", "config.model.prior_mu_feature.mean must be finite, got nan"),
             (_infinite_price_prior_sd, "simulate",
              "config.model.prior_mu_price.sd must be finite and positive, got inf"),
             (_infinite_sigma_prior_sd, "simulate", "config.model.prior_sigma_sd must be finite and positive, got inf"),
         ],
-        ids=["scenario-level", "truth-column", "hdi-draws", "prior-mean-nan", "prior-sd-inf", "sigma-prior-inf"],
+        ids=[
+            "scenario-level", "truth-column", "truth-missing-column", "empty-price-grid", "non-finite-price-grid",
+            "hdi-draws", "prior-mean-nan", "prior-sd-inf", "sigma-prior-inf",
+        ],
     )
     def test_pipeline_exits_2_naming_the_field_and_writes_nothing(
         self, fitted_run, tmp_path, capsys, mutate, start, message
@@ -634,6 +718,15 @@ MALFORMED_DIAGNOSTICS = [
 ]
 
 
+def _price_column_only(header, rows):
+    """Keep only the price column, which has no WTP to write."""
+    f, j = len(header["columns"]), header["columns"].index("price")
+    header["columns"] = ["price"]
+    header["standardization"] = {k: [v[j]] for k, v in header["standardization"].items()}
+    for row in rows:
+        row["params"] = row["params"][j::f]  # mu, sigma, then each respondent's z
+
+
 # (id, change to the header object and the draw rows, the message after
 # "<path>: ") for posterior files the reader once read without an error.
 LAX_POSTERIORS = [
@@ -657,6 +750,8 @@ LAX_POSTERIORS = [
      "239 draws, the header's chains x draws_per_chain is 240"),
     ("draw-past-the-last", lambda h, rows: rows.append({**rows[-1], "draw": 240}),
      "line 242: more draws than the header's chains x draws_per_chain, 240"),
+    ("price-column-only", _price_column_only,
+     "bad header: posterior.columns must hold a feature besides the price column 'price'"),
 ]
 
 

@@ -25,7 +25,7 @@ from conjoint_wtp.dataio import (
     write_wtp_draws_csv,
     write_wtp_summary_csv,
 )
-from conjoint_wtp.errors import CodingError, ContractError, DataError
+from conjoint_wtp.errors import CodingError, DataError
 from conjoint_wtp.infer import ModelConfig, build_design, sample
 from conjoint_wtp.posterior import WtpDraws, WtpSummary
 from conjoint_wtp.presets import smartphone_scheme, smartphone_truth
@@ -149,13 +149,6 @@ def test_unencodable_profile_is_refused_before_writing(tmp_path, scheme, small_d
     assert str(err.value) == message
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["choices.csv"]
-
-
-def test_unanswered_tasks_are_not_written(tmp_path, scheme, small_dataset):
-    tasks = dataclasses.replace(small_dataset, chose_a=None)
-    with pytest.raises(ContractError, match="no choices"):
-        write_choices_csv(tmp_path / "choices.csv", tasks)
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_streamed_write_leaves_nothing(tmp_path):

@@ -4,6 +4,7 @@ respondent x task layout with its pad slots."""
 import numpy as np
 import pytest
 
+from conjoint_wtp.dataio import read_choices_csv, write_choices_csv
 from conjoint_wtp.domain import encode_profile
 from conjoint_wtp.errors import CodingError, ContractError, DataError
 from conjoint_wtp.infer import build_design
@@ -103,10 +104,14 @@ def test_empty_dataset_rejected(scheme):
         survey(scheme, [], chose_a=[])
 
 
-def test_unanswered_tasks_rejected(scheme):
-    dataset = survey(scheme, [(0, 0, UP, 799.0, BASE, 1199.0), (0, 1, BASE, 799.0, UP, 1199.0)])
-    with pytest.raises(ContractError, match="no choices"):
-        build_design(dataset)
+def test_unanswered_tasks_rejected(tmp_path, scheme):
+    # build_design trusts its table to be answered: the CSV reader refuses a
+    # row with no choice
+    path = tmp_path / "choices.csv"
+    write_choices_csv(path, survey(scheme, [(0, 0, UP, 799.0, BASE, 1199.0)], chose_a=[True]))
+    path.write_text(path.read_text(encoding="utf-8").replace(",1\n", ",\n"), encoding="utf-8")
+    with pytest.raises(DataError, match="row 2: chose_a must be 0 or 1, got ''"):
+        read_choices_csv(path, scheme)
 
 
 def test_respondent_blocks_and_choices(scheme):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from conjoint_wtp import cli
+from conjoint_wtp.config import RunConfig, SimulationSettings
 from conjoint_wtp.domain import AttributeScheme, encode_profile
-from conjoint_wtp.errors import ContractError, DesignError, RowError
+from conjoint_wtp.errors import ConfigError, ContractError, RowError
 from conjoint_wtp.infer import build_design
 from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_truth
 from conjoint_wtp.simulate import (
-    ChoiceDataset,
     GroundTruth,
     generate_tasks,
     sample_respondents,
@@ -69,17 +69,18 @@ class TestGroundTruth:
 
 
 class TestSampleRespondents:
-    def test_zero_respondents_rejected(self, scheme, truth):
-        with pytest.raises(ContractError):
-            sample_respondents(scheme, truth, 0, seed=1)
+    # sample_respondents trusts its count and truth: the config checks both
+    def test_zero_respondents_rejected(self):
+        with pytest.raises(ContractError, match="n_respondents must be >= 1, got 0"):
+            SimulationSettings(n_respondents=0, tasks_per_respondent=1, price_grid=DEFAULT_PRICE_GRID)
 
     def test_truth_must_cover_scheme_columns(self, scheme):
         truth = GroundTruth(
             true_wtp={"camera:Pro": 200.0}, wtp_sd={"camera:Pro": 50.0},
             price_coef_mean=-0.01, price_coef_sd=0.0,
         )
-        with pytest.raises(ContractError, match="storage:256GB"):
-            sample_respondents(scheme, truth, 3, seed=1)
+        with pytest.raises(ConfigError, match="config.ground_truth: .*storage:256GB"):
+            RunConfig(seed=1, scheme=scheme, ground_truth=truth)
 
     def test_degenerate_truth_gives_identical_respondents_with_exact_wtp(self, scheme):
         truth = degenerate_truth()
@@ -135,30 +136,31 @@ class TestGenerateTasks:
                 assert freq >= threshold
                 assert freq >= 0.20
 
-    def test_empty_price_grid_rejected(self, scheme):
-        with pytest.raises(ContractError):
-            generate_tasks(scheme, 1, 1, [], seed=0)
+    # generate_tasks trusts its price grid: the config checks it
+    def test_empty_price_grid_rejected(self):
+        with pytest.raises(ContractError, match="price_grid must be non-empty"):
+            SimulationSettings(n_respondents=1, tasks_per_respondent=1, price_grid=())
 
     @pytest.mark.parametrize("grid", [[899.0, math.inf], [0.0, 899.0], [899.0, math.nan]])
-    def test_price_grid_entries_must_be_finite_and_positive(self, scheme, grid):
-        # refused up front, not only when a task happens to draw the bad price
+    def test_price_grid_entries_must_be_finite_and_positive(self, grid):
         with pytest.raises(ContractError, match="finite and positive"):
-            generate_tasks(scheme, 1, 1, grid, seed=0)
+            SimulationSettings(n_respondents=1, tasks_per_respondent=1, price_grid=tuple(grid))
 
-    def test_degenerate_scheme_raises_design_error(self):
-        # no attribute and one price: every profile is the same product
-        scheme = AttributeScheme(attributes=(), price_attribute="price")
-        with pytest.raises(DesignError):
-            generate_tasks(scheme, 1, 1, [999.0], seed=0)
+    def test_scheme_needs_an_attribute(self):
+        # with no attribute and one price every profile is the same product;
+        # with an attribute of two levels, a re-drawn pair repeats with
+        # probability at most 1/2, so the task draw always ends
+        with pytest.raises(ContractError, match="attributes must list at least one attribute"):
+            AttributeScheme(attributes=(), price_attribute="price")
 
 
 UP = {"storage": "512GB", "camera": "Pro", "frame": "Titanium"}
 BASE = {"storage": "128GB", "camera": "Standard", "frame": "Aluminum"}
 
 
-def _single_task(scheme, respondent_id=0, task_id=0):
+def _single_task(scheme):
     """A one-row table: A has every upgrade at $799, B none at $1,199."""
-    return survey(scheme, [(respondent_id, task_id, UP, 799.0, BASE, 1199.0)])
+    return survey(scheme, [(0, 0, UP, 799.0, BASE, 1199.0)])
 
 
 def _same_table(a, b):
@@ -172,34 +174,6 @@ class TestSimulateChoices:
     def test_identical_profiles_rejected_at_task_construction(self, scheme):
         with pytest.raises(ContractError, match="task 0 for respondent 0 has identical profiles"):
             survey(scheme, [(0, 0, BASE, 799.0, BASE, 799.0)])
-
-    def test_missing_respondent_params(self, scheme):
-        with pytest.raises(ContractError, match="no respondent params for respondent 0"):
-            simulate_choices(scheme, np.empty((0, scheme.n_features)), _single_task(scheme), seed=0)
-
-    def test_negative_respondent_id_has_no_params(self, scheme):
-        # a negative id must not index the coefficient rows from the end
-        betas = np.zeros((2, scheme.n_features))
-        with pytest.raises(ContractError, match="no respondent params for respondent -1"):
-            simulate_choices(scheme, betas, _single_task(scheme, respondent_id=-1), seed=0)
-
-    @pytest.mark.parametrize("shape", [(4,), (1, 4), (1, 6), (1, 1, 5)])
-    def test_betas_must_be_respondents_by_features(self, scheme, shape):
-        with pytest.raises(ContractError, match="betas must be"):
-            simulate_choices(scheme, np.zeros(shape), _single_task(scheme), seed=0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_betas_must_be_finite(self, scheme, bad):
-        betas = np.zeros((1, scheme.n_features))
-        betas[0, 0] = bad
-        with pytest.raises(ContractError, match="betas must be finite"):
-            simulate_choices(scheme, betas, _single_task(scheme), seed=0)
-
-    def test_tasks_must_share_the_scheme(self, scheme):
-        other = AttributeScheme(attributes=scheme.attributes[:2], price_attribute="price")
-        betas = np.zeros((1, other.n_features))
-        with pytest.raises(ContractError, match="another attribute scheme"):
-            simulate_choices(other, betas, _single_task(scheme), seed=0)
 
     def test_indifferent_respondent_chooses_half(self, scheme):
         tasks = generate_tasks(scheme, 1, 10_000, DEFAULT_PRICE_GRID, seed=17)
@@ -305,11 +279,6 @@ class TestDatasetInvariants:
             with pytest.raises(RowError) as err:
                 replace(table, **change)
             assert (err.value.row, err.value.message) == (row, message)
-
-    def test_column_shapes_are_checked(self, scheme):
-        table = _single_task(scheme)
-        with pytest.raises(ContractError, match=r"prices has shape \(1, 3\), expected \(1, 2\)"):
-            ChoiceDataset(scheme, table.respondent_id, table.task_id, table.levels, np.ones((1, 3)))
 
 
 class TestRecoveryPremise:
