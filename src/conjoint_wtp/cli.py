@@ -169,12 +169,14 @@ def _stage_revenue(state: RunState) -> None:
     config = state.config
     if config.scenario is None:
         raise ConfigError("config.scenario is required for the revenue stage")
-    if tuple(draws.columns) != tuple(config.scheme.feature_columns):
+    scheme = config.scheme
+    if (tuple(draws.columns), draws.price_column) != (tuple(scheme.feature_columns), scheme.price_attribute):
         raise ConfigError(
             "posterior feature columns do not match the configured scheme: "
-            f"{draws.columns} vs {config.scheme.feature_columns}"
+            f"{draws.columns} with price column {draws.price_column!r} vs "
+            f"{scheme.feature_columns} with price column {scheme.price_attribute!r}"
         )
-    curve = revenue_curve(draws, config.scheme, config.scenario, config.seed)
+    curve = revenue_curve(draws, scheme, config.scenario, config.seed)
     write_revenue_csv(state.path("revenue_curve.csv"), curve)
     state.curve = curve
     if len(curve.prices) == 1:

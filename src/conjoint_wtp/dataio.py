@@ -201,6 +201,8 @@ class PosteriorHeader:
             raise ContractError(f"price_column {self.price_column!r} is not one of the columns")
         if not set(self.columns) - {self.price_column}:
             raise ContractError(f"columns must hold a feature besides the price column {self.price_column!r}")
+        if len(set(self.columns)) < len(self.columns):
+            raise ContractError("columns must not repeat a name")
         if len(set(self.respondent_ids)) < len(self.respondent_ids):
             raise ContractError("respondent_ids must not repeat an id")
 

@@ -2,10 +2,13 @@
 
 One transition samples a momentum, then repeatedly doubles a leapfrog
 trajectory in a random direction until the generalized U-turn criterion
-fires, a divergence is hit, or the tree-depth cap is reached. States are
-selected multinomially by density within each new subtree and merged into
-the running proposal with the biased-progressive rule, which prefers states
-far from the start.
+fires, a divergence is hit, or the tree-depth cap is reached. One join,
+`_join`, extends a piece of trajectory by the adjacent piece, inside a
+subtree and at the top alike: it takes the new edge, sums the weights,
+momenta and counts, and checks the joined span for a U-turn. Only the
+proposal rule differs. A subtree picks between its halves multinomially by
+weight (uniform rule); the trajectory takes each new subtree's state with
+the biased-progressive rule, which prefers states far from the start.
 
 Warmup starts from the model's initial diagonal metric and follows the
 windowed schedule: an initial step-size-only buffer, expanding windows that
@@ -145,6 +148,25 @@ def _is_turning(rho: np.ndarray, v_left: np.ndarray, v_right: np.ndarray) -> boo
     return float(v_left @ rho) <= 0.0 or float(v_right @ rho) <= 0.0
 
 
+def _join(old: _Tree, new: _Tree, direction: int) -> _Tree:
+    """`old` extended by the adjacent `new` on the `direction` side, keeping
+    `old`'s proposal. The joined span's U-turn is checked only when `new` is
+    usable, that is, neither divergent nor turning."""
+    left, right = (old.left, new.right) if direction > 0 else (new.left, old.right)
+    rho = old.rho + new.rho
+    return _Tree(
+        left,
+        right,
+        old.proposal,
+        _log_add_exp(old.log_sum_weight, new.log_sum_weight),
+        rho,
+        old.sum_accept + new.sum_accept,
+        old.n_states + new.n_states,
+        new.divergent,
+        new.turning or (not new.divergent and _is_turning(rho, left[4], right[4])),
+    )
+
+
 def _build_tree(ham, depth, state, direction, step, h0, rng) -> _Tree:
     if depth == 0:
         leaf = ham.leapfrog(state[0], state[1], state[2], direction * step)
@@ -173,27 +195,11 @@ def _build_tree(ham, depth, state, direction, step, h0, rng) -> _Tree:
         return inner
     start = inner.right if direction > 0 else inner.left
     outer = _build_tree(ham, depth - 1, start, direction, step, h0, rng)
-    if direction > 0:
-        left, right = inner.left, outer.right
-    else:
-        left, right = outer.left, inner.right
-    tree = _Tree(
-        left,
-        right,
-        inner.proposal,
-        _log_add_exp(inner.log_sum_weight, outer.log_sum_weight),
-        inner.rho + outer.rho,
-        inner.sum_accept + outer.sum_accept,
-        inner.n_states + outer.n_states,
-        outer.divergent,
-        outer.turning,
-    )
-    if tree.divergent or tree.turning:
-        return tree
+    tree = _join(inner, outer, direction)
     # uniform multinomial selection between the two halves
-    if math.log(rng.random()) < outer.log_sum_weight - tree.log_sum_weight:
-        tree.proposal = outer.proposal
-    tree.turning = _is_turning(tree.rho, left[4], right[4])
+    if not (outer.divergent or outer.turning):
+        if math.log(rng.random()) < outer.log_sum_weight - tree.log_sum_weight:
+            tree.proposal = outer.proposal
     return tree
 
 
@@ -201,50 +207,33 @@ def _transition(ham, q, grad, logp, step, max_depth, rng):
     p0 = ham.sample_momentum(rng)
     v0 = ham.velocity(p0)
     h0 = ham.energy(logp, p0, v0)
-    left = right = (q, p0, grad, logp, v0)
-    proposal = (q, grad, logp, h0)
-    rho = p0
-    log_sum_weight = 0.0
-    sum_accept = 0.0
-    n_states = 0
-    divergent = False
+    start = (q, p0, grad, logp, v0)
+    path = _Tree(start, start, (q, grad, logp, h0), 0.0, p0, 0.0, 0, False, False)
     depth = 0
-    while depth < max_depth:
+    while depth < max_depth and not (path.divergent or path.turning):
         direction = 1 if rng.random() < 0.5 else -1
-        edge = right if direction > 0 else left
-        tree = _build_tree(ham, depth, edge, direction, step, h0, rng)
-        sum_accept += tree.sum_accept
-        n_states += tree.n_states
-        if tree.divergent:
-            divergent = True
-            break
-        if tree.turning:
-            break
+        edge = path.right if direction > 0 else path.left
+        subtree = _build_tree(ham, depth, edge, direction, step, h0, rng)
+        joined = _join(path, subtree, direction)
         # biased progressive: prefer the new half of the trajectory
-        if math.log(rng.random()) < tree.log_sum_weight - log_sum_weight:
-            proposal = tree.proposal
-        log_sum_weight = _log_add_exp(log_sum_weight, tree.log_sum_weight)
-        if direction > 0:
-            right = tree.right
-        else:
-            left = tree.left
-        rho = rho + tree.rho
-        depth += 1
-        if _is_turning(rho, left[4], right[4]):
-            break
-    accept_stat = sum_accept / n_states if n_states else 0.0
-    prop_q, prop_grad, prop_logp, prop_energy = proposal
+        if not (subtree.divergent or subtree.turning):
+            if math.log(rng.random()) < subtree.log_sum_weight - path.log_sum_weight:
+                joined.proposal = subtree.proposal
+            depth += 1
+        path = joined
+    accept_stat = path.sum_accept / path.n_states if path.n_states else 0.0
+    prop_q, prop_grad, prop_logp, prop_energy = path.proposal
     # after the new state, one value per ChainStats array, in field order
     return (
         prop_q,
         prop_grad,
         prop_logp,
         accept_stat,
-        divergent,
+        path.divergent,
         prop_energy,
         prop_energy - h0,
         depth,
-        n_states,  # one leapfrog step per new state
+        path.n_states,  # one leapfrog step per new state
     )
 
 
@@ -340,62 +329,59 @@ def _run_chain(args):
     """One chain's draws and statistics. A leapfrog step that blows up can
     overflow the energy to inf, which marks the transition divergent; that
     overflow is expected, so numpy does not warn of it."""
+    model, warmup, draws, target_accept, max_depth, seed, chain_idx = args
     with np.errstate(over="ignore"):
-        return _chain(*args)
+        rng = substream(seed, CHAIN_STREAM, chain_idx)
+        dim = model.dim
+        grad_evals = 0
 
+        def log_posterior(theta):
+            nonlocal grad_evals
+            grad_evals += 1
+            return model.log_posterior(theta)
 
-def _chain(model, warmup, draws, target_accept, max_depth, seed, chain_idx):
-    rng = substream(seed, CHAIN_STREAM, chain_idx)
-    dim = model.dim
-    grad_evals = 0
+        for _ in range(1 + _MAX_INIT_TRIES):
+            q = model.initial_position(rng)
+            logp, grad = log_posterior(q)
+            if math.isfinite(logp):
+                break
+        else:
+            raise FitError("could not find a finite starting point for the sampler")
 
-    def log_posterior(theta):
-        nonlocal grad_evals
-        grad_evals += 1
-        return model.log_posterior(theta)
+        ham = _Hamiltonian(log_posterior, model.initial_inv_mass())
+        step = _find_reasonable_step_size(ham, q, grad, logp, rng)
+        averager = _DualAveraging(step, target_accept)
+        windows = _adaptation_windows(warmup)
+        window_set = set(windows)
+        slow_start = _INIT_BUFFER if windows else warmup
+        slow_end = windows[-1] if windows else 0
+        welford = _RunningVariance(dim)
 
-    for _ in range(1 + _MAX_INIT_TRIES):
-        q = model.initial_position(rng)
-        logp, grad = log_posterior(q)
-        if math.isfinite(logp):
-            break
-    else:
-        raise FitError("could not find a finite starting point for the sampler")
+        for m in range(1, warmup + 1):
+            q, grad, logp, accept, *_ = _transition(ham, q, grad, logp, step, max_depth, rng)
+            step = averager.update(accept)
+            if slow_start < m <= slow_end:
+                welford.add(q)
+            if m in window_set:
+                ham = _Hamiltonian(log_posterior, welford.regularized_variance())
+                welford = _RunningVariance(dim)
+                step = _find_reasonable_step_size(ham, q, grad, logp, rng)
+                averager = _DualAveraging(step, target_accept)
+        if warmup > 0:
+            step = averager.adapted()
+        warmup_evals = grad_evals
 
-    ham = _Hamiltonian(log_posterior, model.initial_inv_mass())
-    step = _find_reasonable_step_size(ham, q, grad, logp, rng)
-    averager = _DualAveraging(step, target_accept)
-    windows = _adaptation_windows(warmup)
-    window_set = set(windows)
-    slow_start = _INIT_BUFFER if windows else warmup
-    slow_end = windows[-1] if windows else 0
-    welford = _RunningVariance(dim)
-
-    for m in range(1, warmup + 1):
-        q, grad, logp, accept, *_ = _transition(ham, q, grad, logp, step, max_depth, rng)
-        step = averager.update(accept)
-        if slow_start < m <= slow_end:
-            welford.add(q)
-        if m in window_set:
-            ham = _Hamiltonian(log_posterior, welford.regularized_variance())
-            welford = _RunningVariance(dim)
-            step = _find_reasonable_step_size(ham, q, grad, logp, rng)
-            averager = _DualAveraging(step, target_accept)
-    if warmup > 0:
-        step = averager.adapted()
-    warmup_evals = grad_evals
-
-    out = np.empty((draws, dim))
-    rows = []
-    for s in range(draws):
-        q, grad, logp, *row = _transition(ham, q, grad, logp, step, max_depth, rng)
-        out[s] = q
-        rows.append(row)
-    dtypes = (float, bool, float, float, np.int64, np.int64)
-    columns = (np.array([row[k] for row in rows], dtype) for k, dtype in enumerate(dtypes))
-    return out, ChainStats(
-        *columns, step_size=step, inv_mass=ham.inv_mass, grad_evals_warmup=warmup_evals
-    )
+        out = np.empty((draws, dim))
+        rows = []
+        for s in range(draws):
+            q, grad, logp, *row = _transition(ham, q, grad, logp, step, max_depth, rng)
+            out[s] = q
+            rows.append(row)
+        dtypes = (float, bool, float, float, np.int64, np.int64)
+        columns = (np.array([row[k] for row in rows], dtype) for k, dtype in enumerate(dtypes))
+        return out, ChainStats(
+            *columns, step_size=step, inv_mass=ham.inv_mass, grad_evals_warmup=warmup_evals
+        )
 
 
 def resolve_workers(chains: int) -> int:

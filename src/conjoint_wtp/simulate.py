@@ -9,7 +9,9 @@ model, one array operation per respondent. Everything is a pure function
 of (inputs, seed): each respondent consumes an independent RNG substream,
 so the output is invariant to execution order. The run config checks the
 scheme, truth, sizes and price grid once, so no function here checks them
-again, nor what `simulate_choices` takes from the other two.
+again, nor what `simulate_choices` takes from the other two. `GroundTruth`
+puts the price-coefficient mean below PRICE_COEF_CEILING, so each try of the
+truncated price draw lands below the ceiling with probability at least 1/2.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .rng import CHOICE_STREAM, RESPONDENT_STREAM, TASK_STREAM, substream
 # every simulated consumer dislikes price increases.
 PRICE_COEF_CEILING = -1e-4
 
-_MAX_TRUNCATION_ATTEMPTS = 10_000
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -47,8 +47,10 @@ class GroundTruth:
     def __post_init__(self) -> None:
         object.__setattr__(self, "true_wtp", dict(self.true_wtp))
         object.__setattr__(self, "wtp_sd", dict(self.wtp_sd))
-        if not -math.inf < self.price_coef_mean < 0:
-            raise ContractError(f"price_coef_mean must be finite and negative, got {self.price_coef_mean}")
+        if not -math.inf < self.price_coef_mean < PRICE_COEF_CEILING:
+            raise ContractError(
+                f"price_coef_mean must be finite and below {PRICE_COEF_CEILING}, got {self.price_coef_mean}"
+            )
         if not 0 <= self.price_coef_sd < math.inf:
             raise ContractError(f"price_coef_sd must be finite and non-negative, got {self.price_coef_sd}")
         if set(self.wtp_sd) != set(self.true_wtp):
@@ -135,15 +137,10 @@ def sample_respondents(
     betas = np.empty((n, scheme.n_features))
     for rid in range(n):
         rng = substream(seed, RESPONDENT_STREAM, rid)
-        for _ in range(_MAX_TRUNCATION_ATTEMPTS):
+        while True:
             price_coef = truth.price_coef_mean + truth.price_coef_sd * rng.standard_normal()
             if price_coef < PRICE_COEF_CEILING:
                 break
-        else:
-            raise ContractError(
-                f"could not draw a price coefficient below {PRICE_COEF_CEILING} from "
-                f"Normal({truth.price_coef_mean}, {truth.price_coef_sd})"
-            )
         wtp = wtp_mean + wtp_sd * rng.standard_normal(len(columns))
         betas[rid, : len(columns)] = -price_coef * wtp
         betas[rid, scheme.price_index] = price_coef

@@ -684,7 +684,7 @@ def test_demo_config_matches_presets():
     assert config.simulation.price_grid == DEFAULT_PRICE_GRID
     assert config.model.chains == 4
     assert config.model.draws_per_chain == 2000
-    assert config.model.warmup_per_chain == 1000
+    assert config.model.warmup_per_chain == 500
     assert config.simulation.n_respondents == 300
     assert config.simulation.tasks_per_respondent == 20
 
@@ -752,6 +752,8 @@ LAX_POSTERIORS = [
      "line 242: more draws than the header's chains x draws_per_chain, 240"),
     ("price-column-only", _price_column_only,
      "bad header: posterior.columns must hold a feature besides the price column 'price'"),
+    ("repeated-column", lambda h, rows: h["columns"].__setitem__(1, h["columns"][0]),
+     "bad header: posterior.columns must not repeat a name"),
 ]
 
 
@@ -799,6 +801,35 @@ class TestMalformedInputs:
         )
         assert code == 2
         assert "truth.json" in capsys.readouterr().err
+
+    def test_truth_with_price_mean_above_the_ceiling_exits_2(self, fitted_run, tmp_path, capsys):
+        # every respondent's price coefficient is drawn below PRICE_COEF_CEILING
+        _, run_dir = fitted_run
+        truth = tmp_path / "truth.json"
+        write_json(truth, {**BASE_CONFIG["ground_truth"], "price_coef_mean": -1e-5})
+        code = cli.main(
+            ["wtp", "--posterior", str(run_dir / "posterior.jsonl"), "--truth", str(truth),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert f"{truth}: ground_truth.price_coef_mean must be finite and below" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_revenue_posterior_price_column_must_be_the_schemes(self, fitted_run, tmp_path, capsys):
+        # the revenue curve takes the last column as the price; a header naming
+        # another column would filter draws on that column's sign
+        config, run_dir = fitted_run
+        lines = (run_dir / "posterior.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["price_column"] = "frame:Titanium"
+        path = tmp_path / "posterior.jsonl"
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        out = tmp_path / "o"
+        code = cli.main(["revenue", "--config", str(config), "--posterior", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "with price column 'frame:Titanium' vs" in err and "with price column 'price'" in err
+        assert not out.exists()
 
     def test_revenue_into_unreadable_report_exits_2(self, fitted_run, tmp_path, capsys):
         config, run_dir = fitted_run

@@ -110,6 +110,7 @@ SECTIONS = [
         "ground_truth", "price_coef_mean", ("price_coef_sd", "x"), ("price_coef_mean", 0.5, "price_coef_mean"),
         ("true_wtp", {**BASE_CONFIG["ground_truth"]["true_wtp"], "camera:Pro": math.inf}, "true_wtp"),
         ("price_coef_sd", math.inf, "price_coef_sd"),
+        ("price_coef_mean", -1e-5, "price_coef_mean"),  # negative, but above PRICE_COEF_CEILING
     ),
     (
         "simulation", "price_grid", ("tasks_per_respondent", 2.5),

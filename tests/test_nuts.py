@@ -13,6 +13,8 @@ from conjoint_wtp.infer.nuts import (
     _adaptation_windows,
     _find_reasonable_step_size,
     _Hamiltonian,
+    _join,
+    _Tree,
     resolve_workers,
 )
 from tests.helpers import ragged_dataset
@@ -100,6 +102,53 @@ class TestLeapfrog:
         for _ in range(100):
             q, p, grad, logp, v = ham.leapfrog(q, p, grad, 0.01)
         assert abs(ham.energy(logp, p, v) - h0) < 1e-3
+
+
+def _piece(name, v_left, v_right, rho, *, divergent=False, turning=False):
+    """A hand-built trajectory piece in one dimension under the unit metric,
+    so each edge's velocity is its momentum; the edges and the proposal carry
+    `name` so a test can tell whose they are."""
+    def edge(side, v):
+        return (f"{name}.{side}", None, None, None, np.array([v]))
+
+    return _Tree(edge("left", v_left), edge("right", v_right), f"{name}.proposal",
+                 -1.0, np.array([rho]), 0.25, 2, divergent, turning)
+
+
+class TestTrajectory:
+    def test_divergent_piece_stops_with_the_old_proposal(self):
+        joined = _join(_piece("old", 1.0, 1.0, 1.0), _piece("new", -5.0, -5.0, -9.0, divergent=True), 1)
+        assert joined.divergent and not joined.turning
+        assert joined.proposal == "old.proposal"
+        assert (joined.n_states, joined.sum_accept) == (4, 0.5)
+        assert joined.log_sum_weight == pytest.approx(-1.0 + math.log(2.0))
+
+    def test_joined_momentum_against_an_edge_velocity_turns(self):
+        old = _piece("old", 1.0, 1.0, 1.0)
+        assert _join(old, _piece("new", -1.0, -1.0, -3.0), 1).turning  # rho = -2 opposes old.left
+        assert not _join(old, _piece("new", 1.0, 1.0, 1.0), 1).turning
+
+    def test_turning_piece_stops_without_a_check_of_the_joined_span(self):
+        joined = _join(_piece("old", 1.0, 1.0, 1.0), _piece("new", 1.0, 1.0, 1.0, turning=True), -1)
+        assert joined.turning and not joined.divergent
+
+    def test_edges_follow_the_direction(self):
+        old, new = _piece("old", 1.0, 1.0, 1.0), _piece("new", 1.0, 1.0, 1.0)
+        forward, backward = _join(old, new, 1), _join(old, new, -1)
+        assert (forward.left[0], forward.right[0]) == ("old.left", "new.right")
+        assert (backward.left[0], backward.right[0]) == ("new.left", "old.right")
+        assert forward.proposal == backward.proposal == "old.proposal"
+
+    def test_depth_cap_bounds_every_trajectory(self):
+        # at cap 2 the trajectory holds at most a one-state and a two-state
+        # subtree; a transition that reaches the cap built both in full
+        result = run_nuts(StandardNormalTarget(50), chains=1, warmup=150, draws=200,
+                          target_accept=0.8, max_treedepth=2, seed=4)
+        stats = result.stats[0]
+        assert stats.tree_depth.max() <= 2 and stats.n_leapfrog.max() <= 3
+        capped = (stats.tree_depth == 2) & ~stats.divergent
+        assert capped.any()
+        assert np.all(stats.n_leapfrog[capped] == 3)
 
 
 class TestStepSizeSearch:
