@@ -142,8 +142,7 @@ def _stage_fit(state: RunState) -> None:
 def _stage_wtp(state: RunState) -> None:
     draws = state.posterior()
     truth = state.truth()
-    features = [c for c in draws.columns if c != draws.price_column]
-    per_feature = [wtp_draws(draws, feature) for feature in features]
+    per_feature = [wtp_draws(draws, feature) for feature in draws.columns[:-1]]
     state.summaries = [summarize_wtp(w) for w in per_feature]
     # built before any file is written: a truth that names a feature the
     # posterior lacks must leave --out as it was
@@ -170,11 +169,10 @@ def _stage_revenue(state: RunState) -> None:
     if config.scenario is None:
         raise ConfigError("config.scenario is required for the revenue stage")
     scheme = config.scheme
-    if (tuple(draws.columns), draws.price_column) != (tuple(scheme.feature_columns), scheme.price_attribute):
+    if draws.columns != scheme.feature_columns:  # equal columns end in the scheme's price
         raise ConfigError(
             "posterior feature columns do not match the configured scheme: "
-            f"{draws.columns} with price column {draws.price_column!r} vs "
-            f"{scheme.feature_columns} with price column {scheme.price_attribute!r}"
+            f"{draws.columns} vs {scheme.feature_columns}"
         )
     curve = revenue_curve(draws, scheme, config.scenario, config.seed)
     write_revenue_csv(state.path("revenue_curve.csv"), curve)
@@ -227,9 +225,11 @@ def cmd_pipeline(args) -> int:
     if "fit" in stages and n < MIN_HDI_SAMPLES:  # else the wtp stage would refuse the fit
         raise ConfigError(f"config.model: chains x draws_per_chain is {n}, an HDI needs {MIN_HDI_SAMPLES}")
     diagnostics_path = state.out / "diagnostics.json"
-    if "fit" not in stages and diagnostics_path.exists():  # read before any stage writes
-        state.diagnostics = read_diagnostics_json(diagnostics_path)
-        _check_one_fit(state, diagnostics_path)
+    if "fit" not in stages:  # the fit's files are read and checked before any stage writes
+        _check_posterior_fit(state, config, "this run's")
+        if diagnostics_path.exists():
+            state.diagnostics = read_diagnostics_json(diagnostics_path)
+            _check_one_fit(state, diagnostics_path)
     stages_run = []
     for name in stages:
         if name == "revenue" and config.scenario is None:
@@ -285,17 +285,23 @@ def _check_own_report(state: RunState, report: dict, path: Path) -> None:
         theirs = from_dict(RunConfig, report.get("config"), "config")
     except ConfigError as e:
         raise DataError(f"{path}: {e}") from None
-    config, draws = state.config, state.posterior()
-    posterior = f"the posterior's in {state._input('posterior', 'posterior.jsonl')}"
+    config = state.config
     names = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("model", "output_dir")]
-    for field, value, own, whose in [
-        ("seed", report.get("seed"), config.seed, "this run's"),
-        *((f"config.{n}", getattr(theirs, n), getattr(config, n), "this run's") for n in names),
-        ("seed", theirs.seed, draws.seed, posterior),
-        ("config.model", theirs.model, draws.config, posterior),
+    for field, value, own in [
+        ("seed", report.get("seed"), config.seed),
+        *((f"config.{n}", getattr(theirs, n), getattr(config, n)) for n in names),
     ]:
         if value != own:
-            raise DataError(f"{path} is from another run: its {field} is not {whose}")
+            raise DataError(f"{path} is from another run: its {field} is not this run's")
+    _check_posterior_fit(state, theirs, f"{path} is from another run: its")
+
+
+def _check_posterior_fit(state: RunState, config: RunConfig, whose: str) -> None:
+    """`config`'s seed and model must be the posterior header's; `whose` opens the message."""
+    draws, path = state.posterior(), state._input("posterior", "posterior.jsonl")
+    for field, value, own in [("seed", config.seed, draws.seed), ("config.model", config.model, draws.config)]:
+        if value != own:
+            raise DataError(f"{whose} {field} is not the posterior's in {path}")
 
 
 def _quality_section(diagnostics: Diagnostics | None) -> dict | None:

@@ -36,6 +36,7 @@ from .simulate import ChoiceDataset, GroundTruth
 
 POSTERIOR_FORMAT = "conjoint-wtp-posterior"
 POSTERIOR_VERSION = 1
+PARAM_LAYOUT = "mu, sigma, z (respondent-major)"
 
 
 def _fmt(value: float) -> str:
@@ -182,8 +183,8 @@ class ColumnScaling:
 
 @dataclass(frozen=True, kw_only=True)
 class PosteriorHeader:
-    """The first line of a posterior file, as the config walker writes and
-    reads it. As in the run config, the model's seed is the header's seed."""
+    """A posterior file's first line, as the config walker writes and reads it.
+    As in the run config, the model's seed is the header's; `price_column` names the last column."""
 
     format: str = POSTERIOR_FORMAT
     version: int = POSTERIOR_VERSION
@@ -193,12 +194,14 @@ class PosteriorHeader:
     standardization: ColumnScaling
     config: ModelConfig
     seed: int
-    param_layout: str = "mu, sigma, z (respondent-major)"
+    param_layout: str = PARAM_LAYOUT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "config", replace(self.config, seed=self.seed))
-        if self.price_column not in self.columns:
-            raise ContractError(f"price_column {self.price_column!r} is not one of the columns")
+        if self.param_layout != PARAM_LAYOUT:
+            raise ContractError(f"param_layout must be {PARAM_LAYOUT!r}, got {self.param_layout!r}")
+        if self.columns[-1:] != (self.price_column,):
+            raise ContractError(f"price_column {self.price_column!r} is not the last column of {list(self.columns)}")
         if not set(self.columns) - {self.price_column}:
             raise ContractError(f"columns must hold a feature besides the price column {self.price_column!r}")
         if len(set(self.columns)) < len(self.columns):

@@ -46,9 +46,9 @@ class AttributeScheme:
     Price is not an attribute: prices come from the price grid, so
     `price_attribute` only names the last feature column. Derived once, as
     plain attributes that equality and hashing do not see: the "<attr>:<level>"
-    `dummy_columns`, then `price_attribute` at `price_index`, make
-    `feature_columns`; `dummy_levels` gives each dummy's (attribute index,
-    level index), and `level_index` maps attribute -> {level: index}.
+    `dummy_columns`, then `price_attribute` last, make `feature_columns`, the
+    one statement of the layout; `dummy_levels` gives each dummy's (attribute
+    index, level index), and `level_index` maps attribute -> {level: index}.
     """
 
     attributes: tuple[Attribute, ...]
@@ -76,7 +76,6 @@ class AttributeScheme:
             "dummy_levels": tuple(code for _, code in dummies),
             "feature_columns": tuple(name for name, _ in dummies) + (self.price_attribute,),
             "n_features": len(dummies) + 1,
-            "price_index": len(dummies),
             "level_index": {a.name: {level: k for k, level in enumerate(a.levels)} for a in self.attributes},
         }
         for name, value in derived.items():
@@ -136,7 +135,7 @@ def encode(scheme: AttributeScheme, levels: np.ndarray, prices) -> np.ndarray:
     x = np.zeros(np.shape(prices) + (scheme.n_features,))
     for column, (j, k) in enumerate(scheme.dummy_levels):
         x[..., column] = levels[..., j] == k
-    x[..., scheme.price_index] = prices
+    x[..., -1] = prices
     return x
 
 

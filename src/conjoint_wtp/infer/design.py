@@ -58,12 +58,11 @@ class Design:
     """The panel the model fits. `x` (respondents, T_max, features) holds
     respondent r's signed, standardized difference rows (chosen minus
     rejected) in the first slots of row r, and zero rows in its pad slots;
-    `n_rows` counts the real slots. Row r is respondent `respondent_ids[r]`,
-    and `standardization.scale` records the column SDs.
+    `n_rows` counts the real slots. Row r is respondent `respondent_ids[r]`;
+    `columns` are the scheme's, price last; `standardization.scale` holds their SDs.
     """
 
     columns: tuple[str, ...]
-    price_column: str
     x: np.ndarray
     n_rows: int
     respondent_ids: tuple[int, ...]
@@ -76,10 +75,6 @@ class Design:
     @property
     def n_respondents(self) -> int:
         return len(self.respondent_ids)
-
-    @property
-    def price_index(self) -> int:
-        return self.columns.index(self.price_column)
 
 
 def build_design(dataset: ChoiceDataset) -> Design:
@@ -105,7 +100,6 @@ def build_design(dataset: ChoiceDataset) -> Design:
     x[respondent, slot] = rows
     return Design(
         columns=columns,
-        price_column=dataset.scheme.price_attribute,
         x=x,
         n_rows=len(dataset),
         respondent_ids=tuple(dataset.respondent_id[starts].tolist()),

@@ -23,9 +23,9 @@ class PosteriorDraws:
     """Posterior samples for all model parameters plus unscaling metadata.
 
     mu and sigma are (total draws, features) on the fitting scale; z is
-    (total draws, respondents, features). Individual coefficients reconstruct
-    as mu + sigma * z. The standardization is carried so downstream code can
-    return to dollar units.
+    (total draws, respondents, features); mu + sigma * z rebuilds individual
+    coefficients, and the standardization returns them to dollar units. The
+    price is the last column, which `price_column` names for the header.
     """
 
     columns: tuple[str, ...]
@@ -47,10 +47,6 @@ class PosteriorDraws:
     @property
     def n_features(self) -> int:
         return self.mu.shape[1]
-
-    @property
-    def price_index(self) -> int:
-        return self.columns.index(self.price_column)
 
 
 def sample(
@@ -92,7 +88,7 @@ def sample(
     chain_index = np.repeat(np.arange(config.chains), config.draws_per_chain)
     draws = PosteriorDraws(
         columns=design.columns,
-        price_column=design.price_column,
+        price_column=design.columns[-1],
         respondent_ids=design.respondent_ids,
         mu=mu,
         sigma=np.exp(log_sigma),

@@ -125,7 +125,7 @@ class HierarchicalLogitModel:
         self.n_features = design.n_features
         self.n_respondents = design.n_respondents
         self._pad_const = (math.prod(design.x.shape[:2]) - design.n_rows) * math.log(2.0)
-        price = np.arange(self.n_features) == design.price_index
+        price = np.arange(self.n_features) == self.n_features - 1
         mu_price, mu_feature = config.prior_mu_price, config.prior_mu_feature
         self.prior_mean = np.where(price, mu_price.mean, mu_feature.mean)
         self.prior_sd = np.where(price, mu_price.sd, mu_feature.sd)

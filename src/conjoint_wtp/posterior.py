@@ -98,12 +98,12 @@ def sign_safe_draws(price_mean: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def wtp_draws(draws: PosteriorDraws, feature: str) -> WtpDraws:
-    """Population WTP distribution for one feature (per-draw ratio of
-    unscaled population means)."""
+    """Population WTP distribution for one feature: the per-draw ratio of its
+    unscaled population mean to the price's, the last column's."""
     j = draws.columns.index(feature)
     mu_raw, _ = unscale_population(draws)
-    keep, flagged = sign_safe_draws(mu_raw[:, draws.price_index])
-    ratios = -mu_raw[keep, j] / mu_raw[keep, draws.price_index]
+    keep, flagged = sign_safe_draws(mu_raw[:, -1])
+    ratios = -mu_raw[keep, j] / mu_raw[keep, -1]
     return WtpDraws(feature=feature, draws=ratios, flagged_count=flagged)
 
 

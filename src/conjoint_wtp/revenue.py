@@ -65,7 +65,7 @@ class BundleScenario:
         a baseline or upgrade the scheme cannot code is a CodingError."""
         base = self.baseline
         diff = encode_profile(scheme, self.bundle_profile(base.price)) - encode_profile(scheme, base)
-        if not np.any(diff[: scheme.price_index] != 0):
+        if not np.any(diff[:-1] != 0):
             raise ContractError("bundle upgrades do not change the baseline profile")
         return diff
 
@@ -109,9 +109,8 @@ def _purchase_probabilities(
     betas = noise
     betas *= sigma
     betas += mu
-    price_col = diff.size - 1
-    slope = np.minimum(betas[:, price_col], PRICE_COEF_CEILING)
-    base_utility = betas[:, :price_col] @ diff[:price_col]
+    slope = np.minimum(betas[:, -1], PRICE_COEF_CEILING)
+    base_utility = betas[:, :-1] @ diff[:-1]
     np.multiply.outer(neg_price_offsets, slope, out=buffer)
     buffer -= base_utility
     with np.errstate(over="ignore"):
@@ -135,7 +134,7 @@ def revenue_curve(
     shared across prices (common random numbers).
     """
     mu_raw, sigma_raw = unscale_population(draws)
-    keep, flagged = sign_safe_draws(mu_raw[:, draws.price_index])
+    keep, flagged = sign_safe_draws(mu_raw[:, -1])
     retained = np.flatnonzero(keep)
     prices = np.asarray(scenario.price_grid)
     diff = scenario.offsets(scheme)

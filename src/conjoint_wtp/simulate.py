@@ -142,8 +142,8 @@ def sample_respondents(
             if price_coef < PRICE_COEF_CEILING:
                 break
         wtp = wtp_mean + wtp_sd * rng.standard_normal(len(columns))
-        betas[rid, : len(columns)] = -price_coef * wtp
-        betas[rid, scheme.price_index] = price_coef
+        betas[rid, :-1] = -price_coef * wtp
+        betas[rid, -1] = price_coef
     return betas
 
 

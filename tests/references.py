@@ -96,12 +96,12 @@ def individual_wtp(draws: PosteriorDraws, respondent_id: int, feature: str) -> I
     """WTP distribution for one respondent, from reconstructed individual
     coefficients. Sign-unsafe draws above 0.5% set a warning, not an error."""
     j = draws.columns.index(feature)
-    if j == draws.price_index:
+    if j == draws.n_features - 1:
         raise ContractError("WTP of the price column is not defined")
     beta = individual_beta(draws, respondent_id) / draws.standardization.scale
-    keep = beta[:, draws.price_index] < -WTP_PRICE_EPS
+    keep = beta[:, -1] < -WTP_PRICE_EPS
     flagged = int(keep.size - keep.sum())
-    ratios = -beta[keep, j] / beta[keep, draws.price_index]
+    ratios = -beta[keep, j] / beta[keep, -1]
     if ratios.size == 0:
         raise SignSafetyError(
             f"all draws for respondent {respondent_id} have non-negative price coefficients"

@@ -214,12 +214,12 @@ class TestCriterion6Shrinkage:
     def test_partial_pooling_shrinks_individual_variance(self, demo_draws, demo_dataset):
         design = build_design(demo_dataset)
         scale = design.standardization.scale
-        features = [c for c in demo_draws.columns if c != demo_draws.price_column]
+        features = demo_draws.columns[:-1]
 
         posterior_means = {f: [] for f in features}
         for rid in demo_draws.respondent_ids:
             beta = individual_beta(demo_draws, rid) / scale
-            price = beta[:, demo_draws.price_index]
+            price = beta[:, -1]
             keep = price < -1e-8
             for j, feature in enumerate(features):
                 ratio = -beta[keep, j] / price[keep]
@@ -231,7 +231,7 @@ class TestCriterion6Shrinkage:
             rows = demo_dataset.respondent_id == rid
             beta = fit_logit_mle(x[rows], demo_dataset.chose_a[rows]) / scale
             for j, feature in enumerate(features):
-                ml_estimates[feature].append(-beta[j] / beta[design.price_index])
+                ml_estimates[feature].append(-beta[j] / beta[-1])
 
         shrunk = {
             f: np.var(posterior_means[f]) < np.var(ml_estimates[f]) for f in features

@@ -371,7 +371,7 @@ class TestWtp:
         draws = read_posterior_jsonl(run_dir / "posterior.jsonl")
         doctored = copy.deepcopy(draws)
         flip = max(1, int(0.002 * doctored.n_draws) + 1)
-        doctored.mu[:flip, doctored.price_index] = 0.5
+        doctored.mu[:flip, -1] = 0.5
         path = tmp_path / "bad_posterior.jsonl"
         write_posterior_jsonl(path, doctored)
         code = cli.main(["wtp", "--posterior", str(path), "--out", str(tmp_path / "o")])
@@ -754,6 +754,14 @@ LAX_POSTERIORS = [
      "bad header: posterior.columns must hold a feature besides the price column 'price'"),
     ("repeated-column", lambda h, rows: h["columns"].__setitem__(1, h["columns"][0]),
      "bad header: posterior.columns must not repeat a name"),
+    # the price is the last column; a header naming another would have `wtp`
+    # divide by that column and report a false sign-safety failure
+    ("price-column-not-last", lambda h, rows: h.update(price_column="frame:Titanium"),
+     "bad header: posterior.price_column 'frame:Titanium' is not the last column of "
+     "['storage:256GB', 'storage:512GB', 'camera:Pro', 'frame:Titanium', 'price']"),
+    ("foreign-param-layout", lambda h, rows: h.update(param_layout="z, sigma, mu (feature-major)"),
+     "bad header: posterior.param_layout must be 'mu, sigma, z (respondent-major)', "
+     "got 'z, sigma, mu (feature-major)'"),
 ]
 
 
@@ -817,7 +825,8 @@ class TestMalformedInputs:
 
     def test_revenue_posterior_price_column_must_be_the_schemes(self, fitted_run, tmp_path, capsys):
         # the revenue curve takes the last column as the price; a header naming
-        # another column would filter draws on that column's sign
+        # another column would filter draws on that column's sign, so the
+        # header's own rule refuses it before the columns meet the scheme
         config, run_dir = fitted_run
         lines = (run_dir / "posterior.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         header = json.loads(lines[0])
@@ -828,7 +837,23 @@ class TestMalformedInputs:
         code = cli.main(["revenue", "--config", str(config), "--posterior", str(path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "with price column 'frame:Titanium' vs" in err and "with price column 'price'" in err
+        assert f"error: {path}: bad header: posterior.price_column 'frame:Titanium' is not the last column" in err
+        assert not out.exists()
+
+    def test_revenue_posterior_columns_must_be_the_schemes(self, fitted_run, tmp_path, capsys):
+        # a last column named as the header's price, but not the scheme's
+        config, run_dir = fitted_run
+        lines = (run_dir / "posterior.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["columns"][-1] = header["price_column"] = "cost"
+        path = tmp_path / "posterior.jsonl"
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        out = tmp_path / "o"
+        code = cli.main(["revenue", "--config", str(config), "--posterior", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: posterior feature columns do not match the configured scheme: " in err
+        assert "'frame:Titanium', 'cost') vs (" in err and "'frame:Titanium', 'price')" in err
         assert not out.exists()
 
     def test_revenue_into_unreadable_report_exits_2(self, fitted_run, tmp_path, capsys):
@@ -911,6 +936,20 @@ class TestMalformedInputs:
         }[fit]
         err = capsys.readouterr().err
         assert f"error: {out / 'diagnostics.json'} is not from the fit in {out / 'posterior.jsonl'}: {fault}\n" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("flags, field", [(["--seed", "7"], "seed"), (["--chains", "3"], "config.model")])
+    def test_resume_refuses_a_seed_or_model_other_than_the_fits(self, fitted_run, tmp_path, capsys, flags, field):
+        # the resumed report would state this run's seed and model beside
+        # the quality and WTP of the fit at the posterior's
+        config, run_dir = fitted_run
+        out = tmp_path / "o"
+        shutil.copytree(run_dir, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        argv = ["pipeline", "--config", str(config), "--out", str(out), "--from", "wtp", *flags]
+        assert cli.main(argv) == 2
+        message = f"error: this run's {field} is not the posterior's in {out / 'posterior.jsonl'}\n"
+        assert message in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("case", ["config", "data", "posterior", "diagnostics"])

@@ -280,7 +280,7 @@ def _one_scale(header):
         (_one_scale, "standardization scale"),
         (
             lambda header: {**header, "price_column": "cost"},
-            r"bad header: posterior\.price_column 'cost' is not one of the columns",
+            r"bad header: posterior\.price_column 'cost' is not the last column of \[",
         ),
         (lambda header: [header], "header is not a JSON object"),
         (

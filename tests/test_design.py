@@ -74,11 +74,11 @@ def test_price_difference_scales_linearly(scheme):
     ]
     dataset = survey(scheme, rows, chose_a=[True, False, True])
     design = build_design(dataset)
-    raw = _raw_differences(dataset)[:, design.price_index]
+    raw = _raw_differences(dataset)[:, -1]
     assert raw[1] - raw[0] == 100.0
-    scale = design.standardization.scale[design.price_index]
+    scale = design.standardization.scale[-1]
     # B was chosen in the second row, so its signed row is B - A
-    delta = -design.x[0, 1, design.price_index] - design.x[0, 0, design.price_index]
+    delta = -design.x[0, 1, -1] - design.x[0, 0, -1]
     assert delta * scale == pytest.approx(100.0, rel=1e-12)
 
 

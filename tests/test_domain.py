@@ -37,7 +37,7 @@ def decode_features(scheme, values):
         if len(active) > 1:
             raise ContractError(f"attribute {attr.name!r} has multiple active dummies")
         levels[attr.name] = active[0] if active else attr.baseline
-    return ProductProfile(levels=levels, price=float(values[scheme.price_index]))
+    return ProductProfile(levels=levels, price=float(values[-1]))
 
 
 def baseline_profile(scheme, price=799.0):
@@ -55,7 +55,7 @@ class TestScheme:
             "frame:Titanium",
             "price",
         )
-        assert scheme.price_index == 4
+        assert scheme.n_features == 5
 
     def test_needs_two_levels(self):
         with pytest.raises(ContractError):
@@ -153,7 +153,7 @@ class TestChoiceProbability:
         # so the two distinct profiles have equal utility and P(choose A) = 1/2
         beta = np.zeros(scheme.n_features)
         beta[scheme.feature_columns.index("camera:Pro")] = 1.0
-        beta[scheme.price_index] = -0.0078125
+        beta[-1] = -0.0078125
         a = baseline_profile(scheme, price=927.0)
         a = ProductProfile(levels={**a.levels, "camera": "Pro"}, price=a.price)
         b = baseline_profile(scheme, price=799.0)

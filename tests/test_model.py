@@ -73,7 +73,6 @@ def empty_design(respondents=0, t_max=0, columns=("camera:Pro", "price")):
     f = len(columns)
     return Design(
         columns=tuple(columns),
-        price_column="price",
         x=np.zeros((respondents, t_max, f)),
         n_rows=0,
         respondent_ids=tuple(range(respondents)),

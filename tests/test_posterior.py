@@ -259,7 +259,7 @@ class TestFitBasedOracles:
         dollar_mu = unscale_population(dollar_draws)[0]
         # per dollar, the price coefficient is 100 times the one per cent
         cent_mu = unscale_population(cent_draws)[0]
-        cent_mu[:, cent_draws.price_index] *= 100.0
+        cent_mu[:, -1] *= 100.0
         for j, column in enumerate(dollar_draws.columns):
             ess = f"mu[{column}]"
             assert _agree_within_two_joint_se(

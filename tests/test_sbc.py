@@ -44,9 +44,9 @@ FAMILY_ALPHA = 0.01
 Z_RANKED = ((0, 0), (1, 1), (2, 2))
 
 
-def draw_from_prior(config, n_features, price_index, rng):
+def draw_from_prior(config, n_features, rng):
     """mu, sigma and z drawn from the priors `config` states."""
-    price = np.arange(n_features) == price_index
+    price = np.arange(n_features) == n_features - 1  # the price is the last column
     p, f = config.prior_mu_price, config.prior_mu_feature
     mu = rng.normal(np.where(price, p.mean, f.mean), np.where(price, p.sd, f.sd))
     sigma = np.abs(rng.normal(0.0, config.prior_sigma_sd, n_features))
@@ -61,8 +61,8 @@ def replication_ranks(seed):
     tasks = generate_tasks(SCHEME, RESPONDENTS, TASKS, DEFAULT_PRICE_GRID, seed=seed)
     x = tasks.differences()
     scale = x.std(axis=0)
-    f, price = SCHEME.n_features, SCHEME.price_index
-    mu, sigma, z = draw_from_prior(DRAW_PRIOR, f, price, rng)
+    f = SCHEME.n_features
+    mu, sigma, z = draw_from_prior(DRAW_PRIOR, f, rng)
     beta = (mu + sigma * z)[tasks.respondent_id]
     chose_a = rng.random(len(tasks)) < expit(np.einsum("nf,nf->n", x / scale, beta))
     design = build_design(replace(tasks, chose_a=chose_a))

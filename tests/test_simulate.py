@@ -89,7 +89,7 @@ class TestSampleRespondents:
         for r in respondents:
             assert np.array_equal(r, respondents[0])
         beta = respondents[0]
-        price_coef = beta[scheme.price_index]
+        price_coef = beta[-1]
         assert price_coef == truth.price_coef_mean
         for j, column in enumerate(scheme.dummy_columns):
             assert wtp(beta[j], price_coef) == truth.true_wtp[column]
@@ -98,14 +98,14 @@ class TestSampleRespondents:
         n = 300
         respondents = sample_respondents(scheme, truth, n, seed=20250808)
         j = scheme.dummy_columns.index("camera:Pro")
-        implied = np.array([wtp(r[j], r[scheme.price_index]) for r in respondents])
+        implied = np.array([wtp(r[j], r[-1]) for r in respondents])
         bound = 3 * 50.0 / math.sqrt(n)
         assert abs(implied.mean() - 200.0) < bound
 
     def test_price_coef_sample_mean_within_three_standard_errors(self, scheme, truth):
         n = 300
         respondents = sample_respondents(scheme, truth, n, seed=20250808)
-        coefs = respondents[:, scheme.price_index]
+        coefs = respondents[:, -1]
         bound = 3 * truth.price_coef_sd / math.sqrt(n)
         assert abs(coefs.mean() - truth.price_coef_mean) < bound
         assert np.all(coefs < 0)
@@ -203,7 +203,7 @@ class TestSimulateChoices:
         # a price slope of -2.5 per dollar puts a $400 gap at |x.beta| = 1000,
         # past where exp overflows: p must be exactly 0 or 1, with no warning
         betas = np.zeros((2, scheme.n_features))
-        betas[:, scheme.price_index] = -2.5
+        betas[:, -1] = -2.5
         pair = (UP, 799.0, BASE, 1199.0)  # A: every upgrade at $799; B: none at $1,199
         swapped = (BASE, 1199.0, UP, 799.0)
         tasks = survey(
@@ -296,7 +296,7 @@ class TestRecoveryPremise:
         scale = design.standardization.scale
         beta = fit_logit_mle(dataset.differences() / scale, dataset.chose_a)
         raw = beta / scale
-        price = raw[design.price_index]
+        price = raw[-1]
         for j, column in enumerate(scheme.dummy_columns):
             estimate = -raw[j] / price
             assert estimate == pytest.approx(truth.true_wtp[column], rel=0.05)
