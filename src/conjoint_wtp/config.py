@@ -36,6 +36,11 @@ from .revenue import BundleScenario, RevenueCurve
 from .simulate import GroundTruth
 
 
+# The most rows a simulated survey may have. The simulator draws each task
+# in Python and the fit holds every row, so no survey it can fit comes near.
+MAX_SURVEY_ROWS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimulationSettings:
     n_respondents: int
@@ -47,6 +52,11 @@ class SimulationSettings:
             raise ContractError(f"n_respondents must be >= 1, got {self.n_respondents}")
         if self.tasks_per_respondent < 1:
             raise ContractError(f"tasks_per_respondent must be >= 1, got {self.tasks_per_respondent}")
+        if self.n_respondents * self.tasks_per_respondent > MAX_SURVEY_ROWS:
+            raise ContractError(
+                f"n_respondents x tasks_per_respondent must be at most {MAX_SURVEY_ROWS:,} "
+                f"survey rows, got {self.n_respondents} x {self.tasks_per_respondent}"
+            )
         check_price_grid(self.price_grid)
 
 

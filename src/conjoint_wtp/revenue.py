@@ -1,43 +1,59 @@
-"""Revenue simulation for a feature bundle priced against a fixed baseline.
+"""Expected revenue of a feature bundle priced against a fixed baseline.
 
-The market model is deliberately minimal: each simulated consumer picks
-between the bundle at a candidate price and the baseline product at its
-fixed price — there is no outside "buy nothing" option, so reported revenue
-is conditional on that binary market. Consumers are drawn from each
-posterior draw's population distribution Normal(mu, sigma) (heterogeneity is
-integrated by Monte Carlo, not collapsed to the mean), and the same
-consumer noise is reused across all prices within a draw. That makes the
-per-draw demand curve exactly non-increasing in price and the argmax
-comparison noise-free.
+The market model is deliberately minimal: each consumer picks between the
+bundle at a candidate price and the baseline product at its fixed price;
+there is no outside "buy nothing" option, so reported revenue is
+conditional on that binary market. A posterior draw's consumers have
+independent coefficients Normal(mu, sigma^2) on the raw scale, the price
+coefficient clipped at PRICE_COEF_CEILING like the simulator's
+respondents'. Heterogeneity is integrated, not collapsed to the mean: the
+bundle's utility edge u = beta[:-1] . d (d the bundle-minus-baseline
+offsets) is Normal(mu . d, sum(sigma^2 d^2)) and independent of the price
+slope b, so a draw's purchase probability at price offset dp is the 2-D
+integral E[1 / (1 + exp(-(u + min(b, ceiling) * dp)))].
 
-`revenue_curve` draws each posterior draw's consumers as one
-(market_size, features) standard-normal block from its own substream
-(seed, MARKET_STREAM, draw index). The purchase probabilities are computed
-in one (prices, market_size) buffer allocated per call: it is filled with
--(u + b * dp) for base utility u, clipped price slope b and price offset
-dp, then turned in place into p = 1 / (1 + exp(-(u + b * dp))). An exp
-that overflows gives an exact 0; each price's row is then averaged over
-its contiguous consumers.
+`revenue_curve` computes it with no random numbers, by a fixed product
+rule: Gauss-Hermite in u and `_slope_nodes` in b. Every node's slope is at
+or below the ceiling and every weight is >= 0, so each term, and with it
+each draw's demand, is exactly non-increasing in price. An exp that
+overflows gives a term of exactly 0, and the weighted sum is divided by the
+weights' own total, so the far tails give exactly 0 or 1 and a population
+with no spread gives the logistic value (exactly 0.5 at indifference).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
 
 from .domain import AttributeScheme, ProductProfile, check_price_grid, encode_profile
 from .errors import ContractError
 from .infer.fit import PosteriorDraws
 from .posterior import HDI_MASS, hdi, sign_safe_draws, unscale_population
-from .rng import MARKET_STREAM, substream
 from .simulate import PRICE_COEF_CEILING
+
+# Nodes of the product rule, and the draws per block of its (draws, prices,
+# edge nodes, slope nodes) scratch: 10 draws on a 21-price grid take 0.7 MB.
+_EDGE_NODES = 16
+_SLOPE_NODES = 24
+_TAIL_SDS = 6.0
+_BLOCK = 10
+_EDGE_X, _EDGE_W = hermegauss(_EDGE_NODES)
+_SLOPE_X, _SLOPE_W = leggauss(_SLOPE_NODES)
 
 
 @dataclass(frozen=True)
 class BundleScenario:
-    """A bundle of upgrades priced on a grid against a fixed baseline."""
+    """A bundle of upgrades priced on a grid against a fixed baseline.
+
+    `market_size` is checked and unused: the benchmark still reads it as a
+    config key.
+    """
 
     baseline: ProductProfile
     upgrades: Mapping[str, str]
@@ -88,36 +104,25 @@ class RevenueCurve:
     purchase_prob: np.ndarray  # (retained draws, prices)
 
 
-def _purchase_probabilities(
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    diff: np.ndarray,
-    neg_price_offsets: np.ndarray,
-    noise: np.ndarray,
-    buffer: np.ndarray,
-) -> np.ndarray:
-    """Fraction of simulated consumers preferring the bundle at each price.
+def _slope_nodes(mean: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of each draw's price slope b ~ Normal(mean, sd^2),
+    clipped at PRICE_COEF_CEILING as the simulator's respondents are.
 
-    mu/sigma are one posterior draw's population parameters on the raw
-    scale; `noise` is the draw's standard-normal consumer block (market_size
-    x features), reused across prices and overwritten with the consumers'
-    coefficients; `neg_price_offsets` are the baseline price minus the grid
-    prices; `buffer` is (prices, market_size) scratch. Consumer price
-    coefficients are truncated below zero like the simulator's respondents,
-    so demand is exactly monotone.
+    Gauss-Legendre covers the standard scores from -_TAIL_SDS to the
+    ceiling's score t (clipped into [-_TAIL_SDS, _TAIL_SDS]; t = +_TAIL_SDS
+    when sd is 0); the top node min(mean + sd * t, ceiling) carries the rest
+    of the mass. So the rule never straddles the clip's kink, every node
+    lies at or below the ceiling and every weight is >= 0.
     """
-    betas = noise
-    betas *= sigma
-    betas += mu
-    slope = np.minimum(betas[:, -1], PRICE_COEF_CEILING)
-    base_utility = betas[:, :-1] @ diff[:-1]
-    np.multiply.outer(neg_price_offsets, slope, out=buffer)
-    buffer -= base_utility
-    with np.errstate(over="ignore"):
-        np.exp(buffer, out=buffer)
-    buffer += 1.0
-    np.reciprocal(buffer, out=buffer)
-    return buffer.mean(axis=1)
+    ceiling_score = np.divide(
+        PRICE_COEF_CEILING - mean, sd, out=np.full_like(mean, _TAIL_SDS), where=sd > 0
+    )
+    top = np.clip(ceiling_score, -_TAIL_SDS, _TAIL_SDS)
+    half = 0.5 * (top + _TAIL_SDS)
+    scores = np.column_stack([half * (_SLOPE_X + 1.0) - _TAIL_SDS, top])
+    mass = half * _SLOPE_W * np.exp(-0.5 * scores[:, :-1] ** 2) / math.sqrt(2.0 * math.pi)
+    rest = np.maximum(1.0 - mass.sum(axis=1, keepdims=True), 0.0)
+    return np.minimum(mean + sd * scores, PRICE_COEF_CEILING), np.column_stack([mass, rest])
 
 
 def revenue_curve(
@@ -128,26 +133,37 @@ def revenue_curve(
 ) -> RevenueCurve:
     """Posterior distribution of expected revenue across the price grid.
 
-    Revenue at price p is p times the simulated purchase probability, so
-    every draw lies in [0, p]. Each posterior draw gets its own consumer
-    RNG stream keyed by (seed, draw index); within a draw the consumers are
-    shared across prices (common random numbers).
+    Revenue at price p is p times the expected purchase probability, so
+    every draw lies in [0, p]. The curve draws no random numbers, so
+    `seed` is unused; the command line and the benchmark still pass it.
     """
     mu_raw, sigma_raw = unscale_population(draws)
     keep, flagged = sign_safe_draws(mu_raw[:, -1])
-    retained = np.flatnonzero(keep)
+    mu_raw, sigma_raw = mu_raw[keep], sigma_raw[keep]
     prices = np.asarray(scenario.price_grid)
-    diff = scenario.offsets(scheme)
     neg_price_offsets = scenario.baseline.price - prices
-    probs = np.empty((retained.size, prices.size))
-    buffer = np.empty((prices.size, scenario.market_size))
-    n_features = draws.n_features
-    for row, draw_index in enumerate(retained):
-        rng = substream(seed, MARKET_STREAM, int(draw_index))
-        noise = rng.standard_normal((scenario.market_size, n_features))
-        probs[row] = _purchase_probabilities(
-            mu_raw[draw_index], sigma_raw[draw_index], diff, neg_price_offsets, noise, buffer
-        )
+    diff = scenario.offsets(scheme)[:-1]
+    edge_sd = np.sqrt(sigma_raw[:, :-1] ** 2 @ diff**2)
+    edges = (mu_raw[:, :-1] @ diff)[:, None] + edge_sd[:, None] * _EDGE_X
+    slopes, slope_weights = _slope_nodes(mu_raw[:, -1:], sigma_raw[:, -1:])
+    probs = np.empty((edges.shape[0], prices.size))
+    buffer = np.empty((_BLOCK, prices.size, _EDGE_NODES, _SLOPE_NODES + 1))
+    for start in range(0, edges.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        weights = _EDGE_W[:, None] * slope_weights[rows, None, :]
+        n = weights.shape[0]
+        out = buffer[:n]
+        slope_terms = slopes[rows, None, :] * neg_price_offsets[:, None]
+        np.subtract(slope_terms[:, :, None, :], edges[rows, None, :, None], out=out)
+        with np.errstate(over="ignore"):
+            np.exp(out, out=out)
+        out += 1.0
+        np.reciprocal(out, out=out)
+        out *= weights[:, None]
+        # the total is reduced as the numerator is, so equal probabilities
+        # average to themselves
+        total = weights.reshape(n, -1).sum(axis=-1)
+        probs[rows] = out.reshape(n, prices.size, -1).sum(axis=-1) / total[:, None]
     revenue = probs * prices[None, :]
     mean = revenue.mean(axis=0)
     lows = np.empty(prices.size)

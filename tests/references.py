@@ -5,6 +5,8 @@ grid-quadrature and prior-recovery oracles. `individual_wtp` reconstructs
 one respondent's coefficients as mu + sigma * z and takes the per-draw WTP
 ratio; it backs the shrinkage checks. `split_rhat` and `ess_bulk` compute
 the diagnostics one parameter at a time, the oracle for `diagnose`.
+`purchase_probability` integrates the revenue curve's demand without the
+library's quadrature nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.integrate import quad_vec
+from scipy.special import expit, ndtr, ndtri
 from scipy.stats import rankdata
 
 from conjoint_wtp.domain import WTP_PRICE_EPS
@@ -185,3 +188,39 @@ def ess_bulk(chain_draws: np.ndarray) -> float:
         return float(m * n)
     ess = m * n / tau
     return float(min(ess, m * n * math.log10(max(m * n, 10))))
+
+
+def purchase_probability(mu, sigma, offsets, base_price, prices, ceiling) -> np.ndarray:
+    """Per draw and price, the share of consumers beta ~ Normal(mu, sigma^2),
+    price coefficient clipped at `ceiling`, who prefer the bundle (feature
+    offsets `offsets`, price column last) to the baseline.
+
+    The bundle's edge u = beta[:-1] . offsets[:-1] is one normal, integrated
+    by the trapezoid rule on a dense grid of standard scores (the integrand
+    is smooth, so it converges fast). The price slope's integral is split at
+    the ceiling: below it scipy's adaptive quad_vec integrates the normal
+    density, and above it the clipped mass sits at the ceiling.
+    """
+    dp = np.asarray(prices, dtype=float) - base_price
+    m_u = mu[:, :-1] @ offsets[:-1]
+    s_u = np.sqrt(sigma[:, :-1] ** 2 @ offsets[:-1] ** 2)
+    m_b, s_b = mu[:, -1], sigma[:, -1]
+    scores = np.linspace(-12.0, 12.0, 481)
+    trapezoid = np.exp(-0.5 * scores**2)
+    trapezoid[[0, -1]] *= 0.5
+    trapezoid /= trapezoid.sum()
+
+    def edge_mean(slope):  # E_u[expit(u + slope * dp)], (draws, prices)
+        t = m_u[:, None, None] + s_u[:, None, None] * scores
+        return expit(t + (slope[:, None] * dp)[:, :, None]) @ trapezoid
+
+    top = np.clip((ceiling - m_b) / s_b, -12.0, 12.0)
+    width = top + 12.0
+
+    def below(t):  # the slope's score runs from -12 to top as t runs from 0 to 1
+        z = -12.0 + width * t
+        density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return (width * density)[:, None] * edge_mean(m_b + s_b * z)
+
+    inside, _ = quad_vec(below, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11)
+    return inside + ndtr((m_b - ceiling) / s_b)[:, None] * edge_mean(np.full_like(m_b, ceiling))

@@ -121,6 +121,18 @@ class TestSimulate:
         assert code == 2
         assert "n_respondents" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["n_respondents", "tasks_per_respondent"])
+    def test_survey_too_large_to_allocate_exits_2_naming_field(self, tmp_path, capsys, field):
+        # 2**63 rows cannot be allocated (numpy's "Maximum allowed dimension
+        # exceeded"), and 2**63 tasks would be drawn one at a time
+        config = write_config(tmp_path, lambda c: c["simulation"].update({field: 2**63}))
+        code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config.simulation.n_respondents x tasks_per_respondent" in err
+        assert str(2**63) in err
+        assert not (tmp_path / "x").exists()
+
     def test_scheme_without_attributes_exits_2_naming_field(self, tmp_path, capsys):
         # every profile would be the same product but for its price
         def mutate(c):

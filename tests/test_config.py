@@ -115,6 +115,7 @@ SECTIONS = [
     (
         "simulation", "price_grid", ("tasks_per_respondent", 2.5),
         ("n_respondents", 0, "n_respondents"), ("price_grid", [0.0, 899.0], "price_grid"),
+        ("tasks_per_respondent", 10**6, "tasks_per_respondent"),  # 10**6 tasks x 25 respondents
     ),
     (
         "model", None, ("chains", "4"), ("chains", 0, "chains"), ("draws_per_chain", 3, "draws_per_chain"),

@@ -1,5 +1,5 @@
-"""Bundle revenue simulation: monotone demand, bounds, and the closed-form
-zero-heterogeneity oracle."""
+"""Bundle revenue: monotone demand, bounds, the closed-form
+zero-heterogeneity oracle and an independent quadrature of the demand."""
 
 import dataclasses
 import warnings
@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from conjoint_wtp.domain import ProductProfile, encode_profile
+from conjoint_wtp.domain import ProductProfile
 from conjoint_wtp.errors import CodingError, ContractError, SignSafetyError
 from conjoint_wtp.infer import ModelConfig
 from conjoint_wtp.infer.design import Standardization
 from conjoint_wtp.infer.fit import PosteriorDraws
 from conjoint_wtp.presets import smartphone_scheme
 from conjoint_wtp.revenue import BundleScenario, revenue_curve
-from conjoint_wtp.rng import MARKET_STREAM, substream
 from conjoint_wtp.simulate import PRICE_COEF_CEILING
 from tests.helpers import demo_scenario
+from tests.references import purchase_probability
 
 COLUMNS = ("storage:256GB", "storage:512GB", "camera:Pro", "frame:Titanium", "price")
 
@@ -39,19 +39,6 @@ def make_draws(mu, sigma, seed=0):
         config=ModelConfig(seed=0),
         seed=seed,
     )
-
-
-def purchase_probability(mu, sigma, scheme, scenario, price, noise):
-    """Reference: the share of consumers beta = mu + sigma * noise (price
-    coefficient capped at the simulator's ceiling) who prefer the bundle at
-    `price` to the baseline, computed one consumer at a time."""
-    x = encode_profile(scheme, scenario.bundle_profile(price)) - encode_profile(scheme, scenario.baseline)
-    total = 0.0
-    for row in noise:
-        beta = mu + sigma * row
-        beta[-1] = min(beta[-1], PRICE_COEF_CEILING)
-        total += expit(x @ beta)
-    return total / len(noise)
 
 
 def curve_purchase_probability(mu, scheme, scenario, price):
@@ -173,20 +160,48 @@ class TestClosedForm:
 
 
 class TestRevenueCurve:
-    def test_matches_per_consumer_reference(self):
+    @pytest.mark.parametrize("price_sd_factor", [1.0, 4.0])
+    def test_matches_independent_quadrature(self, price_sd_factor):
+        # x4 widens the price slope until up to 17% of a draw's consumers
+        # sit at the ceiling; dropping the clip, or the division by the
+        # weights' total, fails both cases
         scheme = smartphone_scheme()
-        scenario = dataclasses.replace(demo_scenario(), market_size=40)
+        scenario = demo_scenario()
         draws = realistic_draws(n=100)
-        draws.sigma[:, -1] *= 4.0  # wide enough that some consumers hit the price ceiling
+        draws.sigma[:, -1] *= price_sd_factor
         curve = revenue_curve(draws, scheme, scenario, seed=7)
         assert curve.purchase_prob.shape[0] == draws.n_draws  # no draw flagged
-        for i in (0, 41, 99):
-            noise = substream(7, MARKET_STREAM, i).standard_normal((40, draws.n_features))
-            for j, price in enumerate(scenario.price_grid):
-                expected = purchase_probability(
-                    draws.mu[i], draws.sigma[i], scheme, scenario, price, noise
-                )
-                assert curve.purchase_prob[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        expected = purchase_probability(
+            draws.mu, draws.sigma, scenario.offsets(scheme), scenario.baseline.price,
+            scenario.price_grid, PRICE_COEF_CEILING,
+        )
+        np.testing.assert_allclose(curve.purchase_prob, expected, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the price coefficient is clipped at -1e-4 per unit of price, "
+        "whatever the unit, so the clip moves more of a survey priced in cents",
+    )
+    def test_revenue_in_cents_matches_dollars(self):
+        # the same posterior with its price column re-expressed per cent (the
+        # price coefficient and its SD / 100) and the scenario priced in
+        # cents: every revenue, divided by 100, should be the dollar one
+        scheme = smartphone_scheme()
+        dollars = demo_scenario()
+        cents = BundleScenario(
+            baseline=ProductProfile(
+                levels=dict(dollars.baseline.levels), price=100.0 * dollars.baseline.price
+            ),
+            upgrades=dollars.upgrades,
+            price_grid=tuple(100.0 * p for p in dollars.price_grid),
+        )
+        draws = realistic_draws()
+        cent_draws = realistic_draws()
+        cent_draws.mu[:, -1] /= 100.0
+        cent_draws.sigma[:, -1] /= 100.0
+        dollar_curve = revenue_curve(draws, scheme, dollars, seed=0)
+        cent_curve = revenue_curve(cent_draws, scheme, cents, seed=0)
+        np.testing.assert_allclose(cent_curve.revenue / 100.0, dollar_curve.revenue, rtol=1e-9)
 
     def test_demand_is_exactly_monotone_per_draw(self):
         scheme = smartphone_scheme()
@@ -222,29 +237,6 @@ class TestRevenueCurve:
         curve = revenue_curve(realistic_draws(), scheme, scenario, seed=11)
         assert np.all(curve.revenue >= 0.0)
         assert np.all(curve.revenue <= curve.prices[None, :])
-
-    def test_doubling_market_size_concentrates(self):
-        scheme = smartphone_scheme()
-        base = demo_scenario()
-        small = BundleScenario(
-            baseline=base.baseline,
-            upgrades=base.upgrades,
-            price_grid=base.price_grid,
-            market_size=400,
-        )
-        big = BundleScenario(
-            baseline=base.baseline,
-            upgrades=base.upgrades,
-            price_grid=base.price_grid,
-            market_size=800,
-        )
-        draws = realistic_draws()
-        p_small = revenue_curve(draws, scheme, small, seed=21).purchase_prob
-        p_big = revenue_curve(draws, scheme, big, seed=21).purchase_prob
-        p = np.clip(p_big, 1e-6, 1 - 1e-6)
-        bound = 3.0 * np.sqrt(p * (1 - p) / small.market_size)
-        within = np.abs(p_small - p_big) <= bound
-        assert within.mean() >= 0.99
 
     def test_argmax_fields(self):
         scheme = smartphone_scheme()
