@@ -3,6 +3,8 @@
 Subcommands mirror the pipeline stages: simulate, fit, wtp, revenue, and
 pipeline (all of them in order, with --from to resume mid-way). One table,
 STAGES, names each stage, the function that runs it and the files it writes.
+A file read back is checked by its reader in dataio; `_check_posterior_fit`
+alone ties the run, report.json and diagnostics.json to the posterior's fit.
 Exit codes: 0 success, 2 validation problem, 3 sampler failure, 4 sign-safety
 failure, 5 I/O failure.
 """
@@ -17,10 +19,11 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .config import RunConfig, from_dict, load_run_config, to_dict
+from .config import RunConfig, load_run_config, to_dict
 from .dataio import (
     read_choices_csv,
     read_diagnostics_json,
+    read_fields,
     read_ground_truth_json,
     read_json_object,
     read_posterior_jsonl,
@@ -35,7 +38,7 @@ from .dataio import (
 from .errors import ConfigError, ConjointError, DataError
 from .infer import build_design, sample
 from .infer.diagnostics import POPULATION_PREFIXES, Diagnostics
-from .infer.model import parameter_names
+from .infer.model import ModelConfig, parameter_names
 from .posterior import MIN_HDI_SAMPLES, recovery_report, summarize_wtp, wtp_draws
 from .revenue import revenue_curve
 from .simulate import generate_tasks, sample_respondents, simulate_choices
@@ -93,7 +96,9 @@ class RunState:
 
     def posterior(self):
         if self.draws is None:
-            self.draws = read_posterior_jsonl(self._input("posterior", "posterior.jsonl"))
+            path = self._input("posterior", "posterior.jsonl")
+            self.draws = read_posterior_jsonl(path)
+            _check_hdi_draws(self.draws.config, f"{path}: posterior.config")  # its readers take HDIs
         return self.draws
 
     def truth(self):
@@ -221,12 +226,11 @@ def cmd_pipeline(args) -> int:
     state = RunState(args)
     config = state.config
     stages = PIPELINE_STAGES[PIPELINE_STAGES.index(args.from_stage) :]
-    n = config.model.chains * config.model.draws_per_chain
-    if "fit" in stages and n < MIN_HDI_SAMPLES:  # else the wtp stage would refuse the fit
-        raise ConfigError(f"config.model: chains x draws_per_chain is {n}, an HDI needs {MIN_HDI_SAMPLES}")
-    diagnostics_path = state.out / "diagnostics.json"
-    if "fit" not in stages:  # the fit's files are read and checked before any stage writes
-        _check_posterior_fit(state, config, "this run's")
+    if "fit" in stages:  # else the wtp stage would refuse the fit
+        _check_hdi_draws(config.model, "config.model")
+    else:  # the fit's files are read and checked before any stage writes
+        _check_posterior_fit(state, "this run's", config.seed, config.model)
+        diagnostics_path = state.out / "diagnostics.json"
         if diagnostics_path.exists():
             state.diagnostics = read_diagnostics_json(diagnostics_path)
             _check_one_fit(state, diagnostics_path)
@@ -260,31 +264,27 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _check_hdi_draws(model: ModelConfig, field: str) -> None:
+    """The wtp and revenue stages take HDIs over all of a fit's draws; `field` names `model`."""
+    n = model.chains * model.draws_per_chain
+    if n < MIN_HDI_SAMPLES:
+        raise ConfigError(f"{field}: chains x draws_per_chain is {n}, an HDI needs {MIN_HDI_SAMPLES}")
+
+
 def _check_one_fit(state: RunState, diagnostics_path: Path) -> None:
     """A resumed pipeline's diagnostics.json must describe the fit of the posterior it reads."""
     draws, diagnostics = state.posterior(), state.diagnostics
-    chains = draws.config.chains
+    whose = f"{diagnostics_path} is from another fit: its"
     if list(diagnostics.r_hat) != parameter_names(draws.columns, draws.respondent_ids):
-        fault = "its r_hat names other parameters than the posterior's"
-    elif any(len(values) != chains for values in diagnostics.per_chain()):
-        fault = f"its per-chain fields do not have the posterior's config.chains = {chains} entries"
-    elif diagnostics.seed != draws.seed:
-        fault = f"its seed {diagnostics.seed} is not the posterior's {draws.seed}"
-    elif diagnostics.config != draws.config:
-        fault = "its model config is not the posterior header's"
-    else:
-        return
-    posterior_path = state._input("posterior", "posterior.jsonl")
-    raise DataError(f"{diagnostics_path} is not from the fit in {posterior_path}: {fault}")
+        posterior_path = state._input("posterior", "posterior.jsonl")
+        raise DataError(f"{whose} r_hat names other parameters than the posterior's in {posterior_path}")
+    _check_posterior_fit(state, whose, diagnostics.seed, diagnostics.config, "config")
 
 
 def _check_own_report(state: RunState, report: dict, path: Path) -> None:
     """The report must be this run's: its seed and config (but for output_dir
     and model) equal this run's, and its seed and model the posterior's."""
-    try:
-        theirs = from_dict(RunConfig, report.get("config"), "config")
-    except ConfigError as e:
-        raise DataError(f"{path}: {e}") from None
+    theirs = read_fields(RunConfig, report.get("config"), "config", path)
     config = state.config
     names = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("model", "output_dir")]
     for field, value, own in [
@@ -293,13 +293,17 @@ def _check_own_report(state: RunState, report: dict, path: Path) -> None:
     ]:
         if value != own:
             raise DataError(f"{path} is from another run: its {field} is not this run's")
-    _check_posterior_fit(state, theirs, f"{path} is from another run: its")
+    _check_posterior_fit(state, f"{path} is from another run: its", theirs.seed, theirs.model)
 
 
-def _check_posterior_fit(state: RunState, config: RunConfig, whose: str) -> None:
-    """`config`'s seed and model must be the posterior header's; `whose` opens the message."""
+def _check_posterior_fit(
+    state: RunState, whose: str, seed: int, model: ModelConfig, model_field: str = "config.model"
+) -> None:
+    """The one check that ties an artifact to the posterior's fit: its `seed`
+    and `model` config must be the header's. `whose` opens the message, and
+    `model_field` names where the artifact keeps its model config."""
     draws, path = state.posterior(), state._input("posterior", "posterior.jsonl")
-    for field, value, own in [("seed", config.seed, draws.seed), ("config.model", config.model, draws.config)]:
+    for field, value, own in [("seed", seed, draws.seed), (model_field, model, draws.config)]:
         if value != own:
             raise DataError(f"{whose} {field} is not the posterior's in {path}")
 

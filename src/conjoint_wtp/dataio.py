@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -157,28 +158,33 @@ def read_json_object(path: str | Path) -> dict:
     return data
 
 
-def _read_fields(cls, path: str | Path, name: str, unwrap: bool = False):
-    """The dataclass `cls` as the config walker reads it from the JSON
-    object in `path`, or from that object's `name` member if `unwrap` and it
-    has one; a bad field is a DataError naming the path and the field."""
-    data = read_json_object(path)
+def read_fields(cls, data, name: str, where: str | Path):
+    """The dataclass `cls` as the config walker reads it from the parsed JSON value
+    `data` at dotted path `name`; a bad field is a DataError opening with `where`."""
     try:
-        return from_dict(cls, data.get(name, data) if unwrap else data, name)
+        return from_dict(cls, data, name)
     except ConfigError as e:
-        raise DataError(f"{path}: {e}") from None
+        raise DataError(f"{where}: {e}") from None
 
 
 def read_ground_truth_json(path: str | Path) -> GroundTruth:
     """Accepts either a provenance file or a bare ground-truth document."""
-    return _read_fields(GroundTruth, path, "ground_truth", unwrap=True)
+    data = read_json_object(path)
+    return read_fields(GroundTruth, data.get("ground_truth", data), "ground_truth", path)
 
 
 @dataclass(frozen=True)
 class ColumnScaling:
-    """The header's `standardization` block: `Standardization` without its columns."""
+    """The header's `standardization` block: `Standardization` without its
+    columns. Every scale divides a column, so each must be finite and > 0."""
 
     mean: tuple[float, ...]
     scale: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        bad = [s for s in self.scale if not 0.0 < s < math.inf]
+        if bad:
+            raise ContractError(f"scale entries must be finite and > 0, got {bad[0]}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -208,6 +214,8 @@ class PosteriorHeader:
             raise ContractError("columns must not repeat a name")
         if len(set(self.respondent_ids)) < len(self.respondent_ids):
             raise ContractError("respondent_ids must not repeat an id")
+        if not len(self.standardization.mean) == len(self.standardization.scale) == len(self.columns):
+            raise ContractError(f"standardization must hold one mean and one scale per column ({len(self.columns)})")
 
 
 def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
@@ -256,12 +264,8 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
             raise DataError(f"{path}: header is not a JSON object")
         if raw.get("format") != POSTERIOR_FORMAT or raw.get("version") != POSTERIOR_VERSION:
             raise DataError(f"{path}: not a {POSTERIOR_FORMAT} v{POSTERIOR_VERSION} file")
-        try:
-            header = from_dict(PosteriorHeader, raw, "posterior")
-            scaling = header.standardization
-            standardization = Standardization(header.columns, np.array(scaling.mean), np.array(scaling.scale))
-        except (ConfigError, ContractError) as e:
-            raise DataError(f"{path}: bad header: {e}") from None
+        header = read_fields(PosteriorHeader, raw, "posterior", f"{path}: bad header")
+        scaling = header.standardization
         f_dim = len(header.columns)
         r_dim = len(header.respondent_ids)
         expected = f_dim * (2 + r_dim)
@@ -309,7 +313,7 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
         mu=mu,
         sigma=sigma,
         z=z,
-        standardization=standardization,
+        standardization=Standardization(header.columns, np.array(scaling.mean), np.array(scaling.scale)),
         chain_index=np.repeat(np.arange(header.config.chains), per_chain),
         divergent=np.array(divergent, dtype=bool),
         config=header.config,
@@ -322,7 +326,7 @@ def write_diagnostics_json(path: str | Path, diag: Diagnostics) -> None:
 
 
 def read_diagnostics_json(path: str | Path) -> Diagnostics:
-    return _read_fields(Diagnostics, path, "diagnostics")
+    return read_fields(Diagnostics, read_json_object(path), "diagnostics", path)
 
 
 def write_wtp_summary_csv(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError, DataError
+from ..errors import DataError
 from ..simulate import ChoiceDataset
 
 _MIN_SCALE = 1e-12
@@ -33,24 +33,13 @@ _MIN_SCALE = 1e-12
 
 @dataclass(frozen=True)
 class Standardization:
-    """Per-column scaling applied to the difference regressors. `mean` is
-    part of the posterior file format and is always zero: columns are never
-    centered."""
+    """Per-column scaling of the difference regressors, a plain record: `build_design`
+    makes each scale a positive SD, and the posterior header checks one read back.
+    `mean` is part of the posterior file format and always zero: columns are never centered."""
 
     columns: tuple[str, ...]
     mean: np.ndarray
     scale: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, values in (("mean", self.mean), ("scale", self.scale)):
-            if np.shape(values) != (len(self.columns),):
-                raise ContractError(
-                    f"standardization {name} has shape {np.shape(values)}, "
-                    f"expected one entry per column ({len(self.columns)})"
-                )
-        bad = [c for c, s in zip(self.columns, self.scale) if not 0 < s < np.inf]
-        if bad:
-            raise ContractError(f"standardization scale must be finite and positive, bad columns: {bad}")
 
 
 @dataclass(frozen=True)

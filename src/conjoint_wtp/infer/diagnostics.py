@@ -45,7 +45,7 @@ class Diagnostics:
     effective_sample_size: Mapping[str, float]
     divergence_count: int
     divergence_rate: float
-    # one entry per chain
+    # one entry per chain of the fit's config
     mean_accept_prob: tuple[float, ...]
     step_size: tuple[float, ...]
     grad_evals_warmup: tuple[int, ...]
@@ -61,20 +61,19 @@ class Diagnostics:
             raise ContractError(f"divergence_count must be >= 0, got {self.divergence_count}")
         if not 0.0 <= self.divergence_rate <= 1.0:
             raise ContractError(f"divergence_rate must be in [0, 1], got {self.divergence_rate}")
-        # per chain: an acceptance is NaN (null) when a chain took no draws
+        # config.chains entries each; an acceptance is NaN (null) when a chain took no draws
         for name, ok, rule in (
             ("mean_accept_prob", lambda a: math.isnan(a) or 0.0 <= a <= 1.0, "in [0, 1] or null"),
             ("step_size", lambda h: 0.0 < h < math.inf, "finite and > 0"),
             ("grad_evals_warmup", lambda n: n >= 0, ">= 0"),
             ("grad_evals_sampling", lambda n: n >= 0, ">= 0"),
         ):
-            bad = [v for v in getattr(self, name) if not ok(v)]
+            values, chains = getattr(self, name), self.config.chains
+            if len(values) != chains:
+                raise ContractError(f"{name} must hold config.chains = {chains} entries, got {len(values)}")
+            bad = [v for v in values if not ok(v)]
             if bad:
                 raise ContractError(f"{name} entries must be {rule}, got {bad[0]}")
-
-    def per_chain(self) -> tuple[tuple, ...]:
-        """The fields that hold one entry per chain."""
-        return (self.mean_accept_prob, self.step_size, self.grad_evals_warmup, self.grad_evals_sampling)
 
     def max_r_hat(self, prefix: str | tuple[str, ...] = "") -> float:
         """Largest finite R-hat among the names starting with `prefix` (one or several)."""

@@ -326,13 +326,17 @@ def _adaptation_windows(warmup: int) -> list[int]:
 
 
 def _run_chain(args):
-    """One chain's draws and statistics. A leapfrog step that blows up can
-    overflow the energy to inf, which marks the transition divergent; that
-    overflow is expected, so numpy does not warn of it."""
+    """One chain's draws, in an array made before warmup, and statistics. A
+    leapfrog step that blows up can overflow the energy to inf, which marks the
+    transition divergent; that overflow is expected, so numpy does not warn of it."""
     model, warmup, draws, target_accept, max_depth, seed, chain_idx = args
+    dim = model.dim
+    try:
+        out = np.empty((draws, dim))
+    except (MemoryError, ValueError):
+        raise ConfigError(f"config.model.draws_per_chain, {draws}, is too many draws to hold") from None
     with np.errstate(over="ignore"):
         rng = substream(seed, CHAIN_STREAM, chain_idx)
-        dim = model.dim
         grad_evals = 0
 
         def log_posterior(theta):
@@ -371,7 +375,6 @@ def _run_chain(args):
             step = averager.adapted()
         warmup_evals = grad_evals
 
-        out = np.empty((draws, dim))
         rows = []
         for s in range(draws):
             q, grad, logp, *row = _transition(ham, q, grad, logp, step, max_depth, rng)

@@ -13,6 +13,7 @@ from conjoint_wtp import cli
 from conjoint_wtp.config import load_run_config
 from conjoint_wtp.dataio import choices_header, read_posterior_jsonl, write_json, write_posterior_jsonl
 from conjoint_wtp.errors import FitError
+from conjoint_wtp.infer import nuts
 
 BASE_CONFIG = {
     "seed": 424242,
@@ -231,6 +232,26 @@ class TestFit:
         code = cli.main(["fit", "--config", str(config), "--out", str(tmp_path / "fit"), "--data", str(data)])
         assert code == 2
         assert f"{data}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chains, threads", [("1", "1"), ("2", "2")], ids=["serial", "pool"])
+    def test_draw_count_too_large_to_hold_exits_2_before_warmup(
+        self, tmp_path, monkeypatch, capsys, chains, threads
+    ):
+        # each chain makes its draws' array before warmup; a warmup
+        # transition fails the test, in a forked pool worker as well
+        def no_warmup(*args):
+            raise AssertionError("a warmup transition ran")
+
+        config = write_config(tmp_path, lambda c: c["simulation"].update(n_respondents=20, tasks_per_respondent=5))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        monkeypatch.setenv("CONJOINT_WTP_THREADS", threads)
+        monkeypatch.setattr(nuts, "_transition", no_warmup)
+        argv = ["fit", "--config", str(config), "--out", str(out), "--chains", chains, "--warmup", "10"]
+        assert cli.main([*argv, "--draws", str(2**62)]) == 2
+        message = f"error: config.model.draws_per_chain, {2**62}, is too many draws to hold\n"
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["choices.csv", "provenance.json"]
 
     def test_non_integer_worker_setting_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path)
@@ -727,7 +748,15 @@ MALFORMED_DIAGNOSTICS = [
     ("config", None, "missing required field diagnostics.config"),
     ("seed", None, "missing required field diagnostics.seed"),
     ("seed", "7", "diagnostics.seed must be an integer, got '7'"),
+    # each per-chain field holds config.chains entries
+    ("step_size", [0.1], "diagnostics.step_size must hold config.chains = 2 entries, got 1"),
 ]
+
+
+def _one_chain_of_20(header, rows):
+    """Keep the first 20 draws, as one chain: too few for the HDIs of wtp and revenue."""
+    header["config"].update(chains=1, draws_per_chain=20)
+    del rows[20:]
 
 
 def _price_column_only(header, rows):
@@ -774,6 +803,8 @@ LAX_POSTERIORS = [
     ("foreign-param-layout", lambda h, rows: h.update(param_layout="z, sigma, mu (feature-major)"),
      "bad header: posterior.param_layout must be 'mu, sigma, z (respondent-major)', "
      "got 'z, sigma, mu (feature-major)'"),
+    ("too-few-draws-for-an-hdi", _one_chain_of_20,
+     "posterior.config: chains x draws_per_chain is 20, an HDI needs 100"),
 ]
 
 
@@ -835,23 +866,6 @@ class TestMalformedInputs:
         assert f"{truth}: ground_truth.price_coef_mean must be finite and below" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_revenue_posterior_price_column_must_be_the_schemes(self, fitted_run, tmp_path, capsys):
-        # the revenue curve takes the last column as the price; a header naming
-        # another column would filter draws on that column's sign, so the
-        # header's own rule refuses it before the columns meet the scheme
-        config, run_dir = fitted_run
-        lines = (run_dir / "posterior.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-        header = json.loads(lines[0])
-        header["price_column"] = "frame:Titanium"
-        path = tmp_path / "posterior.jsonl"
-        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
-        out = tmp_path / "o"
-        code = cli.main(["revenue", "--config", str(config), "--posterior", str(path), "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"error: {path}: bad header: posterior.price_column 'frame:Titanium' is not the last column" in err
-        assert not out.exists()
-
     def test_revenue_posterior_columns_must_be_the_schemes(self, fitted_run, tmp_path, capsys):
         # a last column named as the header's price, but not the scheme's
         config, run_dir = fitted_run
@@ -907,7 +921,8 @@ class TestMalformedInputs:
         assert cli.main([command, *argv]) == 2
         err = capsys.readouterr().err
         if where == "scale":
-            assert f"{path}: bad header: standardization scale must be finite and positive" in err
+            message = "bad header: posterior.standardization.scale entries must be finite and > 0, got inf"
+            assert f"{path}: {message}" in err
         else:
             assert f"{path}: line 6: every parameter must be finite" in err
 
@@ -941,13 +956,14 @@ class TestMalformedInputs:
         argv = ["pipeline", "--config", str(config), "--out", str(out), "--from", "wtp"]
         assert cli.main(argv) == 2
         fault = {
-            "other-survey": "its r_hat names other parameters than the posterior's",
-            "other-chain-count": "its per-chain fields do not have the posterior's config.chains = 2 entries",
-            "other-seed": "its seed 7 is not the posterior's 424242",
-            "other-draws": "its model config is not the posterior header's",
+            "other-survey": "r_hat names other parameters than",
+            "other-chain-count": "config is not",
+            "other-seed": "seed is not",
+            "other-draws": "config is not",
         }[fit]
         err = capsys.readouterr().err
-        assert f"error: {out / 'diagnostics.json'} is not from the fit in {out / 'posterior.jsonl'}: {fault}\n" in err
+        posterior = out / "posterior.jsonl"
+        assert f"error: {out / 'diagnostics.json'} is from another fit: its {fault} the posterior's in {posterior}\n" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("flags, field", [(["--seed", "7"], "seed"), (["--chains", "3"], "config.model")])

@@ -272,12 +272,18 @@ def _one_scale(header):
     return header
 
 
+def _zero_scale(header):
+    header["standardization"]["scale"][1] = 0
+    return header
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
         (_drop("columns"), r"bad header: missing required field posterior\.columns$"),
         (_drop("standardization"), r"bad header: missing required field posterior\.standardization$"),
-        (_one_scale, "standardization scale"),
+        (_one_scale, r"bad header: posterior\.standardization must hold one mean and one scale per column \(5\)$"),
+        (_zero_scale, r"bad header: posterior\.standardization\.scale entries must be finite and > 0, got 0\.0"),
         (
             lambda header: {**header, "price_column": "cost"},
             r"bad header: posterior\.price_column 'cost' is not the last column of \[",
@@ -303,8 +309,8 @@ def _one_scale(header):
         ),
     ],
     ids=[
-        "no-columns", "no-standardization", "short-scale", "foreign-price-column", "not-an-object",
-        "unknown-config-key", "non-integer-chains", "chains-past-memory", "chains-past-indexing",
+        "no-columns", "no-standardization", "short-scale", "zero-scale", "foreign-price-column",
+        "not-an-object", "unknown-config-key", "non-integer-chains", "chains-past-memory", "chains-past-indexing",
     ],
 )
 def test_posterior_header_problems_name_the_field(tmp_path, tiny_draws, mutate, message):
@@ -365,6 +371,20 @@ def test_diagnostics_round_trip_is_byte_identical(tmp_path, tiny_fit):
     assert raw["r_hat"][first] is None and raw["mean_accept_prob"][0] is None
     assert math.isnan(loaded.r_hat[first]) and math.isnan(loaded.mean_accept_prob[0])
     assert loaded.step_size == diag.step_size and loaded.warnings == diag.warnings
+
+
+def test_diagnostics_per_chain_field_must_hold_config_chains_entries(tmp_path, tiny_fit):
+    # four chains in the config, and every per-chain field but step_size holds four entries
+    raw = to_dict(tiny_fit[1])
+    raw["config"]["chains"] = 4
+    for field in ("mean_accept_prob", "grad_evals_warmup", "grad_evals_sampling"):
+        raw[field] = raw[field] * 2
+    raw["step_size"] = raw["step_size"] + raw["step_size"][:1]
+    path = tmp_path / "diagnostics.json"
+    write_json(path, raw)
+    with pytest.raises(DataError) as raised:
+        read_diagnostics_json(path)
+    assert str(raised.value) == f"{path}: diagnostics.step_size must hold config.chains = 4 entries, got 3"
 
 
 def test_ground_truth_readers(tmp_path, truth):

@@ -30,8 +30,9 @@ def chain_stats(n_draws, accept=0.9, divergent=0, leapfrogs=7, step_size=0.25, w
 
 def diagnose_all(draws):
     """diagnose on (chains, n, dim) draws: R-hat and ESS arrays in column order."""
-    names = [f"p[{j}]" for j in range(draws.shape[2])]
-    diag = diagnose(draws, names, [chain_stats(draws.shape[1])] * draws.shape[0], ModelConfig())
+    chains, n, dim = draws.shape
+    names = [f"p[{j}]" for j in range(dim)]
+    diag = diagnose(draws, names, [chain_stats(n)] * chains, ModelConfig(chains=chains))
     return np.array(list(diag.r_hat.values())), np.array(list(diag.effective_sample_size.values()))
 
 
@@ -102,7 +103,7 @@ def test_diagnose_names_and_warnings():
         draws,
         names=["mu[price]", "sigma[price]"],
         stats=[chain_stats(400, accept=0.9), chain_stats(400, accept=0.88)],
-        config=ModelConfig(),
+        config=ModelConfig(chains=2),
     )
     assert set(diag.r_hat) == {"mu[price]", "sigma[price]"}
     assert diag.r_hat["mu[price]"] < 1.05
@@ -118,14 +119,14 @@ def test_diagnose_reports_each_chains_sampler_statistics():
         chain_stats(40, accept=0.8, divergent=2, leapfrogs=15, step_size=0.3, warmup_evals=900),
         chain_stats(40, accept=0.9, divergent=0, leapfrogs=7, step_size=0.5, warmup_evals=700),
     ]
-    diag = diagnose(draws, ["mu[price]"], stats, ModelConfig(seed=3))
+    diag = diagnose(draws, ["mu[price]"], stats, ModelConfig(chains=2, seed=3))
     assert diag.divergence_count == 2
     assert diag.divergence_rate == 2 / 80
     assert diag.mean_accept_prob == (0.8, 0.9)
     assert diag.step_size == (0.3, 0.5)
     assert diag.grad_evals_warmup == (900, 700)
     assert diag.grad_evals_sampling == (600, 280)
-    assert (diag.config, diag.seed) == (ModelConfig(seed=3), 3)
+    assert (diag.config, diag.seed) == (ModelConfig(chains=2, seed=3), 3)
 
 
 def _tie_patterns(rng, size):
