@@ -2,7 +2,10 @@
 
 All writers are atomic (temp file in the target directory, then rename) and
 byte-deterministic: UTF-8, LF line endings, '.' decimal separator, floats
-rendered with repr (shortest round-trip form). Every CSV table goes through
+rendered with repr (shortest round-trip form), except each posterior draw's
+z: its R x F values are the padded standard base64 of their little-endian
+float64 bytes, so they are stored exactly and never pass through decimal
+text. Every CSV table goes through
 one csv.writer, which quotes a field holding a comma, quote or newline. The
 choices CSV schema is fixed: respondent_id, task_id, the A-side attribute
 levels and price, the B-side equivalents, then chose_a as 0/1. The reader
@@ -12,6 +15,7 @@ level indices; the writer turns each index back into its name.
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import math
@@ -36,8 +40,8 @@ from .revenue import RevenueCurve
 from .simulate import ChoiceDataset, GroundTruth
 
 POSTERIOR_FORMAT = "conjoint-wtp-posterior"
-POSTERIOR_VERSION = 1
-PARAM_LAYOUT = "mu, sigma, z (respondent-major)"
+POSTERIOR_VERSION = 2
+PARAM_LAYOUT = "params: mu, sigma; z: base64 little-endian float64, respondent-major"
 
 
 def _fmt(value: float) -> str:
@@ -229,17 +233,18 @@ def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
         seed=draws.seed,
     )
     n = draws.n_draws
-    flat_z = draws.z.reshape(n, -1)
+    params = np.concatenate([draws.mu, draws.sigma], axis=1)
+    flat_z = draws.z.reshape(n, -1).astype("<f8", copy=False)
 
     def write(f: TextIO) -> None:
         f.write(json.dumps(to_dict(header), separators=(",", ":")) + "\n")
         for i in range(n):
-            params = np.concatenate([draws.mu[i], draws.sigma[i], flat_z[i]])
             line = {
                 "chain": int(draws.chain_index[i]),
                 "draw": i,
                 "divergent": bool(draws.divergent[i]),
-                "params": params.tolist(),
+                "params": params[i].tolist(),
+                "z": base64.b64encode(flat_z[i].tobytes()).decode("ascii"),
             }
             f.write(json.dumps(line, separators=(",", ":")) + "\n")
 
@@ -248,10 +253,11 @@ def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
 
 def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
     """Read a posterior file; a bad header field, or a draw line out of its
-    place or with a parameter that is not finite, is a DataError naming the
-    path and the field or line. Draw line i holds "draw": i and "chain":
-    i // config.draws_per_chain, and there are config.chains x
-    config.draws_per_chain of them."""
+    place, of the wrong size or with a parameter that is not finite, is a
+    DataError naming the path and the field or line. Draw line i is a JSON
+    object holding "draw": i, "chain": i // config.draws_per_chain, `params`
+    (mu, then sigma) and `z` (R x F base64 float64), and there are
+    config.chains x config.draws_per_chain of them."""
     with _open_utf8(path) as f:
         header_line = f.readline()
         if not header_line:
@@ -268,41 +274,53 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
         scaling = header.standardization
         f_dim = len(header.columns)
         r_dim = len(header.respondent_ids)
-        expected = f_dim * (2 + r_dim)
+        z_bytes = 8 * f_dim * r_dim
         per_chain = header.config.draws_per_chain
         n = header.config.chains * per_chain
         try:
-            block = np.empty((n, expected))
+            block = np.empty((n, f_dim * (2 + r_dim)))
         except (MemoryError, ValueError):
             raise DataError(f"{path}: the header's chains x draws_per_chain, {n}, is too many draws") from None
         divergent = []
         for line_no, line in enumerate(f, start=2):
             if not line.strip():
                 continue
+            where = f"{path}: line {line_no}"
             try:
                 obj = json.loads(line)
-                params = np.asarray(obj["params"], dtype=float)
-                chain, draw, div = obj["chain"], obj["draw"], obj["divergent"]
-            except Exception as e:
-                raise DataError(f"{path}: line {line_no}: {e}") from None
+            except (json.JSONDecodeError, RecursionError) as e:
+                raise DataError(f"{where}: {e}") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: a draw line must be a JSON object")
+            for key in ("chain", "draw", "divergent", "params", "z"):
+                if key not in obj:
+                    raise DataError(f"{where}: {key!r} is missing")
             i = len(divergent)
             if i == n:
-                raise DataError(
-                    f"{path}: line {line_no}: more draws than the header's chains x draws_per_chain, {n}"
-                )
-            for key, value, place in (("chain", chain, i // per_chain), ("draw", draw, i)):
-                if type(value) is not int or value != place:
-                    raise DataError(f"{path}: line {line_no}: {key} must be {place}, got {value!r}")
-            if type(div) is not bool:
-                raise DataError(f"{path}: line {line_no}: divergent must be true or false, got {div!r}")
-            if params.shape != (expected,):
-                raise DataError(
-                    f"{path}: line {line_no}: {params.size} parameters, expected {expected}"
-                )
-            if not np.isfinite(params).all():
-                raise DataError(f"{path}: line {line_no}: every parameter must be finite")
-            block[i] = params
-            divergent.append(div)
+                raise DataError(f"{where}: more draws than the header's chains x draws_per_chain, {n}")
+            for key, place in (("chain", i // per_chain), ("draw", i)):
+                if type(obj[key]) is not int or obj[key] != place:
+                    raise DataError(f"{where}: {key} must be {place}, got {obj[key]!r}")
+            if type(obj["divergent"]) is not bool:
+                raise DataError(f"{where}: divergent must be true or false, got {obj['divergent']!r}")
+            params = obj["params"]
+            numbers = type(params) is list and all(type(v) in (int, float) for v in params)
+            if not numbers or len(params) != 2 * f_dim:
+                raise DataError(f"{where}: params must be a list of {2 * f_dim} numbers, mu then sigma")
+            try:
+                z = base64.b64decode(obj["z"], validate=True)
+            except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+                raise DataError(f"{where}: z must be base64 text: {e}") from None
+            if len(z) != z_bytes:
+                raise DataError(f"{where}: z holds {len(z)} bytes, expected {r_dim} x {f_dim} float64, {z_bytes}")
+            try:
+                block[i, : 2 * f_dim] = params
+            except OverflowError:  # an integer past the float64 range
+                raise DataError(f"{where}: every parameter must be finite") from None
+            block[i, 2 * f_dim :] = np.frombuffer(z, dtype="<f8")
+            if not np.isfinite(block[i]).all():
+                raise DataError(f"{where}: every parameter must be finite")
+            divergent.append(obj["divergent"])
     if len(divergent) != n:
         raise DataError(f"{path}: {len(divergent)} draws, the header's chains x draws_per_chain is {n}")
     mu, sigma, z = split_parameters(block, f_dim, r_dim)

@@ -7,6 +7,8 @@ to perfbench's conftest.
 
 from __future__ import annotations
 
+import base64
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,3 +97,22 @@ def profiles(dataset: ChoiceDataset, row: int) -> tuple[ProductProfile, ProductP
         )
         for side in (0, 1)
     )
+
+
+def z_values(row: dict) -> np.ndarray:
+    """A posterior draw line's `z`, decoded from base64 little-endian float64."""
+    return np.frombuffer(base64.b64decode(row["z"]), dtype="<f8")
+
+
+def z_text(values) -> str:
+    """`values` encoded as a posterior draw line's `z`."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def z_with_first_bits(row: dict, bits: int) -> str:
+    """A draw line's `z` with its first value's 8 bytes set to the float64 bit pattern `bits`."""
+    return base64.b64encode(struct.pack("<Q", bits) + base64.b64decode(row["z"])[8:]).decode("ascii")
+
+
+# float64 bit patterns that decode to a signalling NaN and to +inf
+NAN_BITS, INF_BITS = 0x7FF0000000000001, 0x7FF0000000000000

@@ -14,6 +14,7 @@ from conjoint_wtp.config import load_run_config
 from conjoint_wtp.dataio import choices_header, read_posterior_jsonl, write_json, write_posterior_jsonl
 from conjoint_wtp.errors import FitError
 from conjoint_wtp.infer import nuts
+from tests.helpers import INF_BITS, NAN_BITS, z_text, z_values, z_with_first_bits
 
 BASE_CONFIG = {
     "seed": 424242,
@@ -765,11 +766,21 @@ def _price_column_only(header, rows):
     header["columns"] = ["price"]
     header["standardization"] = {k: [v[j]] for k, v in header["standardization"].items()}
     for row in rows:
-        row["params"] = row["params"][j::f]  # mu, sigma, then each respondent's z
+        row["params"] = row["params"][j::f]  # mu, then sigma
+        row["z"] = z_text(z_values(row)[j::f])  # each respondent's
+
+
+def _as_v1(header, rows):
+    """The same draws as a v1 file: every parameter as decimals in `params`, no `z`."""
+    header.update(version=1, param_layout="mu, sigma, z (respondent-major)")
+    for row in rows:
+        row["params"] += z_values(row).tolist()
+        del row["z"]
 
 
 # (id, change to the header object and the draw rows, the message after
-# "<path>: ") for posterior files the reader once read without an error.
+# "<path>: ") for posterior files the reader once read without an error, or
+# whose draw lines break the v2 form.
 LAX_POSTERIORS = [
     ("divergent-string", lambda h, rows: rows[0].update(divergent="false"),
      "line 2: divergent must be true or false, got 'false'"),
@@ -801,10 +812,25 @@ LAX_POSTERIORS = [
      "bad header: posterior.price_column 'frame:Titanium' is not the last column of "
      "['storage:256GB', 'storage:512GB', 'camera:Pro', 'frame:Titanium', 'price']"),
     ("foreign-param-layout", lambda h, rows: h.update(param_layout="z, sigma, mu (feature-major)"),
-     "bad header: posterior.param_layout must be 'mu, sigma, z (respondent-major)', "
+     "bad header: posterior.param_layout must be "
+     "'params: mu, sigma; z: base64 little-endian float64, respondent-major', "
      "got 'z, sigma, mu (feature-major)'"),
     ("too-few-draws-for-an-hdi", _one_chain_of_20,
      "posterior.config: chains x draws_per_chain is 20, an HDI needs 100"),
+    ("string-params", lambda h, rows: rows[0].update(params=[str(v) for v in rows[0]["params"]]),
+     "line 2: params must be a list of 10 numbers, mu then sigma"),
+    # z is base64 of 25 respondents x 5 columns of little-endian float64
+    ("z-outside-base64", lambda h, rows: rows[0].update(z="!" + rows[0]["z"][1:]), "line 2: z must be base64 text: "),
+    ("z-one-float-short", lambda h, rows: rows[0].update(z=z_text(z_values(rows[0])[:-1])),
+     "line 2: z holds 992 bytes, expected 25 x 5 float64, 1000"),
+    ("z-one-float-long", lambda h, rows: rows[0].update(z=z_text([*z_values(rows[0]), 0.0])),
+     "line 2: z holds 1008 bytes, expected 25 x 5 float64, 1000"),
+    ("z-nan-bits", lambda h, rows: rows[0].update(z=z_with_first_bits(rows[0], NAN_BITS)),
+     "line 2: every parameter must be finite"),
+    ("z-inf-bits", lambda h, rows: rows[0].update(z=z_with_first_bits(rows[0], INF_BITS)),
+     "line 2: every parameter must be finite"),
+    ("z-list", lambda h, rows: rows[0].update(z=z_values(rows[0]).tolist()), "line 2: z must be base64 text: "),
+    ("v1-file", _as_v1, "not a conjoint-wtp-posterior v2 file"),
 ]
 
 

@@ -30,7 +30,16 @@ from conjoint_wtp.infer import ModelConfig, build_design, sample
 from conjoint_wtp.posterior import WtpDraws, WtpSummary
 from conjoint_wtp.presets import smartphone_scheme, smartphone_truth
 from conjoint_wtp.revenue import revenue_curve
-from tests.helpers import demo_scenario, profiles, survey
+from tests.helpers import (
+    INF_BITS,
+    NAN_BITS,
+    demo_scenario,
+    profiles,
+    survey,
+    z_text,
+    z_values,
+    z_with_first_bits,
+)
 
 
 def test_header_is_bit_exact(scheme):
@@ -207,7 +216,7 @@ def test_streamed_posterior_matches_joined_text(tmp_path, tiny_draws):
     d = tiny_draws
     header = {
         "format": "conjoint-wtp-posterior",
-        "version": 1,
+        "version": 2,
         "columns": list(d.columns),
         "price_column": d.price_column,
         "respondent_ids": list(d.respondent_ids),
@@ -217,14 +226,37 @@ def test_streamed_posterior_matches_joined_text(tmp_path, tiny_draws):
         },
         "config": to_dict(d.config),
         "seed": d.seed,
-        "param_layout": "mu, sigma, z (respondent-major)",
+        "param_layout": "params: mu, sigma; z: base64 little-endian float64, respondent-major",
     }
     lines = [json.dumps(header, separators=(",", ":"))]
     for i in range(d.n_draws):
-        params = np.concatenate([d.mu[i], d.sigma[i], d.z[i].reshape(-1)]).tolist()
-        row = {"chain": int(d.chain_index[i]), "draw": i, "divergent": bool(d.divergent[i]), "params": params}
+        row = {
+            "chain": int(d.chain_index[i]),
+            "draw": i,
+            "divergent": bool(d.divergent[i]),
+            "params": np.concatenate([d.mu[i], d.sigma[i]]).tolist(),
+            "z": z_text(d.z[i].reshape(-1)),
+        }
         lines.append(json.dumps(row, separators=(",", ":")))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_posterior_reads_as_plain_json(tmp_path, tiny_draws):
+    # perfbench's fit_ragged check and other JSON tools read the file with
+    # plain json: the header's scale and columns, and each line's params[:F] as mu
+    d, f = tiny_draws, len(tiny_draws.columns)
+    path = tmp_path / "posterior.jsonl"
+    write_posterior_jsonl(path, d)
+    with open(path, encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+        rows = [json.loads(line) for line in fh]
+    assert header["standardization"]["scale"] == d.standardization.scale.tolist()
+    assert (header["columns"], header["price_column"]) == (list(d.columns), d.price_column)
+    assert len(rows) == d.n_draws
+    params = np.array([row["params"] for row in rows])
+    assert params[:, :f].tobytes() == d.mu.tobytes()
+    assert params[:, f : 2 * f].tobytes() == d.sigma.tobytes()
+    assert np.stack([z_values(row) for row in rows]).tobytes() == d.z.tobytes()
 
 
 @pytest.mark.parametrize("ids", ["in-order", "sparse"])
@@ -307,10 +339,13 @@ def _zero_scale(header):
             lambda header: {**header, "config": {**header["config"], "chains": 10**30}},
             r"posterior\.jsonl: the header's chains x draws_per_chain, 6\d{31}, is too many draws$",
         ),
+        # a v1 file held z as decimals in params; there is no v1 reader
+        (lambda header: {**header, "version": 1}, r"posterior\.jsonl: not a conjoint-wtp-posterior v2 file$"),
     ],
     ids=[
         "no-columns", "no-standardization", "short-scale", "zero-scale", "foreign-price-column",
         "not-an-object", "unknown-config-key", "non-integer-chains", "chains-past-memory", "chains-past-indexing",
+        "v1-file",
     ],
 )
 def test_posterior_header_problems_name_the_field(tmp_path, tiny_draws, mutate, message):
@@ -332,6 +367,47 @@ def test_posterior_line_without_chain_names_the_line(tmp_path, tiny_draws):
     lines[1] = json.dumps(row) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(DataError, match="line 2: 'chain'"):
+        read_posterior_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: [1, 2], "a draw line must be a JSON object$"),
+        (lambda row: "x", "a draw line must be a JSON object$"),
+        (lambda row: 7, "a draw line must be a JSON object$"),
+        (lambda row: None, "a draw line must be a JSON object$"),
+        (lambda row: {k: v for k, v in row.items() if k != "z"}, "'z' is missing$"),
+        (lambda row: {**row, "params": [str(v) for v in row["params"]]}, "params must be a list of 10 numbers"),
+        (lambda row: {**row, "params": [10**400, *row["params"][1:]]}, "every parameter must be finite$"),
+        (lambda row: {**row, "z": "!" + row["z"][1:]}, "z must be base64 text: "),
+        (lambda row: {**row, "z": z_values(row).tolist()}, "z must be base64 text: "),
+        (lambda row: {**row, "z": z_text(z_values(row)[:-1])}, r"z holds 592 bytes, expected 15 x 5 float64, 600$"),
+        (lambda row: {**row, "z": z_text([*z_values(row), 0.0])}, r"z holds 608 bytes, expected 15 x 5 float64, 600$"),
+        (lambda row: {**row, "z": z_with_first_bits(row, NAN_BITS)}, "every parameter must be finite$"),
+        (lambda row: {**row, "z": z_with_first_bits(row, INF_BITS)}, "every parameter must be finite$"),
+    ],
+    ids=[
+        "list", "string", "number", "null", "no-z", "string-params", "integer-past-float64",
+        "z-outside-base64", "z-list", "z-one-float-short", "z-one-float-long", "z-nan-bits", "z-inf-bits",
+    ],
+)
+def test_posterior_draw_line_problems_name_the_line(tmp_path, tiny_draws, edit, message):
+    path = tmp_path / "posterior.jsonl"
+    write_posterior_jsonl(path, tiny_draws)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps(edit(json.loads(lines[1]))) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match=rf"posterior\.jsonl: line 2: {message}"):
+        read_posterior_jsonl(path)
+
+
+def test_draw_line_nested_past_the_json_parser_names_the_line(tmp_path, tiny_draws):
+    path = tmp_path / "posterior.jsonl"
+    write_posterior_jsonl(path, tiny_draws)
+    header = path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    path.write_text(header + "[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"posterior\.jsonl: line 2: maximum recursion depth exceeded"):
         read_posterior_jsonl(path)
 
 
