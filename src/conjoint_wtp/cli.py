@@ -19,13 +19,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .config import RunConfig, load_run_config, to_dict
+from .config import RunConfig, load_run_config, read_json_object, to_dict
 from .dataio import (
     read_choices_csv,
     read_diagnostics_json,
     read_fields,
     read_ground_truth_json,
-    read_json_object,
     read_posterior_jsonl,
     write_choices_csv,
     write_diagnostics_json,

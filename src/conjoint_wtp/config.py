@@ -14,7 +14,8 @@ and an unknown key is an error. In a list or object of floats, null stands
 for a value that is not finite. Range checks live in each dataclass, so
 every value is checked once, and every message names the field's dotted
 path. One top-level seed feeds all stages; per-unit RNG substreams are
-derived from it internally.
+derived from it internally. Every JSON document the program reads, and
+each line of the posterior file, is parsed by `parse_json_object`.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ from __future__ import annotations
 import json
 import math
 import types
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from typing import Any, TextIO, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .domain import AttributeScheme, check_price_grid
-from .errors import ConfigError, ConjointError, ContractError
+from .errors import ConfigError, ConjointError, ContractError, DataError
 from .infer.model import ModelConfig
 from .revenue import BundleScenario, RevenueCurve
 from .simulate import GroundTruth
@@ -192,10 +194,34 @@ def parse_run_config(data: Any) -> RunConfig:
     return from_dict(RunConfig, data, "config")
 
 
-def load_run_config(path: str | Path) -> RunConfig:
+@contextmanager
+def open_utf8(path: str | Path, error: type[ConjointError] = DataError) -> Iterator[TextIO]:
+    """`path` opened as UTF-8 text; a byte that does not decode is an `error` naming the file."""
     try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError on a byte that is not UTF-8
-        raise ConfigError(f"{path} is not valid UTF-8 JSON: {e}") from None
-    return parse_run_config(data)
+        with open(path, encoding="utf-8", newline="") as f:
+            yield f
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text: {e}") from None
+
+
+def parse_json_object(text: str, where: str | Path, error: type[ConjointError] = DataError) -> dict:
+    """`text` as one JSON object. Text the parser refuses (a syntax fault, an
+    integer literal past Python's digit limit, nesting past its depth), or a
+    value that is not an object, is an `error` opening with `where`."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise error(f"{where}: not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise error(f"{where}: not a JSON object")
+    return data
+
+
+def read_json_object(path: str | Path, error: type[ConjointError] = DataError) -> dict:
+    """The JSON object in the UTF-8 file at `path`."""
+    with open_utf8(path, error) as f:
+        return parse_json_object(f.read(), path, error)
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    return parse_run_config(read_json_object(path, ConfigError))

@@ -21,14 +21,13 @@ import json
 import math
 import os
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .config import from_dict, to_dict
+from .config import from_dict, open_utf8, parse_json_object, read_json_object, to_dict
 from .domain import AttributeScheme
 from .errors import ConfigError, ContractError, DataError, RowError
 from .infer.design import Standardization
@@ -63,16 +62,6 @@ def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-@contextmanager
-def _open_utf8(path: str | Path) -> Iterator[TextIO]:
-    """`path` opened as UTF-8 text; a byte that does not decode is a DataError naming the file."""
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            yield f
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -117,7 +106,7 @@ def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset
     names = [a.name for a in scheme.attributes]
     k = len(names)
     ids, levels, prices, chose_a = [], [], [], []
-    with _open_utf8(path) as f:
+    with open_utf8(path) as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -148,18 +137,6 @@ def read_choices_csv(path: str | Path, scheme: AttributeScheme) -> ChoiceDataset
         raise DataError(f"{path}: row {e.row + 2}: {e.message}") from None
     except Exception as e:
         raise DataError(f"{path}: {e}") from None
-
-
-def read_json_object(path: str | Path) -> dict:
-    """A file's JSON object; unreadable JSON or another JSON type is a DataError."""
-    try:
-        with _open_utf8(path) as f:
-            data = json.load(f)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return data
 
 
 def read_fields(cls, data, name: str, where: str | Path):
@@ -258,16 +235,11 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
     object holding "draw": i, "chain": i // config.draws_per_chain, `params`
     (mu, then sigma) and `z` (R x F base64 float64), and there are
     config.chains x config.draws_per_chain of them."""
-    with _open_utf8(path) as f:
+    with open_utf8(path) as f:
         header_line = f.readline()
         if not header_line:
             raise DataError(f"{path}: empty file")
-        try:
-            raw = json.loads(header_line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: bad header: {e}") from None
-        if not isinstance(raw, dict):
-            raise DataError(f"{path}: header is not a JSON object")
+        raw = parse_json_object(header_line, f"{path}: bad header")
         if raw.get("format") != POSTERIOR_FORMAT or raw.get("version") != POSTERIOR_VERSION:
             raise DataError(f"{path}: not a {POSTERIOR_FORMAT} v{POSTERIOR_VERSION} file")
         header = read_fields(PosteriorHeader, raw, "posterior", f"{path}: bad header")
@@ -286,12 +258,7 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
             if not line.strip():
                 continue
             where = f"{path}: line {line_no}"
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:
-                raise DataError(f"{where}: {e}") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{where}: a draw line must be a JSON object")
+            obj = parse_json_object(line, where)
             for key in ("chain", "draw", "divergent", "params", "z"):
                 if key not in obj:
                     raise DataError(f"{where}: {key!r} is missing")

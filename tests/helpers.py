@@ -8,7 +8,9 @@ to perfbench's conftest.
 from __future__ import annotations
 
 import base64
+import json
 import struct
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +26,13 @@ from conjoint_wtp.simulate import ChoiceDataset, generate_tasks, sample_responde
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smartphone.json"
 DEMO_SEED = 20250808
 
+# A 5,000-digit integer literal: past the 4,300 digits Python parses into an
+# int by default (3.11, and 3.10 from 3.10.7), so `json` refuses it. Each
+# test puts it where the value is invalid too, so a Python with no such
+# limit refuses it as well: DIGIT_LIMIT says which refusal to expect.
+LONG_INT = "9" * 5000
+DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_INT)
+
 # Tasks kept per respondent of tiny_dataset() in ragged_dataset().
 RAGGED_TASKS = (8, 1, 5, 3, 6)
 
@@ -32,6 +41,21 @@ def demo_scenario() -> BundleScenario:
     """The demo config's revenue scenario: the camera + frame bundle priced
     against the $799 baseline. The config is the one source of its prices."""
     return load_run_config(DEMO_CONFIG).scenario
+
+
+def with_long_int(obj, *keys) -> str:
+    """`obj` as JSON text with LONG_INT at the place `keys` lead to."""
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "<long int>"
+    return json.dumps(obj).replace('"<long int>"', LONG_INT)
+
+
+def long_int_fault(otherwise: str) -> str:
+    """What a reader says of LONG_INT: that it is not valid JSON where Python
+    limits an integer's digits, else `otherwise`, the field's own check."""
+    return "not valid JSON: Exceeds the limit" if DIGIT_LIMIT else otherwise
 
 
 def wtp(beta_f: float, beta_price: float, eps: float = WTP_PRICE_EPS) -> float:

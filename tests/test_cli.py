@@ -14,7 +14,16 @@ from conjoint_wtp.config import load_run_config
 from conjoint_wtp.dataio import choices_header, read_posterior_jsonl, write_json, write_posterior_jsonl
 from conjoint_wtp.errors import FitError
 from conjoint_wtp.infer import nuts
-from tests.helpers import INF_BITS, NAN_BITS, z_text, z_values, z_with_first_bits
+from tests.helpers import (
+    DIGIT_LIMIT,
+    INF_BITS,
+    NAN_BITS,
+    long_int_fault,
+    with_long_int,
+    z_text,
+    z_values,
+    z_with_first_bits,
+)
 
 BASE_CONFIG = {
     "seed": 424242,
@@ -834,6 +843,27 @@ LAX_POSTERIORS = [
 ]
 
 
+# The JSON documents a command reads: (file name, the command given the bad
+# file and the config, the posterior line it is or None for a whole file, the
+# keys leading to a number field that a 5,000-digit integer makes invalid
+# too, and what that field's own check says of it). diagnostics.json and
+# report.json are read from --out, the others from the flag naming them.
+JSON_DOCUMENTS = {
+    "config": ("config.json", lambda bad, config: ["simulate", "--config", bad], None,
+               ("ground_truth", "price_coef_mean"), "config.ground_truth.price_coef_mean must be a number"),
+    "truth": ("provenance.json", lambda bad, config: ["wtp", "--truth", bad], None,
+              ("ground_truth", "true_wtp", "camera:Pro"), "ground_truth.true_wtp.camera:Pro must be a number"),
+    "diagnostics": ("diagnostics.json", lambda bad, config: ["pipeline", "--config", config, "--from", "wtp"], None,
+                    ("divergence_rate",), "diagnostics.divergence_rate must be a number"),
+    "report": ("report.json", lambda bad, config: ["revenue", "--config", config], None,
+               ("config", "ground_truth", "price_coef_mean"), "config.ground_truth.price_coef_mean must be a number"),
+    "header": ("posterior.jsonl", lambda bad, config: ["wtp", "--posterior", bad], 1,
+               ("standardization", "scale", 0), "posterior.standardization.scale[0] must be a number"),
+    "draw-line": ("posterior.jsonl", lambda bad, config: ["wtp", "--posterior", bad], 2,
+                  ("draw",), "line 2: draw must be 0, got 9"),
+}
+
+
 class TestMalformedInputs:
     """Unreadable config, data, posterior, truth, diagnostics and report files
     exit 2 naming the problem."""
@@ -1006,29 +1036,60 @@ class TestMalformedInputs:
         assert message in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("case", ["config", "data", "posterior", "diagnostics"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "config", "data", "posterior", "diagnostics",
+            *(f"{document}-{fault}" for document in JSON_DOCUMENTS for fault in ("nested", "long-int")),
+        ],
+    )
     def test_unreadable_input_exits_2_naming_the_file(self, fitted_run, tmp_path, capsys, case):
         # the first three files start with a byte that is not UTF-8; the
-        # diagnostics file is JSON whose r_hat is a list, not an object
+        # diagnostics file is JSON whose r_hat is a list, not an object. A
+        # JSON document is also refused nested past the parser's depth, or
+        # holding a 5,000-digit integer, and --out is left as it was.
         config, run_dir = fitted_run
         out = tmp_path / "o"
         out.mkdir()
-        if case == "config":
+        shutil.copy(run_dir / "posterior.jsonl", out)
+        fault = next((f for f in ("nested", "long-int") if case.endswith(f"-{f}")), None)
+        if fault:
+            name, command, line, keys, field = JSON_DOCUMENTS[case.removesuffix(f"-{fault}")]
+            bad = (out if name in ("diagnostics.json", "report.json") else tmp_path) / name
+            text = (config if name == "config.json" else run_dir / name).read_text(encoding="utf-8")
+            # a posterior's fault goes in its header (line 1) or its first draw line (line 2)
+            parts, k = ([text], 0) if line is None else (text.splitlines(keepends=True), line - 1)
+            parts[k] = ("[" * 100_000 if fault == "nested" else with_long_int(json.loads(parts[k]), *keys)) + "\n"
+            bad.write_text("".join(parts), encoding="utf-8")
+            argv = command(str(bad), str(config))
+            where = {None: bad, 1: f"{bad}: bad header", 2: f"{bad}: line 2"}[line]
+            message = "not valid JSON: maximum recursion depth exceeded" if fault == "nested" else long_int_fault(field)
+            expected = f"error: {where}: {message}"
+        elif case == "config":
             bad = tmp_path / "config.json"
             bad.write_bytes(b"\xff" + config.read_bytes())
             argv = ["simulate", "--config", str(bad)]
+            expected = f"error: {bad}: not UTF-8 text: "
         elif case == "data":
             bad = tmp_path / "choices.csv"
             bad.write_bytes(b"\xff" + (run_dir / "choices.csv").read_bytes())
             argv = ["fit", "--config", str(config), "--data", str(bad)]
+            expected = f"error: {bad}: not UTF-8 text: "
         elif case == "posterior":
             bad = tmp_path / "posterior.jsonl"
             bad.write_bytes(b"\xff" + (run_dir / "posterior.jsonl").read_bytes())
             argv = ["wtp", "--posterior", str(bad)]
+            expected = f"error: {bad}: not UTF-8 text: "
         else:
-            shutil.copy(run_dir / "posterior.jsonl", out)
             bad = out / "diagnostics.json"
             write_json(bad, {"r_hat": [1.0]})
             argv = ["pipeline", "--config", str(config), "--from", "wtp"]
+            expected = f"error: {bad}: diagnostics.r_hat must be a JSON object"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert cli.main([*argv, "--out", str(out)]) == 2
-        assert str(bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if fault == "long-int" and not DIGIT_LIMIT:  # refused by the field's own check
+            assert field in err
+        else:
+            assert expected in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -18,7 +18,7 @@ from conjoint_wtp import cli
 from conjoint_wtp.config import load_run_config, parse_run_config, to_dict
 from conjoint_wtp.errors import ConfigError
 from conjoint_wtp.infer import NormalPrior
-from tests.helpers import DEMO_CONFIG
+from tests.helpers import DEMO_CONFIG, DIGIT_LIMIT, with_long_int
 from tests.test_cli import BASE_CONFIG
 
 # The writer's key order, section by section (optional sections when present).
@@ -233,6 +233,22 @@ def test_document_that_is_not_json_names_the_file(tmp_path):
     path.write_text("{", encoding="utf-8")
     with pytest.raises(ConfigError, match="config.json"):
         load_run_config(path)
+
+
+def test_over_long_integer_is_named_as_such_not_as_bad_utf8(tmp_path):
+    # a 5,000-digit integer in a number field: Python refuses to parse it
+    # past its integer-digit limit, and where it has none the field refuses
+    # it as too large for a float
+    path = tmp_path / "config.json"
+    path.write_text(with_long_int(document(), "ground_truth", "price_coef_mean"), encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_run_config(path)
+    if DIGIT_LIMIT:
+        fault = r"config\.json: not valid JSON: Exceeds the limit \(\d+ digits\) for integer string conversion"
+    else:
+        fault = r"config\.ground_truth\.price_coef_mean must be a number, got an integer too large for a float"
+    assert re.search(fault, str(caught.value))
+    assert "UTF-8" not in str(caught.value)
 
 
 def test_listed_price_attribute_exits_2_naming_the_scheme(tmp_path, capsys):

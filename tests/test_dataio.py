@@ -34,8 +34,10 @@ from tests.helpers import (
     INF_BITS,
     NAN_BITS,
     demo_scenario,
+    long_int_fault,
     profiles,
     survey,
+    with_long_int,
     z_text,
     z_values,
     z_with_first_bits,
@@ -291,6 +293,14 @@ def test_posterior_jsonl_rejects_short_lines(tmp_path, tiny_draws):
         read_posterior_jsonl(path)
 
 
+class Line(str):
+    """A posterior line given as text, written as it is rather than as JSON."""
+
+
+def _as_line(value) -> str:
+    return (value if isinstance(value, Line) else json.dumps(value)) + "\n"
+
+
 def _drop(field):
     def mutate(header):
         del header[field]
@@ -320,7 +330,12 @@ def _zero_scale(header):
             lambda header: {**header, "price_column": "cost"},
             r"bad header: posterior\.price_column 'cost' is not the last column of \[",
         ),
-        (lambda header: [header], "header is not a JSON object"),
+        (lambda header: [header], "bad header: not a JSON object$"),
+        (lambda header: Line("[" * 100_000), "bad header: not valid JSON: maximum recursion depth exceeded"),
+        (
+            lambda header: Line(with_long_int(header, "standardization", "scale", 0)),
+            "bad header: " + long_int_fault(r"posterior\.standardization\.scale\[0\] must be a number"),
+        ),
         (
             lambda header: {**header, "config": {**header["config"], "bogus": 1}},
             r"posterior\.jsonl: bad header: unknown key\(s\) in posterior\.config: bogus",
@@ -344,15 +359,15 @@ def _zero_scale(header):
     ],
     ids=[
         "no-columns", "no-standardization", "short-scale", "zero-scale", "foreign-price-column",
-        "not-an-object", "unknown-config-key", "non-integer-chains", "chains-past-memory", "chains-past-indexing",
-        "v1-file",
+        "not-an-object", "nested", "long-int", "unknown-config-key", "non-integer-chains", "chains-past-memory",
+        "chains-past-indexing", "v1-file",
     ],
 )
 def test_posterior_header_problems_name_the_field(tmp_path, tiny_draws, mutate, message):
     path = tmp_path / "posterior.jsonl"
     write_posterior_jsonl(path, tiny_draws)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[0] = json.dumps(mutate(json.loads(lines[0]))) + "\n"
+    lines[0] = _as_line(mutate(json.loads(lines[0])))
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(DataError, match=message):
         read_posterior_jsonl(path)
@@ -373,10 +388,12 @@ def test_posterior_line_without_chain_names_the_line(tmp_path, tiny_draws):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda row: [1, 2], "a draw line must be a JSON object$"),
-        (lambda row: "x", "a draw line must be a JSON object$"),
-        (lambda row: 7, "a draw line must be a JSON object$"),
-        (lambda row: None, "a draw line must be a JSON object$"),
+        (lambda row: [1, 2], "not a JSON object$"),
+        (lambda row: "x", "not a JSON object$"),
+        (lambda row: 7, "not a JSON object$"),
+        (lambda row: None, "not a JSON object$"),
+        (lambda row: Line("[" * 100_000), "not valid JSON: maximum recursion depth exceeded"),
+        (lambda row: Line(with_long_int(row, "draw")), long_int_fault("draw must be 0, got 9")),
         (lambda row: {k: v for k, v in row.items() if k != "z"}, "'z' is missing$"),
         (lambda row: {**row, "params": [str(v) for v in row["params"]]}, "params must be a list of 10 numbers"),
         (lambda row: {**row, "params": [10**400, *row["params"][1:]]}, "every parameter must be finite$"),
@@ -388,7 +405,7 @@ def test_posterior_line_without_chain_names_the_line(tmp_path, tiny_draws):
         (lambda row: {**row, "z": z_with_first_bits(row, INF_BITS)}, "every parameter must be finite$"),
     ],
     ids=[
-        "list", "string", "number", "null", "no-z", "string-params", "integer-past-float64",
+        "list", "string", "number", "null", "nested", "long-int", "no-z", "string-params", "integer-past-float64",
         "z-outside-base64", "z-list", "z-one-float-short", "z-one-float-long", "z-nan-bits", "z-inf-bits",
     ],
 )
@@ -396,18 +413,9 @@ def test_posterior_draw_line_problems_name_the_line(tmp_path, tiny_draws, edit, 
     path = tmp_path / "posterior.jsonl"
     write_posterior_jsonl(path, tiny_draws)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[1] = json.dumps(edit(json.loads(lines[1]))) + "\n"
+    lines[1] = _as_line(edit(json.loads(lines[1])))
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(DataError, match=rf"posterior\.jsonl: line 2: {message}"):
-        read_posterior_jsonl(path)
-
-
-def test_draw_line_nested_past_the_json_parser_names_the_line(tmp_path, tiny_draws):
-    path = tmp_path / "posterior.jsonl"
-    write_posterior_jsonl(path, tiny_draws)
-    header = path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
-    path.write_text(header + "[" * 100_000 + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match=r"posterior\.jsonl: line 2: maximum recursion depth exceeded"):
         read_posterior_jsonl(path)
 
 
