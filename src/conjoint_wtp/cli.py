@@ -198,7 +198,7 @@ class Stage(NamedTuple):
 # The pipeline, in order. The report's "files" keys are the file stems.
 STAGES = {
     "simulate": Stage(_stage_simulate, ("choices.csv", "provenance.json")),
-    "fit": Stage(_stage_fit, ("posterior.jsonl", "diagnostics.json")),
+    "fit": Stage(_stage_fit, ("posterior.jsonl", "posterior.z.f8", "diagnostics.json")),
     "wtp": Stage(_stage_wtp, ("wtp_summary.csv", "wtp_draws.csv"), ("recovery.json",)),
     "revenue": Stage(_stage_revenue, (), ("revenue_curve.csv",)),
 }
@@ -352,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("wtp", help="summarize dollar WTP from a posterior file")
-    p.add_argument("--posterior", help="posterior JSONL (default: <out>/posterior.jsonl)")
+    p.add_argument("--posterior", help="posterior JSONL, its .z.f8 file beside it (default: <out>/posterior.jsonl)")
     p.add_argument("--truth", help="ground-truth or provenance JSON for a recovery report")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("revenue", help="simulate the revenue curve for the configured bundle")
     add_common(p)
-    p.add_argument("--posterior", help="posterior JSONL (default: <out>/posterior.jsonl)")
+    p.add_argument("--posterior", help="posterior JSONL, its .z.f8 file beside it (default: <out>/posterior.jsonl)")
     p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("pipeline", help="run simulate -> fit -> wtp -> revenue")

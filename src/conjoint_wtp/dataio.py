@@ -1,11 +1,13 @@
-"""On-disk formats: the choices CSV, posterior JSONL, and report files.
+"""On-disk formats: the choices CSV, the posterior, and report files.
 
 All writers are atomic (temp file in the target directory, then rename) and
 byte-deterministic: UTF-8, LF line endings, '.' decimal separator, floats
-rendered with repr (shortest round-trip form), except each posterior draw's
-z: its R x F values are the padded standard base64 of their little-endian
-float64 bytes, so they are stored exactly and never pass through decimal
-text. Every CSV table goes through
+rendered with repr (shortest round-trip form). The posterior is two files:
+`posterior.jsonl`, a header line and one JSON line per draw with its mu and
+sigma, and beside it `posterior.z.f8`, every draw's R x F z as raw
+little-endian float64 that never passes through text; the header holds
+the z file's sha256, so a z file from another write is refused. Every CSV
+table goes through
 one csv.writer, which quotes a field holding a comma, quote or newline. The
 choices CSV schema is fixed: respondent_id, task_id, the A-side attribute
 levels and price, the B-side equivalents, then chose_a as 0/1. The reader
@@ -15,15 +17,15 @@ level indices; the writer turns each index back into its name.
 
 from __future__ import annotations
 
-import base64
 import csv
+import hashlib
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import IO, Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -33,28 +35,30 @@ from .errors import ConfigError, ContractError, DataError, RowError
 from .infer.design import Standardization
 from .infer.diagnostics import Diagnostics
 from .infer.fit import PosteriorDraws
-from .infer.model import ModelConfig, split_parameters
+from .infer.model import ModelConfig
 from .posterior import WtpDraws, WtpSummary
 from .revenue import RevenueCurve
 from .simulate import ChoiceDataset, GroundTruth
 
 POSTERIOR_FORMAT = "conjoint-wtp-posterior"
-POSTERIOR_VERSION = 2
-PARAM_LAYOUT = "params: mu, sigma; z: base64 little-endian float64, respondent-major"
+POSTERIOR_VERSION = 3
+PARAM_LAYOUT = "params: mu, sigma; z: .z.f8 file, little-endian float64, draw-major then respondent-major"
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
-    """Call `write` on a temp file beside `path`, then rename it over `path`;
-    if anything fails, the temp file goes and `path` is left as it was."""
+def _atomic_write(path: str | Path, write: Callable[[IO], object], binary: bool = False) -> None:
+    """Call `write` on a temp file beside `path` (UTF-8 text, or bytes if
+    `binary`), then rename it over `path`; if anything fails, the temp file
+    goes and `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+        with os.fdopen(fd, "wb" if binary else "w", **text) as f:
             write(f)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
@@ -171,7 +175,8 @@ class ColumnScaling:
 @dataclass(frozen=True, kw_only=True)
 class PosteriorHeader:
     """A posterior file's first line, as the config walker writes and reads it.
-    As in the run config, the model's seed is the header's; `price_column` names the last column."""
+    As in the run config, the model's seed is the header's; `price_column` names
+    the last column, and `z_sha256` is the hex sha256 of the z file's bytes."""
 
     format: str = POSTERIOR_FORMAT
     version: int = POSTERIOR_VERSION
@@ -181,6 +186,7 @@ class PosteriorHeader:
     standardization: ColumnScaling
     config: ModelConfig
     seed: int
+    z_sha256: str
     param_layout: str = PARAM_LAYOUT
 
     def __post_init__(self) -> None:
@@ -199,7 +205,16 @@ class PosteriorHeader:
             raise ContractError(f"standardization must hold one mean and one scale per column ({len(self.columns)})")
 
 
+def z_path(path: str | Path) -> Path:
+    """The z file of the posterior JSONL at `path`: `posterior.z.f8` beside `posterior.jsonl`."""
+    return Path(path).with_suffix(".z.f8")
+
+
 def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
+    """Write the z file, then the JSONL whose header holds its sha256: a
+    crash between the two leaves the old JSONL beside a z file it refuses.
+    The header is checked before either is written. z goes out a draw at a
+    time, so a z that is a view of the sampler's draws is never copied whole."""
     std = draws.standardization
     header = PosteriorHeader(
         columns=draws.columns,
@@ -208,33 +223,49 @@ def write_posterior_jsonl(path: str | Path, draws: PosteriorDraws) -> None:
         standardization=ColumnScaling(tuple(std.mean.tolist()), tuple(std.scale.tolist())),
         config=draws.config,
         seed=draws.seed,
+        z_sha256="",
     )
-    n = draws.n_draws
+    sha256 = hashlib.sha256()
+
+    def write_z(f: IO[bytes]) -> None:
+        for z in draws.z:
+            data = np.ascontiguousarray(z, dtype="<f8")
+            sha256.update(data)
+            f.write(data)
+
+    _atomic_write(z_path(path), write_z, binary=True)
+    header = replace(header, z_sha256=sha256.hexdigest())
     params = np.concatenate([draws.mu, draws.sigma], axis=1)
-    flat_z = draws.z.reshape(n, -1).astype("<f8", copy=False)
 
     def write(f: TextIO) -> None:
         f.write(json.dumps(to_dict(header), separators=(",", ":")) + "\n")
-        for i in range(n):
+        for i in range(draws.n_draws):
             line = {
                 "chain": int(draws.chain_index[i]),
                 "draw": i,
                 "divergent": bool(draws.divergent[i]),
                 "params": params[i].tolist(),
-                "z": base64.b64encode(flat_z[i].tobytes()).decode("ascii"),
             }
             f.write(json.dumps(line, separators=(",", ":")) + "\n")
 
     _atomic_write(path, write)
 
 
+def _first_nonfinite(values: np.ndarray) -> int | None:
+    """The index of the first draw (axis 0) of `values` holding a value that is not finite."""
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    return None if finite.all() else int(finite.argmin())
+
+
 def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
-    """Read a posterior file; a bad header field, or a draw line out of its
-    place, of the wrong size or with a parameter that is not finite, is a
-    DataError naming the path and the field or line. Draw line i is a JSON
-    object holding "draw": i, "chain": i // config.draws_per_chain, `params`
-    (mu, then sigma) and `z` (R x F base64 float64), and there are
-    config.chains x config.draws_per_chain of them."""
+    """Read a posterior file and its z file; a bad header field, a draw line
+    out of its place or of the wrong size, a parameter that is not finite, or
+    a z file of the wrong size, sha256 or with a value that is not finite, is
+    a DataError naming the file and the field or line (a missing z file is an
+    OSError). Draw line i is a JSON object holding "draw": i, "chain":
+    i // config.draws_per_chain and `params` (mu, then sigma), and there are
+    config.chains x config.draws_per_chain of them; the z file holds their z,
+    R x F float64 each, and nothing else."""
     with open_utf8(path) as f:
         header_line = f.readline()
         if not header_line:
@@ -246,23 +277,22 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
         scaling = header.standardization
         f_dim = len(header.columns)
         r_dim = len(header.respondent_ids)
-        z_bytes = 8 * f_dim * r_dim
         per_chain = header.config.draws_per_chain
         n = header.config.chains * per_chain
         try:
-            block = np.empty((n, f_dim * (2 + r_dim)))
+            params = np.empty((n, 2 * f_dim))
         except (MemoryError, ValueError):
             raise DataError(f"{path}: the header's chains x draws_per_chain, {n}, is too many draws") from None
-        divergent = []
+        divergent, line_nos = [], []
         for line_no, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             where = f"{path}: line {line_no}"
             obj = parse_json_object(line, where)
-            for key in ("chain", "draw", "divergent", "params", "z"):
+            for key in ("chain", "draw", "divergent", "params"):
                 if key not in obj:
                     raise DataError(f"{where}: {key!r} is missing")
-            i = len(divergent)
+            i = len(line_nos)
             if i == n:
                 raise DataError(f"{where}: more draws than the header's chains x draws_per_chain, {n}")
             for key, place in (("chain", i // per_chain), ("draw", i)):
@@ -270,33 +300,39 @@ def read_posterior_jsonl(path: str | Path) -> PosteriorDraws:
                     raise DataError(f"{where}: {key} must be {place}, got {obj[key]!r}")
             if type(obj["divergent"]) is not bool:
                 raise DataError(f"{where}: divergent must be true or false, got {obj['divergent']!r}")
-            params = obj["params"]
-            numbers = type(params) is list and all(type(v) in (int, float) for v in params)
-            if not numbers or len(params) != 2 * f_dim:
+            values = obj["params"]
+            numbers = type(values) is list and all(type(v) in (int, float) for v in values)
+            if not numbers or len(values) != 2 * f_dim:
                 raise DataError(f"{where}: params must be a list of {2 * f_dim} numbers, mu then sigma")
             try:
-                z = base64.b64decode(obj["z"], validate=True)
-            except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
-                raise DataError(f"{where}: z must be base64 text: {e}") from None
-            if len(z) != z_bytes:
-                raise DataError(f"{where}: z holds {len(z)} bytes, expected {r_dim} x {f_dim} float64, {z_bytes}")
-            try:
-                block[i, : 2 * f_dim] = params
+                params[i] = values
             except OverflowError:  # an integer past the float64 range
                 raise DataError(f"{where}: every parameter must be finite") from None
-            block[i, 2 * f_dim :] = np.frombuffer(z, dtype="<f8")
-            if not np.isfinite(block[i]).all():
-                raise DataError(f"{where}: every parameter must be finite")
             divergent.append(obj["divergent"])
-    if len(divergent) != n:
-        raise DataError(f"{path}: {len(divergent)} draws, the header's chains x draws_per_chain is {n}")
-    mu, sigma, z = split_parameters(block, f_dim, r_dim)
+            line_nos.append(line_no)
+    if len(line_nos) != n:
+        raise DataError(f"{path}: {len(line_nos)} draws, the header's chains x draws_per_chain is {n}")
+    bad = _first_nonfinite(params)
+    if bad is not None:
+        raise DataError(f"{path}: line {line_nos[bad]}: every parameter must be finite")
+    z_file, z_bytes = z_path(path), 8 * n * r_dim * f_dim
+    with open(z_file, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != z_bytes:
+            raise DataError(f"{z_file}: {size} bytes, expected {n} draws x {r_dim} x {f_dim} float64, {z_bytes}")
+        z = np.fromfile(f, dtype="<f8", count=z_bytes // 8)
+    if hashlib.sha256(z).hexdigest() != header.z_sha256:
+        raise DataError(f"{z_file}: sha256 does not match the z_sha256 in {path}; the two are from different writes")
+    z = z.reshape(n, r_dim, f_dim)
+    bad = _first_nonfinite(z)
+    if bad is not None:
+        raise DataError(f"{z_file}: the z of the draw on line {line_nos[bad]} of {path} must be finite")
     return PosteriorDraws(
         columns=header.columns,
         price_column=header.price_column,
         respondent_ids=header.respondent_ids,
-        mu=mu,
-        sigma=sigma,
+        mu=params[:, :f_dim],
+        sigma=params[:, f_dim:],
         z=z,
         standardization=Standardization(header.columns, np.array(scaling.mean), np.array(scaling.scale)),
         chain_index=np.repeat(np.arange(header.config.chains), per_chain),

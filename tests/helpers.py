@@ -7,9 +7,9 @@ to perfbench's conftest.
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
-import struct
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from conjoint_wtp.config import load_run_config
+from conjoint_wtp.dataio import z_path
 from conjoint_wtp.domain import WTP_PRICE_EPS, ProductProfile
 from conjoint_wtp.errors import ContractError, SignSafetyError
 from conjoint_wtp.presets import DEFAULT_PRICE_GRID, smartphone_scheme, smartphone_truth
@@ -123,19 +124,30 @@ def profiles(dataset: ChoiceDataset, row: int) -> tuple[ProductProfile, ProductP
     )
 
 
-def z_values(row: dict) -> np.ndarray:
-    """A posterior draw line's `z`, decoded from base64 little-endian float64."""
-    return np.frombuffer(base64.b64decode(row["z"]), dtype="<f8")
+def z_values(posterior) -> np.ndarray:
+    """The z file beside the posterior JSONL `posterior`, as flat little-endian float64."""
+    return np.fromfile(z_path(posterior), dtype="<f8")
 
 
-def z_text(values) -> str:
-    """`values` encoded as a posterior draw line's `z`."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def write_z(posterior, values) -> str:
+    """Write `values` as the z file beside the posterior JSONL `posterior`;
+    returns their sha256, the hex a header's z_sha256 holds."""
+    data = np.asarray(values, dtype="<f8").tobytes()
+    z_path(posterior).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def z_with_first_bits(row: dict, bits: int) -> str:
-    """A draw line's `z` with its first value's 8 bytes set to the float64 bit pattern `bits`."""
-    return base64.b64encode(struct.pack("<Q", bits) + base64.b64decode(row["z"])[8:]).decode("ascii")
+def z_with_first_bits(values, bits: int) -> np.ndarray:
+    """`values` as float64 with the first one's 8 bytes set to the bit pattern `bits`."""
+    out = np.array(values, dtype="<f8")
+    out.view("<u8")[0] = bits
+    return out
+
+
+def copy_posterior(src, dest) -> None:
+    """Copy the posterior JSONL `src` and its z file into the directory `dest`."""
+    for path in (Path(src), z_path(src)):
+        shutil.copy(path, dest)
 
 
 # float64 bit patterns that decode to a signalling NaN and to +inf

@@ -317,13 +317,13 @@ class TestCriterion8Determinism:
         assert cli.main(["pipeline", "--config", str(config_path)]) == 0
         first = {
             name: (out / name).read_bytes()
-            for name in ("choices.csv", "posterior.jsonl", "report.json")
+            for name in ("choices.csv", "posterior.jsonl", "posterior.z.f8", "report.json")
         }
         assert cli.main(["pipeline", "--config", str(config_path)]) == 0
 
         identical_files = all(
             (out / name).read_bytes() == first[name]
-            for name in ("choices.csv", "posterior.jsonl")
+            for name in ("choices.csv", "posterior.jsonl", "posterior.z.f8")
         )
 
         def stripped(raw: bytes):
@@ -336,7 +336,7 @@ class TestCriterion8Determinism:
         )
         report_criterion(
             8,
-            "repeat pipeline runs byte-identical (choices.csv, posterior.jsonl, report.json)",
+            "repeat pipeline runs byte-identical (choices.csv, posterior.jsonl, posterior.z.f8, report.json)",
             identical_files and reports_equal,
         )
 

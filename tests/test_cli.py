@@ -11,16 +11,23 @@ import pytest
 
 from conjoint_wtp import cli
 from conjoint_wtp.config import load_run_config
-from conjoint_wtp.dataio import choices_header, read_posterior_jsonl, write_json, write_posterior_jsonl
+from conjoint_wtp.dataio import (
+    choices_header,
+    read_posterior_jsonl,
+    write_json,
+    write_posterior_jsonl,
+    z_path,
+)
 from conjoint_wtp.errors import FitError
 from conjoint_wtp.infer import nuts
 from tests.helpers import (
     DIGIT_LIMIT,
     INF_BITS,
     NAN_BITS,
+    copy_posterior,
     long_int_fault,
     with_long_int,
-    z_text,
+    write_z,
     z_values,
     z_with_first_bits,
 )
@@ -477,8 +484,8 @@ class TestRevenue:
         config, run_dir = fitted_run
         out = tmp_path / "o"
         out.mkdir()
-        for name in ("report.json", "posterior.jsonl"):
-            shutil.copy(run_dir / name, out)
+        shutil.copy(run_dir / "report.json", out)
+        copy_posterior(run_dir / "posterior.jsonl", out)
         posterior = out / "posterior.jsonl"
         if case == "other-config":
             config = write_config(tmp_path, lambda c: c["scenario"].update(upgrades={"camera": "Pro"}), "other.json")
@@ -604,7 +611,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "stage, skipped",
-        [("fit", ["choices.csv"]), ("wtp", ["choices.csv", "posterior.jsonl"])],
+        [("fit", ["choices.csv"]), ("wtp", ["choices.csv", "posterior.jsonl", "posterior.z.f8"])],
         ids=["fit", "wtp"],
     )
     def test_resume_from_fit_skips_simulation(self, tmp_path, stage, skipped):
@@ -638,7 +645,8 @@ class TestPipeline:
         out_b = tmp_path / "b"
         assert cli.main(["pipeline", "--config", str(echo_path), "--out", str(out_b)]) == 0
         assert (out_a / "choices.csv").read_bytes() == (out_b / "choices.csv").read_bytes()
-        assert (out_a / "posterior.jsonl").read_bytes() == (out_b / "posterior.jsonl").read_bytes()
+        for name in ("posterior.jsonl", "posterior.z.f8"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         report_b = strip_timings(out_b / "report.json")
         report_a = strip_timings(out_a / "report.json")
         report_a["config"].pop("output_dir", None)
@@ -776,20 +784,12 @@ def _price_column_only(header, rows):
     header["standardization"] = {k: [v[j]] for k, v in header["standardization"].items()}
     for row in rows:
         row["params"] = row["params"][j::f]  # mu, then sigma
-        row["z"] = z_text(z_values(row)[j::f])  # each respondent's
-
-
-def _as_v1(header, rows):
-    """The same draws as a v1 file: every parameter as decimals in `params`, no `z`."""
-    header.update(version=1, param_layout="mu, sigma, z (respondent-major)")
-    for row in rows:
-        row["params"] += z_values(row).tolist()
-        del row["z"]
 
 
 # (id, change to the header object and the draw rows, the message after
 # "<path>: ") for posterior files the reader once read without an error, or
-# whose draw lines break the v2 form.
+# whose draw lines break the v3 form. Beside each lies the z file of the
+# draws kept, which the header's z_sha256 names.
 LAX_POSTERIORS = [
     ("divergent-string", lambda h, rows: rows[0].update(divergent="false"),
      "line 2: divergent must be true or false, got 'false'"),
@@ -822,24 +822,34 @@ LAX_POSTERIORS = [
      "['storage:256GB', 'storage:512GB', 'camera:Pro', 'frame:Titanium', 'price']"),
     ("foreign-param-layout", lambda h, rows: h.update(param_layout="z, sigma, mu (feature-major)"),
      "bad header: posterior.param_layout must be "
-     "'params: mu, sigma; z: base64 little-endian float64, respondent-major', "
+     "'params: mu, sigma; z: .z.f8 file, little-endian float64, draw-major then respondent-major', "
      "got 'z, sigma, mu (feature-major)'"),
     ("too-few-draws-for-an-hdi", _one_chain_of_20,
      "posterior.config: chains x draws_per_chain is 20, an HDI needs 100"),
     ("string-params", lambda h, rows: rows[0].update(params=[str(v) for v in rows[0]["params"]]),
      "line 2: params must be a list of 10 numbers, mu then sigma"),
-    # z is base64 of 25 respondents x 5 columns of little-endian float64
-    ("z-outside-base64", lambda h, rows: rows[0].update(z="!" + rows[0]["z"][1:]), "line 2: z must be base64 text: "),
-    ("z-one-float-short", lambda h, rows: rows[0].update(z=z_text(z_values(rows[0])[:-1])),
-     "line 2: z holds 992 bytes, expected 25 x 5 float64, 1000"),
-    ("z-one-float-long", lambda h, rows: rows[0].update(z=z_text([*z_values(rows[0]), 0.0])),
-     "line 2: z holds 1008 bytes, expected 25 x 5 float64, 1000"),
-    ("z-nan-bits", lambda h, rows: rows[0].update(z=z_with_first_bits(rows[0], NAN_BITS)),
-     "line 2: every parameter must be finite"),
-    ("z-inf-bits", lambda h, rows: rows[0].update(z=z_with_first_bits(rows[0], INF_BITS)),
-     "line 2: every parameter must be finite"),
-    ("z-list", lambda h, rows: rows[0].update(z=z_values(rows[0]).tolist()), "line 2: z must be base64 text: "),
-    ("v1-file", _as_v1, "not a conjoint-wtp-posterior v2 file"),
+    # a v1 file held z as decimals in params, a v2 file as base64 in each draw line
+    ("v1-file", lambda h, rows: h.update(version=1), "not a conjoint-wtp-posterior v3 file"),
+    ("v2-file", lambda h, rows: h.update(version=2), "not a conjoint-wtp-posterior v3 file"),
+]
+
+# (id, change to the flat z file or None to delete it, whether the header's
+# z_sha256 is set to the changed file's, exit code, stderr line) for z files
+# the reader refuses. The fitted run's z file holds 2 chains x 120 draws of
+# 25 respondents x 5 columns; {z} is its path, {path} the posterior's.
+Z_FILE_FAULTS = [
+    ("z-file-missing", None, False, 5, "i/o error: [Errno 2] No such file or directory: '{z}'"),
+    ("z-one-float-short", lambda z: z[:-1], False, 2,
+     "error: {z}: 239992 bytes, expected 240 draws x 25 x 5 float64, 240000"),
+    ("z-one-float-long", lambda z: [*z, 0.0], False, 2,
+     "error: {z}: 240008 bytes, expected 240 draws x 25 x 5 float64, 240000"),
+    ("z-nan-bits", lambda z: z_with_first_bits(z, NAN_BITS), True, 2,
+     "error: {z}: the z of the draw on line 2 of {path} must be finite"),
+    ("z-inf-bits", lambda z: z_with_first_bits(z, INF_BITS), True, 2,
+     "error: {z}: the z of the draw on line 2 of {path} must be finite"),
+    # the draws in reverse order: a z file of the same shape, as another fit leaves
+    ("z-of-another-fit", lambda z: z.reshape(240, -1)[::-1], False, 2,
+     "error: {z}: sha256 does not match the z_sha256 in {path}; the two are from different writes"),
 ]
 
 
@@ -878,6 +888,8 @@ class TestMalformedInputs:
         header, rows = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
         mutate(header, rows)
         path = tmp_path / "posterior.jsonl"
+        z = z_values(run_dir / "posterior.jsonl").reshape(len(lines) - 1, -1)
+        header["z_sha256"] = write_z(path, z[: len(rows)])  # one z per draw kept
         path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]), encoding="utf-8")
         out = tmp_path / "o"
         argv = [command, "--posterior", str(path), "--out", str(out)]
@@ -885,6 +897,30 @@ class TestMalformedInputs:
             argv += ["--config", str(config)]
         assert cli.main(argv) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["wtp", "revenue"])
+    @pytest.mark.parametrize("case", [case[0] for case in Z_FILE_FAULTS])
+    def test_z_file_fault_exits_naming_the_z_file(self, fitted_run, tmp_path, capsys, command, case):
+        edit, repin, code, message = next(c[1:] for c in Z_FILE_FAULTS if c[0] == case)
+        config, run_dir = fitted_run
+        copy_posterior(run_dir / "posterior.jsonl", tmp_path)
+        path = tmp_path / "posterior.jsonl"
+        if edit is None:
+            z_path(path).unlink()
+        else:
+            sha256 = write_z(path, edit(z_values(path)))
+            if repin:  # so the check after the sha256 sees the edit
+                header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                path.write_text(
+                    json.dumps({**json.loads(header), "z_sha256": sha256}) + "\n" + "".join(rows), encoding="utf-8"
+                )
+        out = tmp_path / "o"
+        argv = [command, "--posterior", str(path), "--out", str(out)]
+        if command == "revenue":
+            argv += ["--config", str(config)]
+        assert cli.main(argv) == code
+        assert message.format(z=z_path(path), path=path) + "\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_posterior_header_missing_field_exits_2(self, fitted_run, tmp_path, capsys):
@@ -928,6 +964,7 @@ class TestMalformedInputs:
         lines = (run_dir / "posterior.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         header = json.loads(lines[0])
         header["columns"][-1] = header["price_column"] = "cost"
+        copy_posterior(run_dir / "posterior.jsonl", tmp_path)
         path = tmp_path / "posterior.jsonl"
         path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
         out = tmp_path / "o"
@@ -989,7 +1026,7 @@ class TestMalformedInputs:
         config, run_dir = fitted_run
         out = tmp_path / "o"
         out.mkdir()
-        shutil.copy(run_dir / "posterior.jsonl", out)
+        copy_posterior(run_dir / "posterior.jsonl", out)
         diagnostics = json.loads((run_dir / "diagnostics.json").read_text(encoding="utf-8"))
         diagnostics[field] = value
         if value is None:
@@ -999,14 +1036,14 @@ class TestMalformedInputs:
         argv = ["pipeline", "--config", str(config), "--out", str(out), "--from", "revenue"]
         assert cli.main(argv) == 2
         assert f"error: {bad}: {message}\n" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["diagnostics.json", "posterior.jsonl"]
+        assert sorted(p.name for p in out.iterdir()) == ["diagnostics.json", "posterior.jsonl", "posterior.z.f8"]
 
     @pytest.mark.parametrize("fit", ["other-survey", "other-chain-count", "other-seed", "other-draws"])
     def test_resume_refuses_diagnostics_from_another_fit(self, fitted_run, foreign_fits, tmp_path, capsys, fit):
         config, run_dir = fitted_run
         out = tmp_path / "o"
         out.mkdir()
-        shutil.copy(run_dir / "posterior.jsonl", out)
+        copy_posterior(run_dir / "posterior.jsonl", out)
         shutil.copy(foreign_fits[fit] / "diagnostics.json", out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         argv = ["pipeline", "--config", str(config), "--out", str(out), "--from", "wtp"]
@@ -1051,7 +1088,7 @@ class TestMalformedInputs:
         config, run_dir = fitted_run
         out = tmp_path / "o"
         out.mkdir()
-        shutil.copy(run_dir / "posterior.jsonl", out)
+        copy_posterior(run_dir / "posterior.jsonl", out)
         fault = next((f for f in ("nested", "long-int") if case.endswith(f"-{f}")), None)
         if fault:
             name, command, line, keys, field = JSON_DOCUMENTS[case.removesuffix(f"-{fault}")]

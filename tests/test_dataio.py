@@ -3,8 +3,11 @@ summary emissions."""
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from conjoint_wtp.dataio import (
     write_revenue_csv,
     write_wtp_draws_csv,
     write_wtp_summary_csv,
+    z_path,
 )
 from conjoint_wtp.errors import CodingError, DataError
 from conjoint_wtp.infer import ModelConfig, build_design, sample
@@ -38,7 +42,7 @@ from tests.helpers import (
     profiles,
     survey,
     with_long_int,
-    z_text,
+    write_z,
     z_values,
     z_with_first_bits,
 )
@@ -212,13 +216,17 @@ def test_posterior_jsonl_roundtrip(tmp_path, tiny_draws):
 
 
 def test_streamed_posterior_matches_joined_text(tmp_path, tiny_draws):
-    # the writer streams line by line; the bytes must equal one joined write
+    # the writer streams line by line; the bytes must equal one joined write,
+    # and the z file holds z's little-endian float64 bytes and nothing else
     path = tmp_path / "posterior.jsonl"
     write_posterior_jsonl(path, tiny_draws)
     d = tiny_draws
+    z = d.z.astype("<f8").tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["posterior.jsonl", "posterior.z.f8"]
+    assert z_path(path).read_bytes() == z
     header = {
         "format": "conjoint-wtp-posterior",
-        "version": 2,
+        "version": 3,
         "columns": list(d.columns),
         "price_column": d.price_column,
         "respondent_ids": list(d.respondent_ids),
@@ -228,7 +236,8 @@ def test_streamed_posterior_matches_joined_text(tmp_path, tiny_draws):
         },
         "config": to_dict(d.config),
         "seed": d.seed,
-        "param_layout": "params: mu, sigma; z: base64 little-endian float64, respondent-major",
+        "z_sha256": hashlib.sha256(z).hexdigest(),
+        "param_layout": "params: mu, sigma; z: .z.f8 file, little-endian float64, draw-major then respondent-major",
     }
     lines = [json.dumps(header, separators=(",", ":"))]
     for i in range(d.n_draws):
@@ -237,7 +246,6 @@ def test_streamed_posterior_matches_joined_text(tmp_path, tiny_draws):
             "draw": i,
             "divergent": bool(d.divergent[i]),
             "params": np.concatenate([d.mu[i], d.sigma[i]]).tolist(),
-            "z": z_text(d.z[i].reshape(-1)),
         }
         lines.append(json.dumps(row, separators=(",", ":")))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
@@ -245,7 +253,8 @@ def test_streamed_posterior_matches_joined_text(tmp_path, tiny_draws):
 
 def test_posterior_reads_as_plain_json(tmp_path, tiny_draws):
     # perfbench's fit_ragged check and other JSON tools read the file with
-    # plain json: the header's scale and columns, and each line's params[:F] as mu
+    # plain json: the header's scale and columns, and each line's params[:F]
+    # as mu; z is plain float64 beside it
     d, f = tiny_draws, len(tiny_draws.columns)
     path = tmp_path / "posterior.jsonl"
     write_posterior_jsonl(path, d)
@@ -258,7 +267,7 @@ def test_posterior_reads_as_plain_json(tmp_path, tiny_draws):
     params = np.array([row["params"] for row in rows])
     assert params[:, :f].tobytes() == d.mu.tobytes()
     assert params[:, f : 2 * f].tobytes() == d.sigma.tobytes()
-    assert np.stack([z_values(row) for row in rows]).tobytes() == d.z.tobytes()
+    assert z_values(path).tobytes() == d.z.tobytes()
 
 
 @pytest.mark.parametrize("ids", ["in-order", "sparse"])
@@ -272,6 +281,75 @@ def test_posterior_read_writes_back_the_same_bytes(tmp_path, tiny_draws, ids):
     write_posterior_jsonl(path, draws)
     write_posterior_jsonl(again, read_posterior_jsonl(path))
     assert again.read_bytes() == path.read_bytes()
+    assert z_path(again).read_bytes() == z_path(path).read_bytes()
+
+
+def test_two_writes_of_the_same_draws_hash_alike(tmp_path, tiny_draws):
+    paths = [tmp_path / run / "posterior.jsonl" for run in ("a", "b")]
+    for path in paths:
+        write_posterior_jsonl(path, tiny_draws)
+
+    def sha256s(path):
+        return [hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, z_path(path))]
+
+    assert sha256s(paths[0]) == sha256s(paths[1])
+
+
+def test_posterior_beside_the_z_file_of_another_write_is_refused(tmp_path, tiny_draws):
+    # as a crash between the two renames leaves it: a new z file beside the
+    # old JSONL, of the same shape
+    path, other = tmp_path / "posterior.jsonl", tmp_path / "other" / "posterior.jsonl"
+    write_posterior_jsonl(path, tiny_draws)
+    write_posterior_jsonl(other, dataclasses.replace(tiny_draws, z=tiny_draws.z[::-1]))
+    shutil.copy(z_path(other), z_path(path))
+    message = r"posterior\.z\.f8: sha256 does not match the z_sha256 in .*posterior\.jsonl"
+    with pytest.raises(DataError, match=message):
+        read_posterior_jsonl(path)
+
+
+def test_posterior_without_its_z_file_is_an_os_error(tmp_path, tiny_draws):
+    # the command layer turns it into exit 5 naming the file, as for a missing posterior
+    path = tmp_path / "posterior.jsonl"
+    write_posterior_jsonl(path, tiny_draws)
+    z_path(path).unlink()
+    with pytest.raises(FileNotFoundError, match=re.escape(str(z_path(path)))):
+        read_posterior_jsonl(path)
+
+
+def _not_finite(line: int) -> str:
+    return rf"the z of the draw on line {line} of .*posterior\.jsonl must be finite$"
+
+
+# tiny_draws' z: 2 chains x 60 draws of 15 respondents x 5 columns, 75 floats a draw
+@pytest.mark.parametrize(
+    "edit, repin, message",
+    [
+        (lambda z: z[:-1], False, r"71992 bytes, expected 120 draws x 15 x 5 float64, 72000$"),
+        (lambda z: [*z, 0.0], False, r"72008 bytes, expected 120 draws x 15 x 5 float64, 72000$"),
+        (lambda z: z[::-1], False, r"sha256 does not match the z_sha256 in .*posterior\.jsonl; "),
+        (lambda z: z_with_first_bits(z, NAN_BITS), True, _not_finite(2)),
+        (lambda z: z_with_first_bits(z, INF_BITS), True, _not_finite(2)),
+        # draws 3 and 7 hold an inf: the first is named
+        (
+            lambda z: np.concatenate([z[:225], *(z_with_first_bits(part, INF_BITS) for part in (z[225:525], z[525:]))]),
+            True,
+            _not_finite(5),
+        ),
+    ],
+    ids=["one-float-short", "one-float-long", "other-bytes", "nan-bits", "inf-bits", "first-bad-draw"],
+)
+def test_posterior_z_file_problems_name_the_z_file(tmp_path, tiny_draws, edit, repin, message):
+    # `repin` sets the header's z_sha256 to the edited file's, so the check
+    # after the sha256 sees the edit
+    path = tmp_path / "posterior.jsonl"
+    write_posterior_jsonl(path, tiny_draws)
+    sha256 = write_z(path, edit(z_values(path)))
+    if repin:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), "z_sha256": sha256}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(z_path(path)))}: {message}"):
+        read_posterior_jsonl(path)
 
 
 def test_posterior_jsonl_rejects_foreign_files(tmp_path):
@@ -354,13 +432,15 @@ def _zero_scale(header):
             lambda header: {**header, "config": {**header["config"], "chains": 10**30}},
             r"posterior\.jsonl: the header's chains x draws_per_chain, 6\d{31}, is too many draws$",
         ),
-        # a v1 file held z as decimals in params; there is no v1 reader
-        (lambda header: {**header, "version": 1}, r"posterior\.jsonl: not a conjoint-wtp-posterior v2 file$"),
+        # a v1 file held z as decimals in params, a v2 file as base64 in each
+        # draw line; there is no reader of either
+        (lambda header: {**header, "version": 1}, r"posterior\.jsonl: not a conjoint-wtp-posterior v3 file$"),
+        (lambda header: {**header, "version": 2}, r"posterior\.jsonl: not a conjoint-wtp-posterior v3 file$"),
     ],
     ids=[
         "no-columns", "no-standardization", "short-scale", "zero-scale", "foreign-price-column",
         "not-an-object", "nested", "long-int", "unknown-config-key", "non-integer-chains", "chains-past-memory",
-        "chains-past-indexing", "v1-file",
+        "chains-past-indexing", "v1-file", "v2-file",
     ],
 )
 def test_posterior_header_problems_name_the_field(tmp_path, tiny_draws, mutate, message):
@@ -394,19 +474,12 @@ def test_posterior_line_without_chain_names_the_line(tmp_path, tiny_draws):
         (lambda row: None, "not a JSON object$"),
         (lambda row: Line("[" * 100_000), "not valid JSON: maximum recursion depth exceeded"),
         (lambda row: Line(with_long_int(row, "draw")), long_int_fault("draw must be 0, got 9")),
-        (lambda row: {k: v for k, v in row.items() if k != "z"}, "'z' is missing$"),
+        (lambda row: {k: v for k, v in row.items() if k != "params"}, "'params' is missing$"),
         (lambda row: {**row, "params": [str(v) for v in row["params"]]}, "params must be a list of 10 numbers"),
         (lambda row: {**row, "params": [10**400, *row["params"][1:]]}, "every parameter must be finite$"),
-        (lambda row: {**row, "z": "!" + row["z"][1:]}, "z must be base64 text: "),
-        (lambda row: {**row, "z": z_values(row).tolist()}, "z must be base64 text: "),
-        (lambda row: {**row, "z": z_text(z_values(row)[:-1])}, r"z holds 592 bytes, expected 15 x 5 float64, 600$"),
-        (lambda row: {**row, "z": z_text([*z_values(row), 0.0])}, r"z holds 608 bytes, expected 15 x 5 float64, 600$"),
-        (lambda row: {**row, "z": z_with_first_bits(row, NAN_BITS)}, "every parameter must be finite$"),
-        (lambda row: {**row, "z": z_with_first_bits(row, INF_BITS)}, "every parameter must be finite$"),
     ],
     ids=[
-        "list", "string", "number", "null", "nested", "long-int", "no-z", "string-params", "integer-past-float64",
-        "z-outside-base64", "z-list", "z-one-float-short", "z-one-float-long", "z-nan-bits", "z-inf-bits",
+        "list", "string", "number", "null", "nested", "long-int", "no-params", "string-params", "integer-past-float64",
     ],
 )
 def test_posterior_draw_line_problems_name_the_line(tmp_path, tiny_draws, edit, message):
