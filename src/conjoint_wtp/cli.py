@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conjoint-wtp",
         description="Conjoint survey simulation, hierarchical Bayesian WTP estimation, "
-        "and revenue-curve pricing simulation.",
+        "and a revenue curve computed by quadrature.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_stage)
 
-    p = sub.add_parser("revenue", help="simulate the revenue curve for the configured bundle")
+    p = sub.add_parser("revenue", help="compute the revenue curve for the configured bundle by quadrature")
     add_common(p)
     p.add_argument("--posterior", help="posterior JSONL, its .z.f8 file beside it (default: <out>/posterior.jsonl)")
     p.set_defaults(func=cmd_stage)

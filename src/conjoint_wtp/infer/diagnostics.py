@@ -4,9 +4,11 @@
 pooled split draws once. Both statistics come from that one array: R-hat is
 the classic between/within variance ratio, and ESS sums autocorrelations
 (FFT-based) with Geyer's initial monotone positive-pair truncation
-(Vehtari et al. 2021, arXiv:1903.08008). Parameters are taken in blocks
-sized from the draw count, so the FFT buffers stay within a few MB however
-long the chains are. Both are deterministic functions of the draws.
+(Vehtari et al. 2021, arXiv:1903.08008). The average ranks are whole or
+half numbers, so their normal scores come from a table built once per call
+with the stdlib's `statistics.NormalDist().inv_cdf`. Parameters are taken in
+blocks sized from the draw count, so the FFT buffers stay within a few MB
+however long the chains are. Both are deterministic functions of the draws.
 
 Beside them it carries each chain's sampler statistics: mean acceptance,
 adapted step size, and gradient evaluations in warmup and in sampling.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -110,8 +113,9 @@ def _block_size(chains: int, n_draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * 2 * chains * _fft_size(n_draws // 2)))
 
 
-def _rhat_ess(draws: np.ndarray, ndtri) -> tuple[np.ndarray, np.ndarray]:
-    """Split R-hat and bulk ESS of each parameter of (chains, n, block)."""
+def _rhat_ess(draws: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split R-hat and bulk ESS of each parameter of (chains, n, block);
+    `scores[2 * rank - 2]` is the normal score of the average rank `rank`."""
     chains, n_draws, block = draws.shape
     n = n_draws // 2
     m = 2 * chains
@@ -119,7 +123,7 @@ def _rhat_ess(draws: np.ndarray, ndtri) -> tuple[np.ndarray, np.ndarray]:
     by_param = draws.transpose(2, 0, 1)
     split = np.concatenate([by_param[..., :n], by_param[..., n_draws - n :]], axis=1)
     pooled = split.reshape(block, m * n)
-    z = ndtri((_average_ranks(pooled) - 0.375) / (m * n + 0.25)).reshape(block, m, n)
+    z = scores[(2 * _average_ranks(pooled) - 2).astype(np.intp)].reshape(block, m, n)
 
     chain_means = z.mean(axis=2)
     between = chain_means.var(axis=1, ddof=1)
@@ -156,17 +160,18 @@ def diagnose(
 ) -> Diagnostics:
     """Compute R-hat/ESS for every named parameter of (chains, draws, dim),
     and collect each chain's sampler statistics; `config` is the fit's."""
-    from scipy.special import ndtri  # imported here so only `diagnose` pays for scipy
-
     draws = np.asarray(draws, dtype=float)
     chains, n_draws, dim = draws.shape
     block = _block_size(chains, n_draws)
+    # Blom's scores of the ranks 1, 1.5, ..., total of the pooled split draws
+    total = 2 * chains * (n_draws // 2)
+    scores = np.array([NormalDist().inv_cdf((k / 2 - 0.375) / (total + 0.25)) for k in range(2, 2 * total + 1)])
     r_hat = np.empty(dim)
     ess = np.empty(dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, dim, block):
             stop = start + block
-            r_hat[start:stop], ess[start:stop] = _rhat_ess(draws[:, :, start:stop], ndtri)
+            r_hat[start:stop], ess[start:stop] = _rhat_ess(draws[:, :, start:stop], scores)
     r_hat_by_name = dict(zip(names, r_hat.tolist()))
     warnings = tuple(
         f"r_hat[{name}] = {value:.4f} exceeds {RHAT_WARN_THRESHOLD}"

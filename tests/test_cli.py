@@ -708,12 +708,14 @@ def test_console_entry_point_runs():
     assert "conjoint-wtp" in result.stdout
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # the CLI starts on numpy alone: only `diagnose` imports scipy (for
-    # ndtri), and only a pooled `run_nuts` imports multiprocessing, so no
-    # other command pays for loading them
+def test_cli_import_loads_no_multiprocessing_and_pipeline_loads_no_scipy(tmp_path):
+    # the program runs on numpy alone: no command loads scipy, and only a
+    # pooled `run_nuts` imports multiprocessing, so importing the CLI does not
+    import os
     import subprocess
     import sys
+
+    from tests.helpers import DEMO_CONFIG
 
     probe = (
         "import sys, conjoint_wtp.cli; "
@@ -722,6 +724,17 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+    argv = ["pipeline", "--config", str(DEMO_CONFIG), "--out", str(tmp_path)]
+    argv += ["--chains", "2", "--warmup", "50", "--draws", "50"]
+    probe = (
+        f"import sys; from conjoint_wtp.cli import main; code = main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "CONJOINT_WTP_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_demo_config_matches_presets():

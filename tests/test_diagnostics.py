@@ -148,6 +148,30 @@ def test_average_ranks_match_scipy_on_ties():
     assert np.array_equal(_average_ranks(rows), rankdata(rows, method="average", axis=1))
 
 
+@pytest.mark.parametrize("chains, n_draws", [(4, 4), (4, 250), (4, 2000)])
+def test_normal_score_table_matches_scipy_ndtri(monkeypatch, chains, n_draws):
+    # 16, 1,000 and 8,000 pooled split draws: four chains of the fewest draws
+    # allowed, the cut demo and the full demo
+    from scipy.special import ndtri
+
+    from conjoint_wtp.infer import diagnostics
+
+    tables, rhat_ess = [], diagnostics._rhat_ess
+
+    def spy(draws, scores):
+        tables.append(scores)
+        return rhat_ess(draws, scores)
+
+    monkeypatch.setattr(diagnostics, "_rhat_ess", spy)
+    diagnose_all(np.random.default_rng(11).standard_normal((chains, n_draws, 1)))
+    total = chains * n_draws
+    positions = (np.arange(2, 2 * total + 1) / 2 - 0.375) / (total + 0.25)
+    # each quantile is a few ulp from the exact one (against 40-digit mpmath
+    # on these grids: inv_cdf within 5, ndtri within 4), so the two differ by
+    # at most the sum
+    np.testing.assert_array_max_ulp(tables[0], ndtri(positions), maxulp=9)
+
+
 def _stuck_chains(rng, chains, n, dim):
     """NUTS-like chains that keep their state for runs of 1-30 draws."""
     out = np.empty((chains, n, dim))
@@ -178,7 +202,9 @@ def test_diagnose_matches_per_parameter_reference(draws):
     dim = draws.shape[2]
     ref_r_hat = np.array([split_rhat(draws[:, :, j]) for j in range(dim)])
     ref_ess = np.array([ess_bulk(draws[:, :, j]) for j in range(dim)])
-    assert np.array_equal(r_hat, ref_r_hat, equal_nan=True)
+    # the reference's normal scores come from scipy's ndtri, diagnose's from the
+    # stdlib's inv_cdf: R-hat agrees to a few float64 epsilons, NaNs in place
+    np.testing.assert_allclose(r_hat, ref_r_hat, rtol=1e-14, atol=0, equal_nan=True)
     assert np.array_equal(np.isnan(ess), np.isnan(ref_ess))
     finite = ~np.isnan(ref_ess)
     np.testing.assert_allclose(ess[finite], ref_ess[finite], rtol=1e-12, atol=0)
